@@ -43,6 +43,8 @@ from .realization import (
     RealizationConfig,
     RealizedClass,
     Space,
+    _check,
+    _diff_witness,
     action_matrix,
     compose_realized,
     derive_P,
@@ -229,11 +231,6 @@ class GammaCert:
         return all(c["passed"] for c in self.checks)
 
 
-def _chk(checks, cid, claim, passed, witness=None):
-    checks.append({"id": cid, "claim": claim, "passed": bool(passed),
-                   "witness": None if passed else witness})
-
-
 def _embed(space: Space, m: np.ndarray) -> np.ndarray:
     """Extend a V-isometry to the full realization basis (identity on h)."""
     out = eye(space.size)
@@ -312,25 +309,25 @@ def build_gamma(dx: FourfoldData, dy: FourfoldData, iso_tr: Isometry) -> GammaCe
     checks = []
     tg = gamma.transpose()
     left = compose_realized(gamma, tg)
-    _chk(checks, "leftinv", "transpose composed after the map is the source diagonal",
-         left == diagonal_realized(spx), _diff(left, diagonal_realized(spx)))
+    _check(checks, "leftinv", "transpose composed after the map is the source diagonal",
+           left == diagonal_realized(spx), _diff_witness(left, diagonal_realized(spx)))
     right = compose_realized(tg, gamma)
-    _chk(checks, "rightinv", "the map composed after its transpose is the target diagonal",
-         right == diagonal_realized(spy), _diff(right, diagonal_realized(spy)))
+    _check(checks, "rightinv", "the map composed after its transpose is the target diagonal",
+           right == diagonal_realized(spy), _diff_witness(right, diagonal_realized(spy)))
     a = action_matrix(gamma)
     ok = all(
         mat_eq(a[:, i:i + 1], eye(spy.size)[:, i:i + 1]) for i in range(spx.hdim)
     )
-    _chk(checks, "hlines", "h-powers map to the matching h-powers", ok,
-         "some h-power moves off the line")
+    _check(checks, "hlines", "h-powers map to the matching h-powers", ok,
+           "some h-power moves off the line")
     ok = mat_eq(a.T.dot(spy.pairing).dot(a), spx.pairing)
-    _chk(checks, "quadratic", "the pairing is preserved on the full basis", ok,
-         "pairing matrices differ")
+    _check(checks, "quadratic", "the pairing is preserved on the full basis", ok,
+           "pairing matrices differ")
     ok = all(
         mat_eq(a.dot(_embed(spx, m1)), _embed(spy, m2).dot(a)) for m1, m2 in pairs
     )
-    _chk(checks, "equivariant", "the map commutes with every aligned group element",
-         ok, "group element does not intertwine")
+    _check(checks, "equivariant", "the map commutes with every aligned group element",
+           ok, "group element does not intertwine")
     return GammaCert(gamma, dx, dy, checks)
 
 
@@ -339,16 +336,6 @@ def _alg_tensor_pair(primx: QuadSpace, basis_x, basis_y) -> np.ndarray:
     for a, b in zip(basis_x, basis_y):
         out = out + np.multiply.outer(a, b) * (QQ(1) / primx.q(a))
     return out
-
-
-def _diff(got: RealizedClass, want: RealizedClass):
-    d = got - want
-    if d.is_zero():
-        return None
-    sig = sorted(d.comps, key=str)[0]
-    return "first differing component: " + "x".join(
-        "h^%d" % k[1] if k != "V" else "V" for k in sig
-    )
 
 
 def verify_frobenius(cert: GammaCert):
@@ -369,15 +356,15 @@ def verify_frobenius(cert: GammaCert):
 
     got2 = diagonal_realized(spx).transport((a, a), (spy, spy))
     want2 = diagonal_realized(spy)
-    _chk(checks, "diagonal", "the transported diagonal equals the target diagonal",
-         got2 == want2, _diff(got2, want2))
+    _check(checks, "diagonal", "the transported diagonal equals the target diagonal",
+           got2 == want2, _diff_witness(got2, want2))
 
     delta_x = realize(CorrClass.small_diagonal(vd), dx.cfg)
     delta_y = realize(CorrClass.small_diagonal(dy.cfg.vd), dy.cfg)
     got3 = delta_x.transport((a, a, a), (spy, spy, spy))
-    _chk(checks, "small-diagonal",
-         "the transported small diagonal equals the target small diagonal",
-         got3 == delta_y, _diff(got3, delta_y))
+    _check(checks, "small-diagonal",
+           "the transported small diagonal equals the target small diagonal",
+           got3 == delta_y, _diff_witness(got3, delta_y))
 
     # decomposition route: diagonals decorated with h^4 plus the defect P,
     # all realized on the target side
@@ -385,12 +372,12 @@ def verify_frobenius(cert: GammaCert):
     for (i, j) in ((0, 1), (0, 2), (1, 2)):
         decomp = decomp + CorrClass(vd, 3, {("D", i, j, vd.dim): QQ(1, vd.degree)})
     recon = realize(decomp, dy.cfg) + realize(derive_P(dx.cfg), dy.cfg)
-    _chk(checks, "small-diagonal-route",
-         "the transported small diagonal equals the decomposition rebuilt on the target",
-         got3 == recon, _diff(got3, recon))
-    _chk(checks, "route-agreement",
-         "decomposition route and direct target realization agree",
-         recon == delta_y, _diff(recon, delta_y))
+    _check(checks, "small-diagonal-route",
+           "the transported small diagonal equals the decomposition rebuilt on the target",
+           got3 == recon, _diff_witness(got3, recon))
+    _check(checks, "route-agreement",
+           "decomposition route and direct target realization agree",
+           recon == delta_y, _diff_witness(recon, delta_y))
     return checks
 
 
@@ -421,13 +408,13 @@ def build_gamma_cubic_k3(dx: FourfoldData, ds: SurfaceData, iso: Isometry) -> Ga
     checks = []
     tg = gamma.transpose()
     left = compose_realized(gamma, tg)
-    _chk(checks, "tr-leftinv",
-         "transpose after the map is the fourfold transcendental projector",
-         left == pi4_tr, _diff(left, pi4_tr))
+    _check(checks, "tr-leftinv",
+           "transpose after the map is the fourfold transcendental projector",
+           left == pi4_tr, _diff_witness(left, pi4_tr))
     right = compose_realized(tg, gamma)
-    _chk(checks, "tr-rightinv",
-         "the map after its transpose is the surface transcendental projector",
-         right == pi2_tr, _diff(right, pi2_tr))
+    _check(checks, "tr-rightinv",
+           "the map after its transpose is the surface transcendental projector",
+           right == pi2_tr, _diff_witness(right, pi2_tr))
     return GammaCert(gamma, dx, ds, checks, kind="cubic-k3")
 
 

@@ -321,9 +321,9 @@ def _orthogonalize(space: QuadSpace, vectors):
             if pair is None:
                 raise DomainError("unsupported: degenerate complement")
             i, j = pair
+            # keep v_j: the projection below makes it orthogonal to w
             w = remaining[i] + remaining[j]
             wc = coords[i] + coords[j]
-            del remaining[j], coords[j]
             del remaining[i], coords[i]
         qw = space.q(w)
         for k in range(len(remaining)):

@@ -18,8 +18,6 @@ is exact tensor algebra over this model.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .errors import ShadowViolation, StructureError
@@ -29,8 +27,6 @@ from .quadform import QuadSpace
 from .rationals import QQ, rational_str
 from .tautcorr import CorrClass, ck_projectors
 from . import mukai as _mukai
-
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 class Space:
@@ -63,8 +59,9 @@ class Space:
             return False
         return self.r == 0 or mat_eq(self.gram, other.gram)
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
+    def index(self, kind):
+        """Basis position of a kind: the h^k row, or the slice of the V-block."""
+        return kind[1] if kind != "V" else slice(self.hdim, self.size)
 
     def kinds(self):
         ks = [("h", k) for k in range(self.hdim)]
@@ -166,9 +163,6 @@ class RealizedClass:
         self._check(other)
         return (self - other).is_zero()
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     # --- intersection product -------------------------------------------
 
     def __mul__(self, other):
@@ -245,8 +239,7 @@ class RealizedClass:
         sa, sb = self.spaces
         m = zeros(sa.size, sb.size)
         for (k0, k1), val in self.comps.items():
-            r0 = k0[1] if k0 != "V" else slice(sa.hdim, sa.size)
-            r1 = k1[1] if k1 != "V" else slice(sb.hdim, sb.size)
+            r0, r1 = sa.index(k0), sb.index(k1)
             m[r0, r1] = m[r0, r1] + val
         return m
 
@@ -267,41 +260,40 @@ class RealizedClass:
             comps[("V", "V")] = m[sa.hdim:, sb.hdim:].copy()
         return cls(spaces, comps)
 
-    # --- dense form (for transports) ---------------------------------------
-
-    def to_dense(self) -> np.ndarray:
-        shape = tuple(sp.size for sp in self.spaces)
-        dense = np.full(shape, QQ(0), dtype=object)
-        for sig, val in self.comps.items():
-            sel = tuple(
-                k[1] if k != "V" else slice(sp.hdim, sp.size)
-                for k, sp in zip(sig, self.spaces)
-            )
-            dense[sel] = dense[sel] + val
-        return dense
-
-    @classmethod
-    def from_dense(cls, spaces, dense) -> "RealizedClass":
-        comps = {}
-        for sig in itertools.product(*(sp.kinds() for sp in spaces)):
-            sel = tuple(
-                k[1] if k != "V" else slice(sp.hdim, sp.size)
-                for k, sp in zip(sig, spaces)
-            )
-            val = dense[sel]
-            if isinstance(val, np.ndarray):
-                val = val.copy()
-            comps[sig] = val
-        return cls(spaces, comps)
-
     def transport(self, mats, targets) -> "RealizedClass":
-        """Apply one linear map per slot (matrix of shape target x source)."""
+        """Apply one linear map per slot (matrix of shape target x source).
+
+        Works block by block on the signature: in each slot, a component of
+        source kind ks goes to every target kind kt through the block
+        ``m[kt, ks]`` — a scalar for h -> h, an outer product placed at the
+        slot's V-axis for h -> V, a contraction of that axis for V -> h, and a
+        contraction with the new axis put back in place for V -> V.  All-zero
+        blocks are skipped.
+        """
         if len(mats) != self.n or len(targets) != self.n:
             raise StructureError("need one transport matrix per slot")
-        dense = self.to_dense()
-        for s, m in enumerate(mats):
-            dense = np.moveaxis(np.tensordot(m, dense, axes=([1], [s])), 0, s)
-        return RealizedClass.from_dense(tuple(targets), dense)
+        comps = self.comps
+        for s, (m, src, tgt) in enumerate(zip(mats, self.spaces, targets)):
+            blocks = {}
+            for ks in src.kinds():
+                cells = ((kt, m[tgt.index(kt), src.index(ks)]) for kt in tgt.kinds())
+                blocks[ks] = [(kt, b) for kt, b in cells if not _val_is_zero(b)]
+            out = {}
+            for sig, val in comps.items():
+                p = sig[:s].count("V")  # position of this slot's V-axis
+                for kt, b in blocks[sig[s]]:
+                    if sig[s] == "V":
+                        new = np.tensordot(val, b, axes=([p], [b.ndim - 1]))
+                    else:
+                        new = np.multiply.outer(val, b)
+                    if kt == "V":
+                        new = np.moveaxis(new, -1, p)
+                    elif isinstance(new, np.ndarray) and new.ndim == 0:
+                        new = new[()]
+                    key = sig[:s] + (kt,) + sig[s + 1:]
+                    out[key] = out[key] + new if key in out else new
+            comps = out
+        return RealizedClass(targets, comps)
 
     def middle_part(self) -> "RealizedClass":
         """Components with every slot in the middle degree (h^{d/2} or V)."""
@@ -352,23 +344,18 @@ def _component_product(spaces, sig_a, val_a, sig_b, val_b):
         return tuple(out_sig), val_b * (val_a * factor)
     if not b_axes:
         return tuple(out_sig), val_a * (val_b * factor)
-    # general case: contract paired V-slots through the Gram matrix
-    la = {s: _LETTERS[i] for i, s in enumerate(a_axes)}
-    lb = {s: _LETTERS[len(a_axes) + i] for i, s in enumerate(b_axes)}
-    operands = [val_a]
-    subs = ["".join(la[s] for s in a_axes)]
+    # general case: contract each paired V-slot of a through the Gram matrix,
+    # then contract a with b over those slots, one pairwise tensordot each
     for s in contracted:
-        operands.append(spaces[s].gram)
-        subs.append(la[s] + lb[s])
-    operands.append(val_b)
-    subs.append("".join(lb[s] for s in b_axes))
-    out_letters = ""
-    for s, k in enumerate(out_sig):
-        if k == "V":
-            out_letters += la[s] if s in la else lb[s]
-    val = np.einsum(",".join(subs) + "->" + out_letters, *operands)
-    if out_letters == "" and isinstance(val, np.ndarray):
-        val = val.item()
+        i = a_axes.index(s)
+        val_a = np.moveaxis(np.tensordot(val_a, spaces[s].gram, axes=([i], [0])), -1, i)
+    val = np.tensordot(val_a, val_b, axes=([a_axes.index(s) for s in contracted],
+                                           [b_axes.index(s) for s in contracted]))
+    # the free axes come out as a's then b's; put them back in slot order
+    free = [s for s in a_axes + b_axes if s not in contracted]
+    val = np.transpose(val, np.argsort(free))
+    if val.ndim == 0:
+        val = val[()]
     return tuple(out_sig), val * factor
 
 
@@ -504,9 +491,9 @@ def p_to_text(p: CorrClass) -> str:
 
 
 def _check(checks, cid, claim, passed, witness=None):
-    checks.append(
-        {"id": cid, "claim": claim, "passed": bool(passed), "witness": witness}
-    )
+    """Append a check dict; the witness is kept only when the check fails."""
+    checks.append({"id": cid, "claim": claim, "passed": bool(passed),
+                   "witness": None if passed else witness})
 
 
 def _diff_witness(got: RealizedClass, want: RealizedClass) -> str | None:

@@ -5,6 +5,7 @@ negative controls, and the fourfold-to-surface bridge."""
 import numpy as np
 import pytest
 
+from dense_oracle import dense_transport
 from cubicmotives.errors import DomainError, StructureError
 from cubicmotives.gradedring import VarietyData
 from cubicmotives.linalg import eye, inverse, mat_eq, qmat, qvec, zeros
@@ -14,7 +15,7 @@ from cubicmotives.motiveiso import (FourfoldData, GammaCert, SurfaceData, build_
                                     surface_ck, verify_frobenius)
 from cubicmotives.quadform import GroupAction, Isometry, QuadSpace
 from cubicmotives.rationals import QQ
-from cubicmotives.realization import (RealizationConfig, RealizedClass,
+from cubicmotives.realization import (RealizationConfig, RealizedClass, action_matrix,
                                       compose_realized, diagonal_realized, realize)
 from cubicmotives.tautcorr import CorrClass, ck_projectors
 
@@ -182,37 +183,71 @@ def test_build_gamma_equivariance_rejection():
 # negative controls
 
 
-def test_corrupted_h_summand_fails_transport():
+def _tampered_gamma(kind):
+    """A rank-6 certificate pair and its Gamma with one h-line summand negated
+    ("hflip"), or with the transcendental block negated in a sheared basis
+    ("shear")."""
     dx, dy, iso = random_fourfold_pair(5)
     cert = build_gamma(dx, dy, iso)
     comps = dict(cert.gamma.comps)
-    comps[(("h", 1), ("h", 3))] = comps[(("h", 1), ("h", 3))] * QQ(-1)
-    bad = RealizedClass(cert.gamma.spaces, comps)
+    if kind == "hflip":
+        comps[(("h", 1), ("h", 3))] = comps[(("h", 1), ("h", 3))] * QQ(-1)
+    else:
+        prim = dx.cfg.prim
+        t_basis, _ = dx.transcendental()
+        a_vv = cert.gamma.comps[("V", "V")].T.dot(prim.gram)
+        cols = list(dx.alg_basis) + [t_basis[0], t_basis[0] + t_basis[1]] + list(t_basis[2:])
+        p = np.stack(cols, axis=1)
+        imgs = a_vv.dot(p)
+        imgs[:, len(dx.alg_basis) + 1] = -imgs[:, len(dx.alg_basis) + 1]
+        comps[("V", "V")] = inverse(prim.gram).dot(imgs.dot(inverse(p)).T)
+    return dx, dy, RealizedClass(cert.gamma.spaces, comps)
+
+
+def _failed_witnesses(checks):
+    assert all(c["witness"] is None for c in checks if c["passed"])
+    return {c["id"]: c["witness"] for c in checks if not c["passed"]}
+
+
+def test_corrupted_h_summand_fails_transport():
+    dx, dy, bad = _tampered_gamma("hflip")
     fr = verify_frobenius(GammaCert(bad, dx, dy, []))
     failed = {c["id"] for c in fr if not c["passed"]}
     assert "small-diagonal" in failed
+    assert _failed_witnesses(fr) == {
+        "diagonal": "first differing component: h^1xh^3",
+        "small-diagonal": "first differing component: h^1xh^3xh^4",
+        "small-diagonal-route": "first differing component: h^1xh^3xh^4",
+    }
 
 
 def test_sheared_transcendental_flip_is_caught():
-    dx, dy, iso = random_fourfold_pair(5)
-    cert = build_gamma(dx, dy, iso)
-    prim = dx.cfg.prim
-    t_basis, _ = dx.transcendental()
-    a_vv = cert.gamma.comps[("V", "V")].T.dot(prim.gram)
-    cols = list(dx.alg_basis) + [t_basis[0], t_basis[0] + t_basis[1]] + list(t_basis[2:])
-    p = np.stack(cols, axis=1)
-    imgs = a_vv.dot(p)
-    imgs[:, len(dx.alg_basis) + 1] = -imgs[:, len(dx.alg_basis) + 1]
-    vv_bad = inverse(prim.gram).dot(imgs.dot(inverse(p)).T)
-    comps = dict(cert.gamma.comps)
-    comps[("V", "V")] = vv_bad
-    bad = RealizedClass(cert.gamma.spaces, comps)
+    dx, dy, bad = _tampered_gamma("shear")
     # no longer an isometry on the summand, so inversion fails...
     assert compose_realized(bad, bad.transpose()) != diagonal_realized(dx.space)
     # ...and the small-diagonal transport catches it too
     fr = verify_frobenius(GammaCert(bad, dx, dy, []))
     failed = {c["id"] for c in fr if not c["passed"]}
     assert "small-diagonal" in failed
+    assert _failed_witnesses(fr) == {
+        "diagonal": "first differing component: VxV",
+        "small-diagonal": "first differing component: VxVxh^4",
+        "small-diagonal-route": "first differing component: VxVxh^4",
+    }
+
+
+def test_tampered_gamma_transport_matches_dense_oracle():
+    # a tampered Gamma breaks the certificate identities; the block transport
+    # must still agree with the dense route on its action matrix
+    for kind in ("hflip", "shear"):
+        dx, dy, bad = _tampered_gamma(kind)
+        a = action_matrix(bad)
+        spx, spy = dx.space, dy.space
+        d = diagonal_realized(spx)
+        assert d.transport((a, a), (spy, spy)) == dense_transport(d, (a, a), (spy, spy))
+        delta = realize(CorrClass.small_diagonal(dx.cfg.vd), dx.cfg)
+        assert delta.transport((a, a, a), (spy,) * 3) == \
+            dense_transport(delta, (a, a, a), (spy,) * 3)
 
 
 def test_whole_summand_sign_flip_is_a_legitimate_alternative():

@@ -11,7 +11,7 @@ from cubicmotives.linalg import eye, inverse, mat_eq, qmat, qvec, zeros
 from cubicmotives.quadform import (GroupAction, Isometry, QuadSpace, WittResult,
                                    aligned_elements, equivariant_transport,
                                    equivariant_witt, fixed_space_form, group_closure,
-                                   radical, reflect_to)
+                                   radical, reflect_to, _orthogonalize)
 from cubicmotives.rationals import QQ
 
 
@@ -236,6 +236,50 @@ def test_equivariant_witt_nontrivial_prescription():
     wr = equivariant_witt(grp, w, grp, w, Isometry.identity(v), psi)
     assert mat_eq(wr.full.matrix.dot(w[0]), -w[0])
     assert wr.full.verify()
+
+
+def test_orthogonalize_keeps_both_vectors_of_an_isotropic_pair():
+    # both inputs are isotropic, so the pivot is their sum; the second input
+    # must stay behind and be projected, not dropped with the first
+    v = diag_space(1, -1)
+    vecs = [qvec([1, 1]), qvec([1, -1])]
+    basis, coeffs = _orthogonalize(v, vecs)
+    assert len(basis) == 2
+    assert v.bilinear(basis[0], basis[1]) == 0
+    assert all(v.q(b) != 0 for b in basis)
+    for b, c in zip(basis, coeffs):
+        assert mat_eq(b, vecs[0] * c[0] + vecs[1] * c[1])
+
+
+def test_equivariant_witt_prescription_on_isotropic_basis():
+    # W is spanned by two isotropic vectors of diag(2, -2, 2, -2, -1), the
+    # second side is a unimodular conjugate, and phi_V moves W: the extension
+    # must still carry each basis vector of W to its prescribed image
+    v1 = diag_space(2, -2, 2, -2, -1)
+    gens1 = [qmat(np.diag(d).tolist())
+             for d in ([1, 1, -1, -1, -1], [1, 1, 1, 1, -1], [1, 1, 1, 1, 1])]
+    w1 = [qvec([-1, -1, 0, 0, 0]), qvec([-1, 1, 0, 0, 0])]
+    v2 = QuadSpace(qmat([[-1, -3, 7, 6, 1], [-3, -3, 7, 6, 1], [7, 7, -23, -18, -3],
+                         [6, 6, -18, -14, -2], [1, 1, -3, -2, -1]]))
+    gens2 = [qmat([[1, 0, 0, 0, 0], [0, 1, -4, -4, 0], [0, 0, -1, 0, 0],
+                   [0, 0, 0, -1, 0], [2, 2, -4, -4, -1]]),
+             qmat([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
+                   [0, 0, 0, 1, 0], [2, 2, -6, -4, -1]]),
+             eye(5)]
+    w2 = [qvec([-1, 0, 0, 0, -1]), qvec([-1, 2, 0, 0, 1])]
+    phi = qmat([[1, 0, 0, 0, 0], [-1, -1, -2, 2, 0], [0, 0, 1, 0, 0],
+                [0, 0, -2, 1, 0], [0, -1, -1, 0, 1]])
+    group1, group2 = GroupAction.build(v1, gens1), GroupAction.build(v2, gens2)
+    wr = equivariant_witt(group1, w1, group2, w2, Isometry(v1, v2, phi),
+                          Isometry(v1.restrict(w1), v2.restrict(w2), eye(2)))
+    m = wr.full.matrix
+    assert wr.full.verify()
+    for a, b in zip(w1, w2):
+        assert mat_eq(m.dot(a), b)
+    for m1, m2 in aligned_elements(group1, group2):
+        assert mat_eq(m.dot(m1), m2.dot(m))
+    assert wr.restriction.verify()
+    assert len(wr.u1_basis) == 3
 
 
 def test_equivariant_witt_rejections():

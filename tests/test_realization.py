@@ -2,13 +2,17 @@
 correspondence calculus, the small-diagonal correction class with its
 closed-form degree table, kernel identities, and Euler consistency."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 
+from dense_oracle import dense_transport, einsum_product, from_dense, to_dense
+from cubicmotives import realization
 from cubicmotives.errors import StructureError
 from cubicmotives.gradedring import VarietyData
-from cubicmotives.linalg import eye, mat_eq, qmat
+from cubicmotives.linalg import eye, mat_eq, qmat, zeros
 from cubicmotives.motiveiso import _random_diag_gram
 from cubicmotives.rationals import QQ
 from cubicmotives.realization import (RealizationConfig, RealizedClass, Space,
@@ -114,8 +118,8 @@ def test_matrix_and_dense_roundtrip():
     f = realize(_random_taut(random.Random(21)), cfg)
     m = f.to_matrix()
     assert RealizedClass.from_matrix((sp, sp), m) == f
-    dense = f.to_dense()
-    assert RealizedClass.from_dense((sp, sp), dense) == f
+    dense = to_dense(f)
+    assert from_dense((sp, sp), dense) == f
 
 
 def test_transport_by_identity():
@@ -123,6 +127,92 @@ def test_transport_by_identity():
     sp = cfg.space
     f = realize(_random_taut(random.Random(2)), cfg)
     assert f.transport([eye(sp.size), eye(sp.size)], [sp, sp]) == f
+
+
+def _rand_q(rng):
+    return QQ(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def _random_realized(rng, spaces, n_comps=6) -> RealizedClass:
+    """A class with random components, h-only and V-carrying alike."""
+    sigs = list(itertools.product(*(sp.kinds() for sp in spaces)))
+    comps = {}
+    for sig in rng.sample(sigs, min(n_comps, len(sigs))):
+        shape = [sp.r for k, sp in zip(sig, spaces) if k == "V"]
+        val = zeros(*shape) if shape else _rand_q(rng)
+        if shape:
+            for idx in np.ndindex(*shape):
+                val[idx] = _rand_q(rng)
+        comps[sig] = val
+    return RealizedClass(spaces, comps)
+
+
+def _random_map(rng, source: Space, target: Space) -> np.ndarray:
+    """A target x source matrix with every entry nonzero, so all four
+    blocks (hh, hV, Vh, VV) of the slot map are nonzero."""
+    m = zeros(target.size, source.size)
+    for i in range(target.size):
+        for j in range(source.size):
+            m[i, j] = QQ(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3))
+    return m
+
+
+def test_block_transport_matches_dense_oracle():
+    rng = random.Random(41)
+    sp3, sp2, sp5 = small_cfg(rank=3).space, small_cfg(rank=2, seed=7).space, \
+        small_cfg(rank=5, seed=9).space
+    h_only = Space(CUBIC)
+    k3 = Space(VarietyData.k3(), small_cfg(rank=4, seed=2).prim)
+    cases = [
+        ((sp3, sp3), (sp3, sp3)),
+        ((sp3, sp3, sp3), (sp3, sp3, sp3)),
+        ((sp3, sp5), (sp2, sp3)),              # ranks change per slot
+        ((sp2, sp3, sp5), (sp5, sp2, sp3)),
+        ((sp3, sp2), (h_only, h_only)),        # onto an h-only space (r = 0)
+        ((h_only, sp2, h_only), (sp3, h_only, sp2)),  # out of one
+        ((sp3, sp2), (k3, sp3)),               # a different variety in a slot
+    ]
+    for sources, targets in cases:
+        for _ in range(3):
+            x = _random_realized(rng, sources)
+            mats = [_random_map(rng, a, b) for a, b in zip(sources, targets)]
+            got = x.transport(mats, targets)
+            assert got.spaces == tuple(targets)
+            assert got == dense_transport(x, mats, targets)
+
+
+def test_block_transport_of_diagonals_matches_dense_oracle():
+    cfg = small_cfg(rank=4, seed=17)
+    sp = cfg.space
+    rng = random.Random(8)
+    m = _random_map(rng, sp, sp)
+    d = diagonal_realized(sp)
+    assert d.transport((m, m), (sp, sp)) == dense_transport(d, (m, m), (sp, sp))
+    delta = realize(CorrClass.small_diagonal(CUBIC), cfg)
+    assert delta.transport((m, m, m), (sp,) * 3) == dense_transport(delta, (m, m, m), (sp,) * 3)
+
+
+def test_products_match_einsum_oracle(monkeypatch):
+    nondiag = RealizationConfig.with_gram(qmat([[QQ(2), QQ(1), QQ(0)],
+                                                [QQ(1), QQ(2), QQ(0)],
+                                                [QQ(0), QQ(0), QQ(-1)]]))
+    rng = random.Random(12)
+    cfgs = (small_cfg(rank=1), small_cfg(rank=4, seed=8), nondiag)
+    taut = [CorrClass.small_diagonal(CUBIC),
+            CorrClass.small_diagonal(CUBIC).scale(QQ(2, 3))
+            + CorrClass(CUBIC, 3, {("D", 0, 2, 1): QQ(-1)})
+            + CorrClass.h_monomial(CUBIC, (1, 2, 0), QQ(1, 2))]
+    pairs = []
+    for cfg in cfgs:
+        sp = cfg.space
+        for n in (2, 3):
+            pairs += [(_random_realized(rng, (sp,) * n, 8),
+                       _random_realized(rng, (sp,) * n, 8)) for _ in range(3)]
+    got_real = [realize(x, cfg) for cfg in cfgs for x in taut]
+    got_prod = [a * b for a, b in pairs]
+    monkeypatch.setattr(realization, "_component_product", einsum_product)
+    assert got_real == [realize(x, cfg) for cfg in cfgs for x in taut]
+    assert got_prod == [a * b for a, b in pairs]
 
 
 def test_middle_part_of_diagonal():
