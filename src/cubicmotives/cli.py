@@ -43,7 +43,7 @@ def _load_config_file(path: str) -> dict:
     diags = []
     for key in sorted(set(data) - _CONFIG_KEYS):
         diags.append(f"config: unknown key {key!r} (allowed: seed, gram)")
-    if "seed" in data and not isinstance(data["seed"], int):
+    if "seed" in data and type(data["seed"]) is not int:  # bool is an int subclass
         diags.append(f"config: 'seed' must be an integer, got {type(data['seed']).__name__}")
     if "gram" in data and not isinstance(data["gram"], (str, list)):
         diags.append("config: 'gram' must be \"default\", \"random\", a file path, "
@@ -56,7 +56,7 @@ def _load_config_file(path: str) -> dict:
 def _gram_from_rows(rows, origin: str):
     try:
         return RealizationConfig.with_gram(mat_from_json(rows))
-    except (StructureError, DomainError, ValueError, TypeError) as e:
+    except (StructureError, DomainError, ValueError, TypeError, ZeroDivisionError) as e:
         raise ConfigError([f"config: {origin} is not a valid Gram matrix: {e}"])
 
 

@@ -1,13 +1,20 @@
 """Exact linear algebra over Q on numpy object arrays.
 
 Dense matrices/vectors carry exact rationals (see :mod:`cubicmotives.rationals`)
-in ``dtype=object`` arrays, so ``np.dot``/``np.tensordot`` stay exact.  The
-eliminations below are plain fraction Gauss-Jordan: the matrices in this
-package are small (rank <= 27) and exactness matters more than pivoting
-strategy.
+in ``dtype=object`` arrays.  Every product goes through :func:`tensordot`
+(and :func:`dot`), which follows the common-denominator design of FLINT's
+``fmpq_mat``: each operand is scaled once to Python integers over the lcm of
+its denominators, the integers are contracted by ``np.tensordot`` (exact, no
+overflow), and each output entry is divided once by the product of the two
+denominators.  Object ``np.dot`` on rationals would instead build and reduce a
+rational at every multiply-add.  The eliminations below are plain fraction
+Gauss-Jordan: the matrices in this package are small (rank <= 27) and
+exactness matters more than pivoting strategy.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -46,6 +53,31 @@ def is_zero(a) -> bool:
 def mat_eq(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and all(x == y for x, y in zip(a.flat, b.flat))
+
+
+def _scaled(a):
+    """(n, d): an integer object array and one denominator with a = n / d."""
+    a = np.asarray(a, dtype=object)
+    pq = [(x.numerator, x.denominator) for x in a.flat]
+    d = math.lcm(*(q for _, q in pq))
+    n = np.array([p * (d // q) for p, q in pq], dtype=object)
+    return n.reshape(a.shape), d
+
+
+def tensordot(a, b, axes=1):
+    """Exact ``np.tensordot`` of rational arrays over one common denominator
+    per operand; a 0-d result comes back as a scalar."""
+    na, da = _scaled(a)
+    nb, db = _scaled(b)
+    n, d = np.tensordot(na, nb, axes), da * db
+    if n.ndim == 0:
+        return QQ(n[()], d)
+    return np.array([QQ(x, d) for x in n.flat], dtype=object).reshape(n.shape)
+
+
+def dot(a, b):
+    """Exact matrix/vector product of 1- and 2-d arrays (``np.dot`` shapes)."""
+    return tensordot(a, b, 1)
 
 
 def rref(a):
@@ -126,29 +158,6 @@ def inverse(a):
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return m[:, n:]
-
-
-def det(a):
-    """Determinant by exact Gaussian elimination."""
-    m = np.array(a, dtype=object, copy=True)
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise ValueError("det needs a square matrix")
-    sign = 1
-    d = QQ(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i, c] != 0), None)
-        if pr is None:
-            return QQ(0)
-        if pr != c:
-            m[[c, pr]] = m[[pr, c]]
-            sign = -sign
-        d = d * QQ(m[c, c])
-        inv = QQ(1) / QQ(m[c, c])
-        for i in range(c + 1, n):
-            if m[i, c] != 0:
-                m[i] = m[i] - m[i, c] * inv * m[c]
-    return sign * d
 
 
 def mat_to_json(a):

@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, StructureError
 from .gradedring import VarietyData
 from .linalg import (
+    dot,
     eye,
     inverse,
     mat_eq,
@@ -144,7 +146,7 @@ class SurfaceData:
             self, "ns_basis", _as_vectors(self.prim2, self.ns_basis, "Neron-Severi basis")
         )
 
-    @property
+    @cached_property
     def space(self) -> Space:
         return Space(self.vd, self.prim2)
 
@@ -242,8 +244,8 @@ def _transport_tensor(u1_basis, u2_basis, restriction: Isometry) -> np.ndarray:
     """Ambient V x V' tensor acting as the given isometry on span(u1)."""
     b1 = np.stack(u1_basis, axis=1)
     b2 = np.stack(u2_basis, axis=1)
-    k = inverse(restriction.source.gram).dot(restriction.matrix.T)
-    return b1.dot(k).dot(b2.T)
+    k = dot(inverse(restriction.source.gram), restriction.matrix.T)
+    return dot(dot(b1, k), b2.T)
 
 
 def build_gamma(dx: FourfoldData, dy: FourfoldData, iso_tr: Isometry) -> GammaCert:
@@ -274,19 +276,16 @@ def build_gamma(dx: FourfoldData, dy: FourfoldData, iso_tr: Isometry) -> GammaCe
 
     # global isometry phi_V = (algebraic index map) + (iso_tr on complements)
     dom = list(dx.alg_basis) + list(t1_basis)
-    img = list(dy.alg_basis) + [
-        sum((iso_tr.matrix[l, k] * t2_basis[l] for l in range(len(t2_basis))),
-            zeros(primy.dim))
-        for k in range(len(t1_basis))
-    ]
-    m_phi = np.stack(img, axis=1).dot(inverse(np.stack(dom, axis=1)))
+    b2 = np.stack(t2_basis, axis=1) if t2_basis else zeros(primy.dim, 0)
+    img = list(dy.alg_basis) + list(dot(b2, iso_tr.matrix).T)
+    m_phi = dot(np.stack(img, axis=1), inverse(np.stack(dom, axis=1)))
     phi_v = Isometry(primx, primy, m_phi)
     phi_v.require_valid("assembled global map")
 
     g1, g2 = dx.group_or_trivial(), dy.group_or_trivial()
     pairs = aligned_elements(g1, g2)
     for m1, m2 in pairs:
-        if not mat_eq(m_phi.dot(m1), m2.dot(m_phi)):
+        if not mat_eq(dot(m_phi, m1), dot(m2, m_phi)):
             raise DomainError("iso_tr is not equivariant")
 
     # equivariant Witt extension: carry the complement of the algebraic span
@@ -320,11 +319,11 @@ def build_gamma(dx: FourfoldData, dy: FourfoldData, iso_tr: Isometry) -> GammaCe
     )
     _check(checks, "hlines", "h-powers map to the matching h-powers", ok,
            "some h-power moves off the line")
-    ok = mat_eq(a.T.dot(spy.pairing).dot(a), spx.pairing)
+    ok = mat_eq(dot(dot(a.T, spy.pairing), a), spx.pairing)
     _check(checks, "quadratic", "the pairing is preserved on the full basis", ok,
            "pairing matrices differ")
     ok = all(
-        mat_eq(a.dot(_embed(spx, m1)), _embed(spy, m2).dot(a)) for m1, m2 in pairs
+        mat_eq(dot(a, _embed(spx, m1)), dot(_embed(spy, m2), a)) for m1, m2 in pairs
     )
     _check(checks, "equivariant", "the map commutes with every aligned group element",
            ok, "group element does not intertwine")
@@ -469,12 +468,12 @@ def random_fourfold_pair(seed: int, rank: int = 6, alg_rank: int | None = None,
 
     s = _random_unimodular(rng, rank)
     s_inv = inverse(s)
-    g2 = s.T.dot(g1).dot(s)
+    g2 = dot(dot(s.T, g1), s)
     prim2 = QuadSpace(g2)
-    alg2 = [s_inv.dot(a) for a in alg1]
+    alg2 = [dot(s_inv, a) for a in alg1]
     group2 = None
     if group1 is not None:
-        group2 = GroupAction.build(prim2, [s_inv.dot(m).dot(s) for m in group1.generators])
+        group2 = GroupAction.build(prim2, [dot(dot(s_inv, m), s) for m in group1.generators])
 
     dx = FourfoldData(RealizationConfig(prim=prim1), tuple(alg1), group1)
     dy = FourfoldData(RealizationConfig(prim=prim2), tuple(alg2), group2)
@@ -482,14 +481,14 @@ def random_fourfold_pair(seed: int, rank: int = 6, alg_rank: int | None = None,
     t1_basis, t1 = dx.transcendental()
     t2_basis, t2 = dy.transcendental()
     b2 = np.stack(t2_basis, axis=1)
-    cols = [solve(b2, s_inv.dot(u)) for u in t1_basis]
+    cols = [solve(b2, dot(s_inv, u)) for u in t1_basis]
     m_tr = np.stack(cols, axis=1)
     # optionally precompose with a reflection in a group-fixed transcendental
     # direction, so the certified map is not bare conjugation
     if fixed_t and rng.random() < 0.7:
         w = zeros(len(t1_basis))
         w[rng.choice(fixed_t) - alg_rank] = QQ(1)
-        m_tr = m_tr.dot(Isometry.reflection(t1, w).matrix)
+        m_tr = dot(m_tr, Isometry.reflection(t1, w).matrix)
     iso_tr = Isometry(t1, t2, m_tr)
     return dx, dy, iso_tr
 
@@ -502,10 +501,10 @@ def random_cubic_k3_pair(seed: int, rank: int = 6):
     dx = FourfoldData(RealizationConfig(prim=QuadSpace(g1)))
     s = _random_unimodular(rng, rank)
     s_inv = inverse(s)
-    ds = SurfaceData(VarietyData.k3(), QuadSpace(s.T.dot(g1).dot(s)))
+    ds = SurfaceData(VarietyData.k3(), QuadSpace(dot(dot(s.T, g1), s)))
     t1_basis, t1 = dx.transcendental()
     t2_basis, t2 = ds.transcendental()
     b2 = np.stack(t2_basis, axis=1)
-    cols = [solve(b2, s_inv.dot(u)) for u in t1_basis]
+    cols = [solve(b2, dot(s_inv, u)) for u in t1_basis]
     iso = Isometry(t1, t2, np.stack(cols, axis=1))
     return dx, ds, iso

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import DomainError, StructureError
 from .linalg import (
+    dot,
     eye,
     kernel_basis,
     column_space_basis,
@@ -61,7 +62,7 @@ class QuadSpace:
         return self.gram.shape[0]
 
     def bilinear(self, x, y):
-        return QQ(np.dot(np.dot(x, self.gram), y))
+        return dot(dot(x, self.gram), y)
 
     def q(self, x):
         return self.bilinear(x, x)
@@ -72,14 +73,14 @@ class QuadSpace:
     def restrict(self, basis) -> "QuadSpace":
         """Form restricted to the span of the given (ambient) vectors."""
         b = np.stack(basis, axis=1) if basis else zeros(self.dim, 0)
-        return QuadSpace(np.dot(b.T, np.dot(self.gram, b)))
+        return QuadSpace(dot(b.T, dot(self.gram, b)))
 
     def orthogonal_complement(self, vectors):
         """Basis of the orthogonal complement of span(vectors)."""
         if not len(vectors):
             return [row for row in eye(self.dim)]
         b = np.stack(vectors, axis=0)
-        return kernel_basis(np.dot(b, self.gram))
+        return kernel_basis(dot(b, self.gram))
 
     def to_json(self):
         return {"gram": mat_to_json(self.gram)}
@@ -106,11 +107,11 @@ class Isometry:
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=object))
 
     def __call__(self, x):
-        return np.dot(self.matrix, x)
+        return dot(self.matrix, x)
 
     def verify(self) -> bool:
         m = self.matrix
-        return mat_eq(np.dot(m.T, np.dot(self.target.gram, m)), self.source.gram)
+        return mat_eq(dot(m.T, dot(self.target.gram, m)), self.source.gram)
 
     def require_valid(self, what="map"):
         if self.matrix.shape != (self.target.dim, self.source.dim):
@@ -122,7 +123,7 @@ class Isometry:
         """self after other (other acts first)."""
         if other.target is not self.source and not mat_eq(other.target.gram, self.source.gram):
             raise StructureError("isometries do not chain")
-        return Isometry(other.source, self.target, np.dot(self.matrix, other.matrix))
+        return Isometry(other.source, self.target, dot(self.matrix, other.matrix))
 
     def inverse(self) -> "Isometry":
         from .linalg import inverse
@@ -139,13 +140,13 @@ class Isometry:
         qu = space.q(u)
         if qu == 0:
             raise DomainError("cannot reflect in an isotropic vector")
-        gu = np.dot(space.gram, u)
+        gu = dot(space.gram, u)
         m = eye(space.dim) - np.outer(u, gu) * (QQ(2) / qu)
         return cls(space, space, m)
 
 
 def _key(m) -> tuple:
-    return tuple(str(QQ(x)) for x in np.asarray(m, dtype=object).flat)
+    return tuple((x.numerator, x.denominator) for x in np.asarray(m, dtype=object).flat)
 
 
 def group_closure(space: QuadSpace, generators, cap: int = 4096):
@@ -156,7 +157,7 @@ def group_closure(space: QuadSpace, generators, cap: int = 4096):
     """
     gens = [np.asarray(g, dtype=object) for g in generators]
     for g in gens:
-        if not mat_eq(np.dot(g.T, np.dot(space.gram, g)), space.gram):
+        if not mat_eq(dot(g.T, dot(space.gram, g)), space.gram):
             raise DomainError("group generator is not an isometry of the form")
     ident = eye(space.dim)
     elements = [ident]
@@ -166,7 +167,7 @@ def group_closure(space: QuadSpace, generators, cap: int = 4096):
         nxt = []
         for m in frontier:
             for g in gens:
-                p = np.dot(g, m)
+                p = dot(g, m)
                 k = _key(p)
                 if k not in seen:
                     if len(elements) >= cap:
@@ -200,7 +201,7 @@ class GroupAction:
         return len(self.elements)
 
     def fixes(self, v) -> bool:
-        return all(mat_eq(np.dot(g, v), np.asarray(v)) for g in self.generators)
+        return all(mat_eq(dot(g, v), np.asarray(v)) for g in self.generators)
 
     def to_json(self):
         return {"gram": mat_to_json(self.space.gram), "generators": [mat_to_json(g) for g in self.generators]}
@@ -227,7 +228,7 @@ def aligned_elements(g1: GroupAction, g2: GroupAction):
         nxt = []
         for m1, m2 in frontier:
             for a1, a2 in zip(g1.generators, g2.generators):
-                p1, p2 = np.dot(a1, m1), np.dot(a2, m2)
+                p1, p2 = dot(a1, m1), dot(a2, m2)
                 k = _key(p1)
                 if k in pairs:
                     if _key(pairs[k][1]) != _key(p2):
@@ -384,27 +385,27 @@ def equivariant_witt(g1: GroupAction, w1_basis, g2: GroupAction, w2_basis,
         raise StructureError("phi_V must map V1 to V2")
     pairs = aligned_elements(g1, g2)
     for m1, m2 in pairs:
-        if not mat_eq(np.dot(phi_v.matrix, m1), np.dot(m2, phi_v.matrix)):
+        if not mat_eq(dot(phi_v.matrix, m1), dot(m2, phi_v.matrix)):
             raise DomainError("phi_V is not equivariant")
 
     # Orthogonalize W1 and carry the same combinations through psi_W.
     diag1, dcoords = _orthogonalize(v1, w1)
     w1_mat = np.stack(w1, axis=1) if w1 else zeros(v1.dim, 0)
     w2_mat = np.stack(w2, axis=1) if w2 else zeros(v2.dim, 0)
-    diag2 = [np.dot(w2_mat, np.dot(psi_w.matrix, c)) for c in dcoords]
+    diag2 = [dot(w2_mat, dot(psi_w.matrix, c)) for c in dcoords]
 
     phi = phi_v.matrix
     for j, (wj, tj) in enumerate(zip(diag1, diag2)):
-        y = np.dot(phi, wj)
+        y = dot(phi, wj)
         if mat_eq(y, tj):
             continue
         if v2.q(y - tj) != 0:
             step = Isometry.reflection(v2, y - tj).matrix
         else:
-            step = np.dot(Isometry.reflection(v2, tj).matrix,
-                          Isometry.reflection(v2, y + tj).matrix)
-        phi = np.dot(step, phi)
-        assert mat_eq(np.dot(phi, wj), tj)
+            step = dot(Isometry.reflection(v2, tj).matrix,
+                       Isometry.reflection(v2, y + tj).matrix)
+        phi = dot(step, phi)
+        assert mat_eq(dot(phi, wj), tj)
 
     full = Isometry(v1, v2, phi)
     full.require_valid("extended map")
@@ -412,7 +413,7 @@ def equivariant_witt(g1: GroupAction, w1_basis, g2: GroupAction, w2_basis,
     u1 = v1.orthogonal_complement(w1)
     u2 = v2.orthogonal_complement(w2)
     b2 = np.stack(u2, axis=1) if u2 else zeros(v2.dim, 0)
-    images = [np.dot(phi, b) for b in u1]
+    images = [dot(phi, b) for b in u1]
     coords = solve(b2, np.stack(images, axis=1)) if u1 else zeros(0, 0)
     restriction = Isometry(v1.restrict(u1), v2.restrict(u2), coords)
     restriction.require_valid("restricted map")

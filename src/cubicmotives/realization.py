@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import ShadowViolation, StructureError
 from .gradedring import VarietyData, tangent_chern, integrate, TruncPoly
-from .linalg import eye, inverse, is_zero, mat_eq, mat_from_json, mat_to_json, zeros
+from .linalg import (dot, eye, inverse, is_zero, mat_eq, mat_from_json, mat_to_json, tensordot,
+                     zeros)
 from .quadform import QuadSpace
 from .rationals import QQ, rational_str
 from .tautcorr import CorrClass, ck_projectors
@@ -55,6 +56,8 @@ class Space:
     def __eq__(self, other):
         if not isinstance(other, Space):
             return NotImplemented
+        if self is other:
+            return True
         if self.vd != other.vd or self.r != other.r:
             return False
         return self.r == 0 or mat_eq(self.gram, other.gram)
@@ -283,7 +286,7 @@ class RealizedClass:
                 p = sig[:s].count("V")  # position of this slot's V-axis
                 for kt, b in blocks[sig[s]]:
                     if sig[s] == "V":
-                        new = np.tensordot(val, b, axes=([p], [b.ndim - 1]))
+                        new = tensordot(val, b, axes=([p], [b.ndim - 1]))
                     else:
                         new = np.multiply.outer(val, b)
                     if kt == "V":
@@ -348,14 +351,13 @@ def _component_product(spaces, sig_a, val_a, sig_b, val_b):
     # then contract a with b over those slots, one pairwise tensordot each
     for s in contracted:
         i = a_axes.index(s)
-        val_a = np.moveaxis(np.tensordot(val_a, spaces[s].gram, axes=([i], [0])), -1, i)
-    val = np.tensordot(val_a, val_b, axes=([a_axes.index(s) for s in contracted],
-                                           [b_axes.index(s) for s in contracted]))
+        val_a = np.moveaxis(tensordot(val_a, spaces[s].gram, axes=([i], [0])), -1, i)
+    val = tensordot(val_a, val_b, axes=([a_axes.index(s) for s in contracted],
+                                        [b_axes.index(s) for s in contracted]))
     # the free axes come out as a's then b's; put them back in slot order
     free = [s for s in a_axes + b_axes if s not in contracted]
-    val = np.transpose(val, np.argsort(free))
-    if val.ndim == 0:
-        val = val[()]
+    if free:
+        val = np.transpose(val, np.argsort(free))
     return tuple(out_sig), val * factor
 
 
@@ -429,7 +431,7 @@ def compose_realized(f: RealizedClass, g: RealizedClass) -> RealizedClass:
         raise StructureError("composition needs two-slot classes")
     if f.spaces[1] != g.spaces[0]:
         raise StructureError("middle spaces do not match")
-    m = f.to_matrix().dot(f.spaces[1].pairing).dot(g.to_matrix())
+    m = dot(dot(f.to_matrix(), f.spaces[1].pairing), g.to_matrix())
     return RealizedClass.from_matrix((f.spaces[0], g.spaces[1]), m)
 
 
@@ -437,7 +439,7 @@ def action_matrix(f: RealizedClass) -> np.ndarray:
     """Matrix of alpha |-> p2_*(p1^* alpha . f) on the realization bases."""
     if f.n != 2:
         raise StructureError("action needs a two-slot class")
-    return f.to_matrix().T.dot(f.spaces[0].pairing)
+    return dot(f.to_matrix().T, f.spaces[0].pairing)
 
 
 def degree(x: RealizedClass):

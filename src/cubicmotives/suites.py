@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, ShadowViolation, StructureError
 from .gradedring import TruncPoly, VarietyData, integrate, tangent_chern, todd_and_sqrt
-from .linalg import eye, inverse, mat_eq, qmat, rank, zeros
+from .linalg import dot, eye, inverse, mat_eq, qmat, rank, zeros
 from .mukai import MukaiSpace, kuznetsov_project, lambda_basis
 from .motiveiso import (GammaCert, build_gamma, build_gamma_cubic_k3, random_cubic_k3_pair,
                         random_fourfold_pair, verify_frobenius, _random_diag_gram)
@@ -434,11 +434,11 @@ def _random_witt_instance(rng: random.Random):
 
     s = _random_unimodular_local(rng, n)
     s_inv = inverse(s)
-    g2m = s.T.dot(g1m).dot(s)
+    g2m = dot(dot(s.T, g1m), s)
     v2 = QuadSpace(g2m)
-    gens2 = [s_inv.dot(g).dot(s) for g in gens1]
+    gens2 = [dot(dot(s_inv, g), s) for g in gens1]
     group2 = GroupAction.build(v2, gens2)
-    w2 = [s_inv.dot(w) for w in w1]
+    w2 = [dot(s_inv, w) for w in w1]
 
     phi_mat = s_inv
     if fixed_coords and rng.random() < 0.8:
@@ -447,7 +447,7 @@ def _random_witt_instance(rng: random.Random):
             for i in fixed_coords:
                 f[i] = QQ(rng.randint(-2, 2))
             if v1.q(f) != 0:
-                phi_mat = s_inv.dot(Isometry.reflection(v1, f).matrix)
+                phi_mat = dot(s_inv, Isometry.reflection(v1, f).matrix)
                 break
     phi_v = Isometry(v1, v2, phi_mat)
     psi_w = Isometry(v1.restrict(w1), v2.restrict(w2), eye(wdim))
@@ -483,11 +483,11 @@ def witt_suite(cfg=None, seed: int = 0, count: int = 200) -> SuiteReport:
             m = wr.full.matrix
             if not wr.full.verify():
                 fails["isometry"] = fails["isometry"] or f"instance {i}"
-            w2m = [np.stack(w2, axis=1).dot(psi_w.matrix[:, k]) if w2 else None
+            w2m = [dot(np.stack(w2, axis=1), psi_w.matrix[:, k]) if w2 else None
                    for k in range(len(w1))]
-            if any(not mat_eq(m.dot(w1[k]), w2m[k]) for k in range(len(w1))):
+            if any(not mat_eq(dot(m, w1[k]), w2m[k]) for k in range(len(w1))):
                 fails["prescription"] = fails["prescription"] or f"instance {i}"
-            if any(not mat_eq(m.dot(m1), m2.dot(m))
+            if any(not mat_eq(dot(m, m1), dot(m2, m))
                    for m1, m2 in aligned_elements(group1, group2)):
                 fails["equivariance"] = fails["equivariance"] or f"instance {i}"
             if (not wr.restriction.verify()
@@ -565,13 +565,13 @@ def _sheared_flip(cert: GammaCert, dx):
     certificate must detect it."""
     prim = dx.cfg.prim
     t_basis, _ = dx.transcendental()
-    a_vv = cert.gamma.comps[("V", "V")].T.dot(prim.gram)
+    a_vv = dot(cert.gamma.comps[("V", "V")].T, prim.gram)
     cols = list(dx.alg_basis) + [t_basis[0], t_basis[0] + t_basis[1]] + list(t_basis[2:])
     p = np.stack(cols, axis=1)
-    imgs = a_vv.dot(p)
+    imgs = dot(a_vv, p)
     flip_at = len(dx.alg_basis) + 1
     imgs[:, flip_at] = -imgs[:, flip_at]
-    vv_bad = inverse(prim.gram).dot(imgs.dot(inverse(p)).T)
+    vv_bad = dot(inverse(prim.gram), dot(imgs, inverse(p)).T)
     comps = dict(cert.gamma.comps)
     comps[("V", "V")] = vv_bad
     return type(cert.gamma)(cert.gamma.spaces, comps)

@@ -93,6 +93,26 @@ def test_malformed_config_and_gram(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_zero_denominator_gram_exits_two(tmp_path, capsys):
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps([["1/0", "0/1"], ["0/1", "1/1"]]))
+    assert main(["derive-p", "--gram", str(zero)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config: gram file")
+    assert "is not a valid Gram matrix" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gram": [["1/0"]]}))
+    assert main(["derive-p", "--config", str(cfg)]) == 2
+    assert "config: inline 'gram' value is not a valid Gram matrix" in capsys.readouterr().err
+
+
+def test_boolean_seed_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": True}))
+    assert main(["chern", "--config", str(cfg)]) == 2
+    assert "'seed' must be an integer, got bool" in capsys.readouterr().err
+
+
 def test_config_file_with_inline_gram(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 3, "gram": mat_to_json(random_gram(0, 4))}))
