@@ -19,15 +19,14 @@ from .motiveiso import (FourfoldData, GammaCert, SurfaceData, build_gamma,
                         random_cubic_k3_pair, random_fourfold_pair, surface_ck,
                         verify_frobenius)
 from .quadform import (GroupAction, Isometry, QuadSpace, WittResult, aligned_elements,
-                       equivariant_transport, equivariant_witt, fixed_space_form,
-                       radical, reflect_to)
+                       equivariant_witt, reflect_to)
 from .rationals import QQ, parse_rational, rational_str
 from .realization import (RealizationConfig, RealizedClass, Space, action_matrix,
                           compose_realized, degree, derive_P, diagonal_realized,
                           p_to_json, p_to_text, realize, verify_kernel_identities)
 from .suites import SUITES, SuiteReport, run_all, run_suite
 from .tautcorr import (CorrClass, ck_projectors, compose, intersect, monomial_str,
-                       parse_monomial, pull, push, push_pull, transpose)
+                       parse_monomial, pull, push, transpose)
 
 __version__ = "0.1.0"
 
@@ -43,14 +42,13 @@ __all__ = [
     "build_gamma_cubic_k3", "build_refined_projectors", "random_cubic_k3_pair",
     "random_fourfold_pair", "surface_ck", "verify_frobenius",
     "GroupAction", "Isometry", "QuadSpace", "WittResult", "aligned_elements",
-    "equivariant_transport", "equivariant_witt", "fixed_space_form", "radical",
-    "reflect_to",
+    "equivariant_witt", "reflect_to",
     "QQ", "parse_rational", "rational_str",
     "RealizationConfig", "RealizedClass", "Space", "action_matrix",
     "compose_realized", "degree", "derive_P", "diagonal_realized", "p_to_json",
     "p_to_text", "realize", "verify_kernel_identities",
     "SUITES", "SuiteReport", "run_all", "run_suite",
     "CorrClass", "ck_projectors", "compose", "intersect", "monomial_str",
-    "parse_monomial", "pull", "push", "push_pull", "transpose",
+    "parse_monomial", "pull", "push", "transpose",
     "__version__",
 ]

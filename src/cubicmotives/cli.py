@@ -95,19 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification suites for the motive calculus; "
                     "each subcommand runs one suite, 'all' runs every suite.")
     sub = parser.add_subparsers(dest="suite", required=True, metavar="SUITE")
-    descriptions = {
-        "chern": "characteristic-class pipeline constants",
-        "mukai-table": "line-bundle pairing table and the two orthogonal classes",
-        "projectors": "diagonal decomposition and the primitive refinement",
-        "derive-p": "small-diagonal correction class and Euler consistency",
-        "kernels": "projection-kernel composition identities over two Grams",
-        "witt": "randomized equivariant isometry extensions",
-        "gamma": "randomized fourfold-pair isomorphism certificates",
-        "gamma-k3": "fourfold-to-surface bridge certificates",
-        "all": "every suite above",
-    }
-    for name in list(SUITES) + ["all"]:
-        p = sub.add_parser(name, help=descriptions[name])
+    for name, fn in [*SUITES.items(), ("all", run_all)]:
+        # the summary line of the suite's docstring (absent under python -OO)
+        p = sub.add_parser(name, help=(fn.__doc__ or "").split("\n")[0])
         p.add_argument("--config", metavar="PATH",
                        help="JSON config file with optional 'seed' and 'gram' keys")
         p.add_argument("--out", metavar="PATH",

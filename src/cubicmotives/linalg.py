@@ -1,15 +1,16 @@
 """Exact linear algebra over Q on numpy object arrays.
 
 Dense matrices/vectors carry exact rationals (see :mod:`cubicmotives.rationals`)
-in ``dtype=object`` arrays.  Every product goes through :func:`tensordot`
-(and :func:`dot`), which follows the common-denominator design of FLINT's
+in ``dtype=object`` arrays.  Every product goes through :func:`dot` or
+:func:`tensordot`, which follow the common-denominator design of FLINT's
 ``fmpq_mat``: each operand is scaled once to Python integers over the lcm of
-its denominators, the integers are contracted by ``np.tensordot`` (exact, no
-overflow), and each output entry is divided once by the product of the two
-denominators.  Object ``np.dot`` on rationals would instead build and reduce a
-rational at every multiply-add.  The eliminations below are plain fraction
-Gauss-Jordan: the matrices in this package are small (rank <= 27) and
-exactness matters more than pivoting strategy.
+its denominators, the integers are contracted by ``np.dot`` or
+``np.tensordot`` (exact, no overflow), and each output entry is divided once
+by the product of the two denominators.  Object ``np.dot`` on rationals
+would instead build and reduce a rational at every multiply-add.  The
+eliminations below are plain fraction Gauss-Jordan: the matrices in this
+package are small (rank <= 27) and exactness matters more than pivoting
+strategy.
 """
 
 from __future__ import annotations
@@ -64,20 +65,29 @@ def _scaled(a):
     return n.reshape(a.shape), d
 
 
-def tensordot(a, b, axes=1):
-    """Exact ``np.tensordot`` of rational arrays over one common denominator
-    per operand; a 0-d result comes back as a scalar."""
+def _contract(contract, a, b, *args):
+    """``contract`` applied to the scaled integer forms of a and b, with each
+    output entry divided once by the product of the two denominators; a
+    scalar or 0-d integer result comes back as a rational scalar."""
     na, da = _scaled(a)
     nb, db = _scaled(b)
-    n, d = np.tensordot(na, nb, axes), da * db
+    n, d = np.asarray(contract(na, nb, *args), dtype=object), da * db
     if n.ndim == 0:
         return QQ(n[()], d)
     return np.array([QQ(x, d) for x in n.flat], dtype=object).reshape(n.shape)
 
 
+def tensordot(a, b, axes=1):
+    """Exact ``np.tensordot`` of rational arrays over one common denominator
+    per operand; a 0-d result comes back as a scalar."""
+    return _contract(np.tensordot, a, b, axes)
+
+
 def dot(a, b):
-    """Exact matrix/vector product of 1- and 2-d arrays (``np.dot`` shapes)."""
-    return tensordot(a, b, 1)
+    """Exact matrix/vector product of 1- and 2-d arrays (``np.dot`` shapes);
+    the integers go through ``np.dot``, which costs far less per call than
+    ``np.tensordot`` on the small matrices that dominate here."""
+    return _contract(np.dot, a, b)
 
 
 def rref(a):
@@ -120,12 +130,6 @@ def kernel_basis(a):
             v[p] = -m[r, f]
         basis.append(v)
     return basis
-
-
-def column_space_basis(a):
-    """Basis of the column space, as columns of the original matrix."""
-    _, pivots = rref(a)
-    return [np.array(a[:, p], dtype=object) for p in pivots]
 
 
 def solve(a, b):

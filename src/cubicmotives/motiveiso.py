@@ -45,9 +45,9 @@ from .realization import (
     RealizationConfig,
     RealizedClass,
     Space,
-    _check,
-    _diff_witness,
     action_matrix,
+    check,
+    check_equal,
     compose_realized,
     derive_P,
     diagonal_realized,
@@ -174,10 +174,10 @@ class SurfaceData:
 # --- refined projectors -------------------------------------------------------
 
 
-def _alg_tensor(prim: QuadSpace, basis) -> np.ndarray:
-    out = zeros(prim.dim, prim.dim)
-    for a in basis:
-        out = out + np.multiply.outer(a, a) * (QQ(1) / prim.q(a))
+def _alg_tensor_pair(primx: QuadSpace, basis_x, basis_y) -> np.ndarray:
+    out = zeros(len(basis_x[0]), len(basis_y[0]))
+    for a, b in zip(basis_x, basis_y):
+        out = out + np.multiply.outer(a, b) * (QQ(1) / primx.q(a))
     return out
 
 
@@ -190,7 +190,7 @@ def build_refined_projectors(d: FourfoldData):
     sp = d.space
     comps = {(("h", 2), ("h", 2)): QQ(1) / sp.e}
     if d.alg_basis:
-        comps[("V", "V")] = _alg_tensor(d.cfg.prim, d.alg_basis)
+        comps[("V", "V")] = _alg_tensor_pair(d.cfg.prim, d.alg_basis, d.alg_basis)
     pi4_alg = RealizedClass((sp, sp), comps)
     pi4 = realize(ck_projectors(d.cfg.vd)["pi4"], d.cfg)
     return pi4_alg, pi4 - pi4_alg
@@ -210,7 +210,7 @@ def surface_ck(ds: SurfaceData):
     pi4 = RealizedClass((sp, sp), {(("h", 0), ("h", 2)): inv_e})
     comps = {(("h", 1), ("h", 1)): inv_e}
     if ds.ns_basis:
-        comps[("V", "V")] = _alg_tensor(ds.prim2, ds.ns_basis)
+        comps[("V", "V")] = _alg_tensor_pair(ds.prim2, ds.ns_basis, ds.ns_basis)
     pi2_alg = RealizedClass((sp, sp), comps)
     pi2_tr = diagonal_realized(sp) - pi0 - pi4 - pi2_alg
     return pi0, pi2_alg, pi2_tr, pi4
@@ -248,6 +248,21 @@ def _transport_tensor(u1_basis, u2_basis, restriction: Isometry) -> np.ndarray:
     return dot(dot(b1, k), b2.T)
 
 
+def _transcendental_bases(src, tgt, iso: Isometry, name: str, what: str):
+    """Transcendental bases of both sides, after checking that ``iso`` is an
+    isometry between their canonical coordinates (``name`` and ``what`` label
+    it in the errors)."""
+    t1_basis, t1 = src.transcendental()
+    t2_basis, t2 = tgt.transcendental()
+    if len(t1_basis) != len(t2_basis):
+        raise DomainError("not Witt-equivalent transcendental shadows")
+    if iso.matrix.shape != (t2.dim, t1.dim) or not mat_eq(iso.source.gram, t1.gram) \
+            or not mat_eq(iso.target.gram, t2.gram):
+        raise StructureError(f"{name} must map the canonical transcendental coordinates")
+    iso.require_valid(what)
+    return t1_basis, t2_basis
+
+
 def build_gamma(dx: FourfoldData, dy: FourfoldData, iso_tr: Isometry) -> GammaCert:
     """Assemble and certify Gamma for two fourfold data sets.
 
@@ -265,14 +280,7 @@ def build_gamma(dx: FourfoldData, dy: FourfoldData, iso_tr: Isometry) -> GammaCe
     for a, b in zip(dx.alg_basis, dy.alg_basis):
         if primx.q(a) != primy.q(b):
             raise DomainError("algebraic classes do not match up isometrically")
-    t1_basis, t1 = dx.transcendental()
-    t2_basis, t2 = dy.transcendental()
-    if len(t1_basis) != len(t2_basis):
-        raise DomainError("not Witt-equivalent transcendental shadows")
-    if iso_tr.matrix.shape != (t2.dim, t1.dim) or not mat_eq(iso_tr.source.gram, t1.gram) \
-            or not mat_eq(iso_tr.target.gram, t2.gram):
-        raise StructureError("iso_tr must map the canonical transcendental coordinates")
-    iso_tr.require_valid("iso_tr")
+    t1_basis, t2_basis = _transcendental_bases(dx, dy, iso_tr, "iso_tr", "iso_tr")
 
     # global isometry phi_V = (algebraic index map) + (iso_tr on complements)
     dom = list(dx.alg_basis) + list(t1_basis)
@@ -305,36 +313,23 @@ def build_gamma(dx: FourfoldData, dy: FourfoldData, iso_tr: Isometry) -> GammaCe
     comps[("V", "V")] = vv
     gamma = RealizedClass((spx, spy), comps)
 
-    checks = []
     tg = gamma.transpose()
-    left = compose_realized(gamma, tg)
-    _check(checks, "leftinv", "transpose composed after the map is the source diagonal",
-           left == diagonal_realized(spx), _diff_witness(left, diagonal_realized(spx)))
-    right = compose_realized(tg, gamma)
-    _check(checks, "rightinv", "the map composed after its transpose is the target diagonal",
-           right == diagonal_realized(spy), _diff_witness(right, diagonal_realized(spy)))
     a = action_matrix(gamma)
-    ok = all(
-        mat_eq(a[:, i:i + 1], eye(spy.size)[:, i:i + 1]) for i in range(spx.hdim)
-    )
-    _check(checks, "hlines", "h-powers map to the matching h-powers", ok,
-           "some h-power moves off the line")
-    ok = mat_eq(dot(dot(a.T, spy.pairing), a), spx.pairing)
-    _check(checks, "quadratic", "the pairing is preserved on the full basis", ok,
-           "pairing matrices differ")
-    ok = all(
-        mat_eq(dot(a, _embed(spx, m1)), dot(_embed(spy, m2), a)) for m1, m2 in pairs
-    )
-    _check(checks, "equivariant", "the map commutes with every aligned group element",
-           ok, "group element does not intertwine")
+    checks = [
+        check_equal("leftinv", "transpose composed after the map is the source diagonal",
+                    compose_realized(gamma, tg), diagonal_realized(spx)),
+        check_equal("rightinv", "the map composed after its transpose is the target diagonal",
+                    compose_realized(tg, gamma), diagonal_realized(spy)),
+        check("hlines", "h-powers map to the matching h-powers",
+              all(mat_eq(a[:, i:i + 1], eye(spy.size)[:, i:i + 1]) for i in range(spx.hdim)),
+              "some h-power moves off the line"),
+        check("quadratic", "the pairing is preserved on the full basis",
+              mat_eq(dot(dot(a.T, spy.pairing), a), spx.pairing), "pairing matrices differ"),
+        check("equivariant", "the map commutes with every aligned group element",
+              all(mat_eq(dot(a, _embed(spx, m1)), dot(_embed(spy, m2), a)) for m1, m2 in pairs),
+              "group element does not intertwine"),
+    ]
     return GammaCert(gamma, dx, dy, checks)
-
-
-def _alg_tensor_pair(primx: QuadSpace, basis_x, basis_y) -> np.ndarray:
-    out = zeros(len(basis_x[0]), len(basis_y[0]))
-    for a, b in zip(basis_x, basis_y):
-        out = out + np.multiply.outer(a, b) * (QQ(1) / primx.q(a))
-    return out
 
 
 def verify_frobenius(cert: GammaCert):
@@ -354,16 +349,15 @@ def verify_frobenius(cert: GammaCert):
     checks = [dict(c) for c in cert.checks if c["id"] in ("leftinv", "rightinv", "hlines")]
 
     got2 = diagonal_realized(spx).transport((a, a), (spy, spy))
-    want2 = diagonal_realized(spy)
-    _check(checks, "diagonal", "the transported diagonal equals the target diagonal",
-           got2 == want2, _diff_witness(got2, want2))
+    checks.append(check_equal("diagonal", "the transported diagonal equals the target diagonal",
+                              got2, diagonal_realized(spy)))
 
     delta_x = realize(CorrClass.small_diagonal(vd), dx.cfg)
     delta_y = realize(CorrClass.small_diagonal(dy.cfg.vd), dy.cfg)
     got3 = delta_x.transport((a, a, a), (spy, spy, spy))
-    _check(checks, "small-diagonal",
-           "the transported small diagonal equals the target small diagonal",
-           got3 == delta_y, _diff_witness(got3, delta_y))
+    checks.append(check_equal("small-diagonal",
+                              "the transported small diagonal equals the target small diagonal",
+                              got3, delta_y))
 
     # decomposition route: diagonals decorated with h^4 plus the defect P,
     # all realized on the target side
@@ -371,12 +365,13 @@ def verify_frobenius(cert: GammaCert):
     for (i, j) in ((0, 1), (0, 2), (1, 2)):
         decomp = decomp + CorrClass(vd, 3, {("D", i, j, vd.dim): QQ(1, vd.degree)})
     recon = realize(decomp, dy.cfg) + realize(derive_P(dx.cfg), dy.cfg)
-    _check(checks, "small-diagonal-route",
-           "the transported small diagonal equals the decomposition rebuilt on the target",
-           got3 == recon, _diff_witness(got3, recon))
-    _check(checks, "route-agreement",
-           "decomposition route and direct target realization agree",
-           recon == delta_y, _diff_witness(recon, delta_y))
+    checks.append(check_equal(
+        "small-diagonal-route",
+        "the transported small diagonal equals the decomposition rebuilt on the target",
+        got3, recon))
+    checks.append(check_equal("route-agreement",
+                              "decomposition route and direct target realization agree",
+                              recon, delta_y))
     return checks
 
 
@@ -387,14 +382,7 @@ def build_gamma_cubic_k3(dx: FourfoldData, ds: SurfaceData, iso: Isometry) -> Ga
     """Certify an isometry between the transcendental shadows of a fourfold
     and a K3 surface: the correspondence built from ``iso`` must compose with
     its transpose to the two transcendental projectors."""
-    t1_basis, t1 = dx.transcendental()
-    t2_basis, t2 = ds.transcendental()
-    if len(t1_basis) != len(t2_basis):
-        raise DomainError("not Witt-equivalent transcendental shadows")
-    if iso.matrix.shape != (t2.dim, t1.dim) or not mat_eq(iso.source.gram, t1.gram) \
-            or not mat_eq(iso.target.gram, t2.gram):
-        raise StructureError("iso must map the canonical transcendental coordinates")
-    iso.require_valid("transcendental isometry")
+    t1_basis, t2_basis = _transcendental_bases(dx, ds, iso, "iso", "transcendental isometry")
 
     spx, sps = dx.space, ds.space
     comps = {}
@@ -404,92 +392,92 @@ def build_gamma_cubic_k3(dx: FourfoldData, ds: SurfaceData, iso: Isometry) -> Ga
     _, pi4_tr = build_refined_projectors(dx)
     pi2_tr = surface_ck(ds)[2]
 
-    checks = []
     tg = gamma.transpose()
-    left = compose_realized(gamma, tg)
-    _check(checks, "tr-leftinv",
-           "transpose after the map is the fourfold transcendental projector",
-           left == pi4_tr, _diff_witness(left, pi4_tr))
-    right = compose_realized(tg, gamma)
-    _check(checks, "tr-rightinv",
-           "the map after its transpose is the surface transcendental projector",
-           right == pi2_tr, _diff_witness(right, pi2_tr))
+    checks = [
+        check_equal("tr-leftinv",
+                    "transpose after the map is the fourfold transcendental projector",
+                    compose_realized(gamma, tg), pi4_tr),
+        check_equal("tr-rightinv",
+                    "the map after its transpose is the surface transcendental projector",
+                    compose_realized(tg, gamma), pi2_tr),
+    ]
     return GammaCert(gamma, dx, ds, checks, kind="cubic-k3")
 
 
 # --- randomized instances ------------------------------------------------------
 
 
-def _random_unimodular(rng: random.Random, n: int) -> np.ndarray:
+def random_unimodular(rng: random.Random, n: int) -> np.ndarray:
+    """A random product of 2n elementary integer row operations (draws two
+    indices per operation, and a sign when they differ)."""
     m = eye(n)
     for _ in range(2 * n):
         i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        m[i] = m[i] + m[j] * QQ(rng.choice((-1, 1)))
+        if i != j:
+            m[i] = m[i] + m[j] * QQ(rng.choice((-1, 1)))
     return m
 
 
-def _random_diag_gram(rng: random.Random, n: int) -> np.ndarray:
+def random_diag_gram(rng: random.Random, n: int) -> np.ndarray:
+    """A random nondegenerate diagonal Gram matrix with entries in
+    {1, 2, 3, -1, -2} (one draw per entry)."""
     g = eye(n)
     for i in range(n):
         g[i, i] = QQ(rng.choice((1, 1, 2, 3, -1, -2)))
     return g
 
 
-def random_fourfold_pair(seed: int, rank: int = 6, alg_rank: int | None = None,
-                         with_group: bool = True):
+def _conjugation_iso(src, tgt, s_inv) -> Isometry:
+    """The transcendental isometry that ``s_inv`` induces from ``src`` to its
+    conjugate ``tgt``, in canonical transcendental coordinates."""
+    t1_basis, t1 = src.transcendental()
+    t2_basis, t2 = tgt.transcendental()
+    b2 = np.stack(t2_basis, axis=1)
+    cols = [solve(b2, dot(s_inv, u)) for u in t1_basis]
+    return Isometry(t1, t2, np.stack(cols, axis=1))
+
+
+def random_fourfold_pair(seed: int, rank: int = 6):
     """A deterministic random pair of fourfold data sets with matching
     algebraic classes, plus a compatible transcendental isometry.
 
     The target is the source conjugated by a known unimodular change of
     basis, so every certificate identity is constructively satisfiable; the
-    group (when present) is a sign-flip group on transcendental coordinates,
-    conjugated along.
+    group is a sign-flip group on transcendental coordinates, conjugated
+    along.
     """
     rng = random.Random(seed)
-    if alg_rank is None:
-        alg_rank = rng.randrange(0, 4)
+    alg_rank = rng.randrange(0, 4)
     if alg_rank > rank - 2:
         raise StructureError("algebraic rank too large for the chosen rank")
-    g1 = _random_diag_gram(rng, rank)
+    g1 = random_diag_gram(rng, rank)
     prim1 = QuadSpace(g1)
     alg1 = [eye(rank)[i].copy() for i in range(alg_rank)]
 
-    group1 = None
     fixed_t = list(range(alg_rank, rank))
-    if with_group:
-        flips = eye(rank)
-        for i in range(alg_rank, rank):
-            if rng.random() < 0.5:
-                flips[i, i] = QQ(-1)
-                fixed_t.remove(i)
-        group1 = GroupAction.build(prim1, [flips])
+    flips = eye(rank)
+    for i in range(alg_rank, rank):
+        if rng.random() < 0.5:
+            flips[i, i] = QQ(-1)
+            fixed_t.remove(i)
+    group1 = GroupAction.build(prim1, [flips])
 
-    s = _random_unimodular(rng, rank)
+    s = random_unimodular(rng, rank)
     s_inv = inverse(s)
-    g2 = dot(dot(s.T, g1), s)
-    prim2 = QuadSpace(g2)
+    prim2 = QuadSpace(dot(dot(s.T, g1), s))
     alg2 = [dot(s_inv, a) for a in alg1]
-    group2 = None
-    if group1 is not None:
-        group2 = GroupAction.build(prim2, [dot(dot(s_inv, m), s) for m in group1.generators])
+    group2 = GroupAction.build(prim2, [dot(dot(s_inv, flips), s)])
 
     dx = FourfoldData(RealizationConfig(prim=prim1), tuple(alg1), group1)
     dy = FourfoldData(RealizationConfig(prim=prim2), tuple(alg2), group2)
 
-    t1_basis, t1 = dx.transcendental()
-    t2_basis, t2 = dy.transcendental()
-    b2 = np.stack(t2_basis, axis=1)
-    cols = [solve(b2, dot(s_inv, u)) for u in t1_basis]
-    m_tr = np.stack(cols, axis=1)
+    iso_tr = _conjugation_iso(dx, dy, s_inv)
     # optionally precompose with a reflection in a group-fixed transcendental
     # direction, so the certified map is not bare conjugation
     if fixed_t and rng.random() < 0.7:
-        w = zeros(len(t1_basis))
+        w = zeros(iso_tr.source.dim)
         w[rng.choice(fixed_t) - alg_rank] = QQ(1)
-        m_tr = dot(m_tr, Isometry.reflection(t1, w).matrix)
-    iso_tr = Isometry(t1, t2, m_tr)
+        iso_tr = iso_tr.compose(Isometry.reflection(iso_tr.source, w))
     return dx, dy, iso_tr
 
 
@@ -497,14 +485,8 @@ def random_cubic_k3_pair(seed: int, rank: int = 6):
     """A fourfold datum and a K3 datum with matched transcendental shadows,
     related by a known unimodular conjugation."""
     rng = random.Random(seed)
-    g1 = _random_diag_gram(rng, rank)
+    g1 = random_diag_gram(rng, rank)
     dx = FourfoldData(RealizationConfig(prim=QuadSpace(g1)))
-    s = _random_unimodular(rng, rank)
-    s_inv = inverse(s)
+    s = random_unimodular(rng, rank)
     ds = SurfaceData(VarietyData.k3(), QuadSpace(dot(dot(s.T, g1), s)))
-    t1_basis, t1 = dx.transcendental()
-    t2_basis, t2 = ds.transcendental()
-    b2 = np.stack(t2_basis, axis=1)
-    cols = [solve(b2, dot(s_inv, u)) for u in t1_basis]
-    iso = Isometry(t1, t2, np.stack(cols, axis=1))
-    return dx, ds, iso
+    return dx, ds, _conjugation_iso(dx, ds, inverse(s))

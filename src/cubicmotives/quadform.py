@@ -30,11 +30,9 @@ from .linalg import (
     dot,
     eye,
     kernel_basis,
-    column_space_basis,
     mat_eq,
     mat_from_json,
     mat_to_json,
-    qmat,
     qvec,
     rank,
     solve,
@@ -88,11 +86,6 @@ class QuadSpace:
     @classmethod
     def from_json(cls, data) -> "QuadSpace":
         return cls(mat_from_json(data["gram"]))
-
-
-def radical(space: QuadSpace):
-    """Basis of the radical {x : <x, -> = 0}."""
-    return kernel_basis(space.gram)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,9 +181,9 @@ class GroupAction:
     elements: list
 
     @classmethod
-    def build(cls, space: QuadSpace, generators, cap: int = 4096) -> "GroupAction":
+    def build(cls, space: QuadSpace, generators) -> "GroupAction":
         gens = tuple(np.asarray(g, dtype=object) for g in generators)
-        return cls(space, gens, group_closure(space, gens, cap))
+        return cls(space, gens, group_closure(space, gens))
 
     @classmethod
     def trivial(cls, space: QuadSpace) -> "GroupAction":
@@ -242,25 +235,6 @@ def aligned_elements(g1: GroupAction, g2: GroupAction):
     return list(pairs.values())
 
 
-def fixed_space_form(space: QuadSpace, group: GroupAction):
-    """Basis of the fixed space V^G and the restricted form on it.
-
-    Uses the averaging projector (1/|G|) sum_g g, which is self-adjoint for
-    the form; for nondegenerate V the restriction is automatically
-    nondegenerate.
-    """
-    n = space.dim
-    p = zeros(n, n)
-    for g in group.elements:
-        p = p + g
-    p = p * (QQ(1) / QQ(group.order))
-    basis = column_space_basis(p)
-    restricted = space.restrict(basis)
-    if len(basis) and not restricted.is_nondegenerate():
-        raise RuntimeError("internal consistency error: fixed-space form degenerate")
-    return basis, restricted
-
-
 def reflect_to(space: QuadSpace, x, y) -> Isometry:
     """Isometry of V with x |-> y, for anisotropic x, y of equal length.
 
@@ -282,19 +256,6 @@ def reflect_to(space: QuadSpace, x, y) -> Isometry:
     # q(x-y) + q(x+y) = 4 q(x) != 0, so x+y is anisotropic here
     first = Isometry.reflection(space, x + y)  # x |-> -y
     return Isometry.reflection(space, y).compose(first)  # -y |-> y
-
-
-def equivariant_transport(space: QuadSpace, group: GroupAction, x, y) -> Isometry:
-    """reflect_to through G-fixed vectors: commutes with G and fixes (V^G)-perp.
-
-    Requires x, y in V^G with q(x) = q(y) != 0.  Since the reflection vectors
-    (x-y, x+y, y) are themselves G-fixed, the resulting isometry commutes with
-    every element of G and restricts to the identity on the orthogonal
-    complement of V^G.
-    """
-    if not group.fixes(x) or not group.fixes(y):
-        raise DomainError("transport endpoints must be G-fixed")
-    return reflect_to(space, x, y)
 
 
 def _orthogonalize(space: QuadSpace, vectors):
@@ -395,17 +356,11 @@ def equivariant_witt(g1: GroupAction, w1_basis, g2: GroupAction, w2_basis,
     diag2 = [dot(w2_mat, dot(psi_w.matrix, c)) for c in dcoords]
 
     phi = phi_v.matrix
-    for j, (wj, tj) in enumerate(zip(diag1, diag2)):
+    for wj, tj in zip(diag1, diag2):
         y = dot(phi, wj)
-        if mat_eq(y, tj):
-            continue
-        if v2.q(y - tj) != 0:
-            step = Isometry.reflection(v2, y - tj).matrix
-        else:
-            step = dot(Isometry.reflection(v2, tj).matrix,
-                       Isometry.reflection(v2, y + tj).matrix)
-        phi = dot(step, phi)
-        assert mat_eq(dot(phi, wj), tj)
+        if not mat_eq(y, tj):
+            phi = dot(reflect_to(v2, y, tj).matrix, phi)
+            assert mat_eq(dot(phi, wj), tj)
 
     full = Isometry(v1, v2, phi)
     full.require_valid("extended map")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShadowViolation, StructureError
-from .gradedring import VarietyData, tangent_chern, integrate, TruncPoly
+from .gradedring import VarietyData
 from .linalg import (dot, eye, inverse, is_zero, mat_eq, mat_from_json, mat_to_json, tensordot,
                      zeros)
 from .quadform import QuadSpace
@@ -148,10 +148,10 @@ class RealizedClass:
         return RealizedClass(self.spaces, out)
 
     def __sub__(self, other):
-        return self + other.scale(QQ(-1))
+        return self + -other
 
     def __neg__(self):
-        return self.scale(QQ(-1))
+        return RealizedClass(self.spaces, {s: -v for s, v in self.comps.items()})
 
     def scale(self, t):
         t = QQ(t)
@@ -192,39 +192,6 @@ class RealizedClass:
                     f = f * sp.e
                 total = total + val * f
         return total
-
-    # --- projections ------------------------------------------------------
-
-    def pull(self, slots, targets) -> "RealizedClass":
-        """Pull back along the projection forgetting the non-listed slots of
-        the target product ``targets``; new slots carry h^0."""
-        slots = tuple(slots)
-        n_to = len(targets)
-        if len(slots) != self.n or sorted(set(slots)) != list(slots):
-            raise StructureError("bad slot specification for pull")
-        out = {}
-        for sig, val in self.comps.items():
-            new = [("h", 0)] * n_to
-            for s, k in zip(slots, sig):
-                new[s] = k
-            out[tuple(new)] = out.get(tuple(new), QQ(0)) + val
-        return RealizedClass(targets, out)
-
-    def push(self, keep) -> "RealizedClass":
-        """Integrate out the non-kept slots (only h^d survives, with factor e)."""
-        keep = tuple(keep)
-        drop = [s for s in range(self.n) if s not in keep]
-        out = {}
-        for sig, val in self.comps.items():
-            if any(sig[s] != ("h", self.spaces[s].vd.dim) for s in drop):
-                continue
-            f = QQ(1)
-            for s in drop:
-                f = f * self.spaces[s].e
-            new = tuple(sig[s] for s in keep)
-            add = val * f
-            out[new] = out[new] + add if new in out else add
-        return RealizedClass(tuple(self.spaces[s] for s in keep), out)
 
     # --- two-slot matrix form --------------------------------------------
 
@@ -489,22 +456,28 @@ def p_to_text(p: CorrClass) -> str:
     return " + ".join(bits) if bits else "0"
 
 
-# --- kernel-projector identities ---------------------------------------------
+# --- check records ------------------------------------------------------------
 
 
-def _check(checks, cid, claim, passed, witness=None):
-    """Append a check dict; the witness is kept only when the check fails."""
-    checks.append({"id": cid, "claim": claim, "passed": bool(passed),
-                   "witness": None if passed else witness})
+def check(cid: str, claim: str, passed: bool, witness=None) -> dict:
+    """One check record {id, claim, passed, witness}: the witness is None on a
+    pass, and a failure without one reads "identity does not hold"."""
+    return {"id": cid, "claim": claim, "passed": bool(passed),
+            "witness": None if passed else (witness or "identity does not hold")}
 
 
-def _diff_witness(got: RealizedClass, want: RealizedClass) -> str | None:
+def check_equal(cid: str, claim: str, got: RealizedClass, want: RealizedClass) -> dict:
+    """Check record of got == want, from one difference: a failure names the
+    first differing component."""
     diff = got - want
     if diff.is_zero():
-        return None
+        return check(cid, claim, True)
     sig = sorted(diff.comps, key=str)[0]
     tag = "x".join("h^%d" % k[1] if k != "V" else "V" for k in sig)
-    return f"first differing component: {tag}"
+    return check(cid, claim, False, f"first differing component: {tag}")
+
+
+# --- kernel-projector identities ---------------------------------------------
 
 
 def verify_kernel_identities(cfg: RealizationConfig):
@@ -513,7 +486,6 @@ def verify_kernel_identities(cfg: RealizationConfig):
     Returns a list of check dicts {id, claim, passed, witness}.
     """
     vd = cfg.vd
-    checks = []
     kl = realize(_mukai.kernel_class(vd, "L"), cfg)
     kr = realize(_mukai.kernel_class(vd, "R"), cfg)
     pi4_prim = realize(ck_projectors(vd)["pi4_prim"], cfg)
@@ -524,30 +496,26 @@ def verify_kernel_identities(cfg: RealizationConfig):
         ("pLpR", "p_L then p_R = p_L", compose_realized(kl, kr), kl),
         ("pRpL", "p_R then p_L = p_R", compose_realized(kr, kl), kr),
     ]
-    for cid, claim, got, want in pairs:
-        _check(checks, cid, claim, got == want, _diff_witness(got, want))
+    checks = [check_equal(cid, claim, got, want) for cid, claim, got, want in pairs]
 
     for cid, k in (("sandwichL", kl), ("sandwichR", kr)):
         mid = k.middle_part()
         got = compose_realized(compose_realized(pi4_prim, mid), pi4_prim)
-        _check(
-            checks,
+        checks.append(check_equal(
             cid,
             "primitive projector . middle part . primitive projector = primitive projector",
-            got == pi4_prim,
-            _diff_witness(got, pi4_prim),
-        )
+            got,
+            pi4_prim,
+        ))
 
     # the middle part of each kernel restricts to the identity on V
     sp = cfg.space
     for cid, k in (("restrictL", kl), ("restrictR", kr)):
         a = action_matrix(k.middle_part())
-        ok = mat_eq(a[:, sp.hdim:], eye(sp.size)[:, sp.hdim:])
-        _check(
-            checks,
+        checks.append(check(
             cid,
             "middle part acts as the identity on the primitive block",
-            ok,
-            None if ok else "V-column mismatch in the action matrix",
-        )
+            mat_eq(a[:, sp.hdim:], eye(sp.size)[:, sp.hdim:]),
+            "V-column mismatch in the action matrix",
+        ))
     return checks

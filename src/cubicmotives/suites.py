@@ -20,10 +20,11 @@ from .gradedring import TruncPoly, VarietyData, integrate, tangent_chern, todd_a
 from .linalg import dot, eye, inverse, mat_eq, qmat, rank, zeros
 from .mukai import MukaiSpace, kuznetsov_project, lambda_basis
 from .motiveiso import (GammaCert, build_gamma, build_gamma_cubic_k3, random_cubic_k3_pair,
-                        random_fourfold_pair, verify_frobenius, _random_diag_gram)
+                        random_diag_gram, random_fourfold_pair, random_unimodular,
+                        verify_frobenius)
 from .quadform import (GroupAction, Isometry, QuadSpace, aligned_elements, equivariant_witt)
 from .rationals import QQ
-from .realization import (RealizationConfig, compose_realized, degree, derive_P,
+from .realization import (RealizationConfig, check, compose_realized, degree, derive_P,
                           diagonal_realized, p_to_text, realize,
                           verify_kernel_identities)
 from .tautcorr import CorrClass, ck_projectors, compose, transpose
@@ -105,11 +106,6 @@ def reports_to_markdown(reports) -> str:
     return "\n\n".join([head] + [r.to_markdown() for r in reports]) + "\n"
 
 
-def _check(cid: str, claim: str, passed: bool, witness=None) -> dict:
-    return {"id": cid, "claim": claim, "passed": bool(passed),
-            "witness": None if passed else (witness or "identity does not hold")}
-
-
 def _timed(name, builder, extra=None) -> SuiteReport:
     t0 = time.perf_counter()
     checks = builder()
@@ -118,7 +114,7 @@ def _timed(name, builder, extra=None) -> SuiteReport:
 
 def random_gram(seed: int, rank: int = 22) -> np.ndarray:
     """Deterministic pseudo-random nondegenerate diagonal Gram matrix."""
-    return _random_diag_gram(random.Random(seed), rank)
+    return random_diag_gram(random.Random(seed), rank)
 
 
 def _config(cfg) -> RealizationConfig:
@@ -146,26 +142,26 @@ def chern_suite(cfg=None, seed: int = 0) -> SuiteReport:
         td, rt = todd_and_sqrt(c)
         want = TruncPoly.from_coeffs(vd, [1, 3, 6, 2, 9])
         checks = [
-            _check("tangent-chern",
-                   "c(T) = 1 + 3h + 6h^2 + 2h^3 + 9h^4 on the cubic fourfold",
-                   c == want, f"got {c.coeffs}"),
-            _check("todd-degree", "integral of td(T) equals 1",
-                   integrate(td) == QQ(1), f"got {integrate(td)}"),
-            _check("euler-number", "integral of c_4(T) equals 27",
-                   integrate(c) == QQ(27), f"got {integrate(c)}"),
-            _check("sqrt-todd", "the square of the Todd square root equals td(T)",
-                   rt * rt == td),
+            check("tangent-chern",
+                  "c(T) = 1 + 3h + 6h^2 + 2h^3 + 9h^4 on the cubic fourfold",
+                  c == want, f"got {c.coeffs}"),
+            check("todd-degree", "integral of td(T) equals 1",
+                  integrate(td) == QQ(1), f"got {integrate(td)}"),
+            check("euler-number", "integral of c_4(T) equals 27",
+                  integrate(c) == QQ(27), f"got {integrate(c)}"),
+            check("sqrt-todd", "the square of the Todd square root equals td(T)",
+                  rt * rt == td),
         ]
         vk = VarietyData.k3()
         ck = tangent_chern(vk)
         tdk, rtk = todd_and_sqrt(ck)
         checks += [
-            _check("k3-euler-number", "integral of c_2(T) equals 24 on a K3 surface",
-                   integrate(ck) == QQ(24), f"got {integrate(ck)}"),
-            _check("k3-todd-degree", "integral of td(T) equals 2 on a K3 surface",
-                   integrate(tdk) == QQ(2), f"got {integrate(tdk)}"),
-            _check("k3-sqrt-todd", "Todd square root squares back on a K3 surface",
-                   rtk * rtk == tdk),
+            check("k3-euler-number", "integral of c_2(T) equals 24 on a K3 surface",
+                  integrate(ck) == QQ(24), f"got {integrate(ck)}"),
+            check("k3-todd-degree", "integral of td(T) equals 2 on a K3 surface",
+                  integrate(tdk) == QQ(2), f"got {integrate(tdk)}"),
+            check("k3-sqrt-todd", "Todd square root squares back on a K3 surface",
+                  rtk * rtk == tdk),
         ]
         return checks
 
@@ -185,8 +181,11 @@ def _hilbert_chi(t: int):
 
 
 def mukai_table_suite(cfg=None, seed: int = 0) -> SuiteReport:
-    """Pairing table of the line-bundle vectors against the Hilbert-polynomial
-    oracle, and the two classes spanning their right-orthogonal complement."""
+    """Line-bundle pairing table and the two orthogonal classes.
+
+    The pairing table of the line-bundle vectors is checked against the
+    Hilbert-polynomial oracle, then the two classes spanning their
+    right-orthogonal complement."""
 
     def run():
         vd = VarietyData.cubic_fourfold()
@@ -195,9 +194,9 @@ def mukai_table_suite(cfg=None, seed: int = 0) -> SuiteReport:
         table = [[sp.pairing(v[i], v[j]) for j in range(3)] for i in range(3)]
         want = [[QQ(1), QQ(6), QQ(21)], [QQ(0), QQ(1), QQ(6)], [QQ(0), QQ(0), QQ(1)]]
         checks = [
-            _check("gram-table",
-                   "pairing table of (v(O), v(O(1)), v(O(2))) is [[1,6,21],[0,1,6],[0,0,1]]",
-                   table == want, f"got {table}"),
+            check("gram-table",
+                  "pairing table of (v(O), v(O(1)), v(O(2))) is [[1,6,21],[0,1,6],[0,0,1]]",
+                  table == want, f"got {table}"),
         ]
         oracle_ok, wit = True, None
         for a in range(-2, 3):
@@ -207,7 +206,7 @@ def mukai_table_suite(cfg=None, seed: int = 0) -> SuiteReport:
                 if got != exp:
                     oracle_ok, wit = False, f"<v(O({a})), v(O({b}))> = {got}, chi = {exp}"
                     break
-        checks.append(_check(
+        checks.append(check(
             "hilbert-oracle",
             "<v(O(a)), v(O(b))> equals chi(O(b-a)) from the Hilbert polynomial, "
             "for all a, b in [-2, 2]", oracle_ok, wit))
@@ -215,22 +214,22 @@ def mukai_table_suite(cfg=None, seed: int = 0) -> SuiteReport:
         l1p, l2p = lambda_basis(vd)
         l1, l2 = sp.element(l1p), sp.element(l2p)
         checks += [
-            _check("lambda-norms", "<l1, l1> = <l2, l2> = -2",
-                   sp.pairing(l1, l1) == QQ(-2) and sp.pairing(l2, l2) == QQ(-2),
-                   f"got {sp.pairing(l1, l1)}, {sp.pairing(l2, l2)}"),
-            _check("lambda-cross", "<l1, l2> = <l2, l1> = 1 (an A2 form up to sign)",
-                   sp.pairing(l1, l2) == QQ(1) and sp.pairing(l2, l1) == QQ(1),
-                   f"got {sp.pairing(l1, l2)}, {sp.pairing(l2, l1)}"),
-            _check("lambda-orthogonal",
-                   "l1, l2 pair to zero on the right of every v(O(i)), i = 0, 1, 2",
-                   all(sp.pairing(v[i], l) == 0 for i in range(3) for l in (l1, l2))),
+            check("lambda-norms", "<l1, l1> = <l2, l2> = -2",
+                  sp.pairing(l1, l1) == QQ(-2) and sp.pairing(l2, l2) == QQ(-2),
+                  f"got {sp.pairing(l1, l1)}, {sp.pairing(l2, l2)}"),
+            check("lambda-cross", "<l1, l2> = <l2, l1> = 1 (an A2 form up to sign)",
+                  sp.pairing(l1, l2) == QQ(1) and sp.pairing(l2, l1) == QQ(1),
+                  f"got {sp.pairing(l1, l2)}, {sp.pairing(l2, l1)}"),
+            check("lambda-orthogonal",
+                  "l1, l2 pair to zero on the right of every v(O(i)), i = 0, 1, 2",
+                  all(sp.pairing(v[i], l) == 0 for i in range(3) for l in (l1, l2))),
         ]
         span = qmat([list(p.coeffs) for p in
                      [v[0].poly, v[1].poly, v[2].poly, l1p, l2p]])
-        checks.append(_check(
+        checks.append(check(
             "span-rank", "v(O), v(O(1)), v(O(2)), l1, l2 span all five h-powers",
             rank(span) == 5, f"rank {rank(span)}"))
-        checks.append(_check(
+        checks.append(check(
             "projection-fixes-lambda",
             "mutation past v(O(2)), v(O(1)), v(O) fixes l1 and l2",
             kuznetsov_project(sp, l1) == l1 and kuznetsov_project(sp, l2) == l2))
@@ -238,7 +237,7 @@ def mukai_table_suite(cfg=None, seed: int = 0) -> SuiteReport:
         img = qmat([list(p.poly.coeffs) for p in proj])
         lam = qmat([list(l1p.coeffs), list(l2p.coeffs)])
         both = qmat([list(p.poly.coeffs) for p in proj] + [list(l1p.coeffs), list(l2p.coeffs)])
-        checks.append(_check(
+        checks.append(check(
             "projection-image",
             "the projection of the h-power span has rank 2 and lies in span(l1, l2)",
             rank(img) == 2 and rank(both) == rank(lam) == 2,
@@ -253,8 +252,10 @@ def mukai_table_suite(cfg=None, seed: int = 0) -> SuiteReport:
 
 
 def projector_suite(cfg=None, seed: int = 0) -> SuiteReport:
-    """Diagonal decomposition on the fourfold: idempotence, orthogonality,
-    completeness, the primitive refinement, and hyperplane-section kill."""
+    """Diagonal decomposition and the primitive refinement on the fourfold.
+
+    Idempotence, orthogonality, completeness, the primitive refinement, and
+    hyperplane-section kill."""
 
     def run():
         vd = VarietyData.cubic_fourfold()
@@ -262,28 +263,28 @@ def projector_suite(cfg=None, seed: int = 0) -> SuiteReport:
         names = ["pi0", "pi2", "pi4", "pi6", "pi8"]
         checks = []
         bad = [n for n in names + ["pi4_prim"] if compose(pis[n], pis[n]) != pis[n]]
-        checks.append(_check("idempotent", "each projector composes to itself",
-                             not bad, f"not idempotent: {bad}"))
+        checks.append(check("idempotent", "each projector composes to itself",
+                            not bad, f"not idempotent: {bad}"))
         bad = [(a, b) for a in names for b in names
                if a != b and not compose(pis[a], pis[b]).is_zero()]
-        checks.append(_check("orthogonal", "distinct projectors compose to zero",
-                             not bad, f"nonzero products: {bad}"))
+        checks.append(check("orthogonal", "distinct projectors compose to zero",
+                            not bad, f"nonzero products: {bad}"))
         total = pis["pi0"] + pis["pi2"] + pis["pi4"] + pis["pi6"] + pis["pi8"]
-        checks.append(_check("complete", "the five projectors sum to the diagonal",
-                             total == CorrClass.diagonal(vd)))
+        checks.append(check("complete", "the five projectors sum to the diagonal",
+                            total == CorrClass.diagonal(vd)))
         p4p = pis["pi4_prim"]
-        checks.append(_check("prim-self-transpose",
-                             "the primitive middle projector equals its transpose",
-                             transpose(p4p) == p4p))
-        checks.append(_check("prim-absorbed",
-                             "pi4 absorbs the primitive projector on both sides",
-                             compose(pis["pi4"], p4p) == p4p and compose(p4p, pis["pi4"]) == p4p))
+        checks.append(check("prim-self-transpose",
+                            "the primitive middle projector equals its transpose",
+                            transpose(p4p) == p4p))
+        checks.append(check("prim-absorbed",
+                            "pi4 absorbs the primitive projector on both sides",
+                            compose(pis["pi4"], p4p) == p4p and compose(p4p, pis["pi4"]) == p4p))
         bad = []
         for a in range(4):
             z = CorrClass.h_monomial(vd, (a, 3 - a))
             if not compose(compose(p4p, z), p4p).is_zero():
                 bad.append((a, 3 - a))
-        checks.append(_check(
+        checks.append(check(
             "hkill",
             "every codimension-3 product of hyperplane powers is killed between "
             "two primitive projectors", not bad, f"survivors: {bad}"))
@@ -318,10 +319,12 @@ def _monomial_degree_oracle(a: int, b: int, c: int):
 
 
 def derive_p_suite(cfg=None, seed: int = 0) -> SuiteReport:
-    """Small-diagonal correction: solve for the polynomial correction class,
-    check its symmetry, Gram-independence and degree table, then the Euler
-    consistency of the configured primitive rank (kept last: it is the only
-    check here that depends on the rank)."""
+    """Small-diagonal correction class and Euler consistency.
+
+    Solves for the polynomial correction class, checks its symmetry,
+    Gram-independence and degree table, then the Euler consistency of the
+    configured primitive rank (kept last: it is the only check here that
+    depends on the rank)."""
     cfg = _config(cfg)
     extra = {}
 
@@ -329,24 +332,24 @@ def derive_p_suite(cfg=None, seed: int = 0) -> SuiteReport:
         checks = []
         try:
             p = derive_P(cfg)
-            checks.append(_check(
+            checks.append(check(
                 "mult-shadow",
                 "the small diagonal minus its hyperplane part realizes with no "
                 "primitive components", True))
         except ShadowViolation as e:
-            checks.append(_check("mult-shadow",
-                                 "the small diagonal minus its hyperplane part realizes "
-                                 "with no primitive components", False, str(e)))
+            checks.append(check("mult-shadow",
+                                "the small diagonal minus its hyperplane part realizes "
+                                "with no primitive components", False, str(e)))
             return checks
         extra["correction-class"] = p_to_text(p)
-        checks.append(_check("p-symmetric",
-                             "the correction class is invariant under all slot permutations",
-                             _p_is_symmetric(p)))
+        checks.append(check("p-symmetric",
+                            "the correction class is invariant under all slot permutations",
+                            _p_is_symmetric(p)))
         alt = _alt_config(cfg)
-        checks.append(_check("p-gram-independent",
-                             "the correction class is identical for two distinct "
-                             "primitive Gram matrices",
-                             derive_P(alt) == p))
+        checks.append(check("p-gram-independent",
+                            "the correction class is identical for two distinct "
+                            "primitive Gram matrices",
+                            derive_P(alt) == p))
         rp = realize(p, cfg)
         bad = None
         for a in range(5):
@@ -357,15 +360,15 @@ def derive_p_suite(cfg=None, seed: int = 0) -> SuiteReport:
                     if got != _monomial_degree_oracle(a, b, c):
                         bad = f"(a,b,c)=({a},{b},{c}): degree {got}"
                         break
-        checks.append(_check(
+        checks.append(check(
             "monomial-degrees",
             "degrees of the correction class against all 125 hyperplane monomials "
             "match the closed-form count", bad is None, bad))
         dd = realize(CorrClass.diagonal(cfg.space.vd), cfg)
         got = degree(dd * dd)
-        checks.append(_check("euler-27",
-                             "the realized diagonal squares to degree 27",
-                             got == QQ(27), f"got {got} (primitive rank {cfg.space.r})"))
+        checks.append(check("euler-27",
+                            "the realized diagonal squares to degree 27",
+                            got == QQ(27), f"got {got} (primitive rank {cfg.space.r})"))
         return checks
 
     return _timed("derive-p", run, extra)
@@ -376,17 +379,16 @@ def derive_p_suite(cfg=None, seed: int = 0) -> SuiteReport:
 
 
 def kernel_suite(cfg=None, seed: int = 0) -> SuiteReport:
-    """Projection-kernel composition identities, run over two distinct
-    primitive Gram matrices."""
+    """Projection-kernel composition identities over two distinct Gram matrices."""
     cfg = _config(cfg)
 
     def run():
         checks = []
         for label, c in (("g1", cfg), ("g2", _alt_config(cfg))):
             for res in verify_kernel_identities(c):
-                checks.append(_check(f"{res['id']}-{label}",
-                                     res["claim"] + f" [{label}]",
-                                     res["passed"], res.get("witness")))
+                checks.append(check(f"{res['id']}-{label}",
+                                    res["claim"] + f" [{label}]",
+                                    res["passed"], res.get("witness")))
         return checks
 
     return _timed("kernels", run)
@@ -402,7 +404,7 @@ def _random_witt_instance(rng: random.Random):
     conjugated second copy, and a global equivariant isometry that does NOT
     respect the subspace."""
     n = rng.randint(2, 6)
-    g1m = _random_diag_gram(rng, n)
+    g1m = random_diag_gram(rng, n)
     v1 = QuadSpace(g1m)
     wdim = rng.choice((0, 1, 1, 2, 2))
     wdim = min(wdim, n - 1)
@@ -432,7 +434,7 @@ def _random_witt_instance(rng: random.Random):
     else:
         w1 = [eye(n)[i].copy() for i in fixed_coords[:wdim]]
 
-    s = _random_unimodular_local(rng, n)
+    s = random_unimodular(rng, n)
     s_inv = inverse(s)
     g2m = dot(dot(s.T, g1m), s)
     v2 = QuadSpace(g2m)
@@ -454,19 +456,11 @@ def _random_witt_instance(rng: random.Random):
     return group1, w1, group2, w2, phi_v, psi_w
 
 
-def _random_unimodular_local(rng: random.Random, n: int) -> np.ndarray:
-    m = eye(n)
-    for _ in range(2 * n):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i != j:
-            m[i] = m[i] + m[j] * QQ(rng.choice((-1, 1)))
-    return m
-
-
 def witt_suite(cfg=None, seed: int = 0, count: int = 200) -> SuiteReport:
-    """Randomized equivariant isometry extensions: the returned map must be a
-    global isometry, prescribed on the subspace, equivariant, and restrict to
-    an isometry of the orthogonal complements."""
+    """Randomized equivariant isometry extensions.
+
+    Each returned map must be a global isometry, prescribed on the subspace,
+    equivariant, and restrict to an isometry of the orthogonal complements."""
 
     def run():
         rng = random.Random(seed)
@@ -494,19 +488,19 @@ def witt_suite(cfg=None, seed: int = 0, count: int = 200) -> SuiteReport:
                     or len(wr.u1_basis) != group1.space.dim - len(w1)):
                 fails["complement"] = fails["complement"] or f"instance {i}"
         checks = [
-            _check("isometry",
-                   f"all {count} extended maps satisfy M^T G2 M = G1",
-                   fails["isometry"] is None, fails["isometry"]),
-            _check("prescription",
-                   f"all {count} extended maps act on the subspace exactly as prescribed",
-                   fails["prescription"] is None, fails["prescription"]),
-            _check("equivariance",
-                   f"all {count} extended maps commute with every group element",
-                   fails["equivariance"] is None, fails["equivariance"]),
-            _check("complement",
-                   f"all {count} restrictions to the orthogonal complement are isometries "
-                   "of the expected dimension",
-                   fails["complement"] is None, fails["complement"]),
+            check("isometry",
+                  f"all {count} extended maps satisfy M^T G2 M = G1",
+                  fails["isometry"] is None, fails["isometry"]),
+            check("prescription",
+                  f"all {count} extended maps act on the subspace exactly as prescribed",
+                  fails["prescription"] is None, fails["prescription"]),
+            check("equivariance",
+                  f"all {count} extended maps commute with every group element",
+                  fails["equivariance"] is None, fails["equivariance"]),
+            check("complement",
+                  f"all {count} restrictions to the orthogonal complement are isometries "
+                  "of the expected dimension",
+                  fails["complement"] is None, fails["complement"]),
         ]
         v = QuadSpace(qmat([[QQ(1), QQ(0)], [QQ(0), QQ(-1)]]))
         grp = GroupAction.trivial(v)
@@ -515,13 +509,13 @@ def witt_suite(cfg=None, seed: int = 0, count: int = 200) -> SuiteReport:
         try:
             equivariant_witt(grp, wdeg, grp, wdeg,
                              iso, Isometry(v.restrict(wdeg), v.restrict(wdeg), eye(1)))
-            checks.append(_check("degenerate-rejected",
-                                 "a degenerate subspace is rejected with the designated error",
-                                 False, "no error raised"))
+            checks.append(check("degenerate-rejected",
+                                "a degenerate subspace is rejected with the designated error",
+                                False, "no error raised"))
         except DomainError as e:
-            checks.append(_check("degenerate-rejected",
-                                 "a degenerate subspace is rejected with the designated error",
-                                 str(e) == "unsupported: degenerate complement", str(e)))
+            checks.append(check("degenerate-rejected",
+                                "a degenerate subspace is rejected with the designated error",
+                                str(e) == "unsupported: degenerate complement", str(e)))
         return checks
 
     return _timed("witt", run)
@@ -578,24 +572,26 @@ def _sheared_flip(cert: GammaCert, dx):
 
 
 def gamma_suite(cfg=None, seed: int = 0, pairs: int = 20) -> SuiteReport:
-    """Randomized fourfold pairs: build the isomorphism candidate, verify all
-    certified identities, and confirm that tampered candidates are caught."""
+    """Randomized fourfold-pair isomorphism certificates plus negative controls.
+
+    Builds the isomorphism candidate, verifies all certified identities, and
+    confirms that tampered candidates are caught."""
 
     def run():
         checks = []
         for i in range(pairs):
             dx, dy, iso = random_fourfold_pair(seed * 1000 + i)
             failed = _pair_failures(dx, dy, iso)
-            checks.append(_check(
+            checks.append(check(
                 f"pair-{i:02d}",
                 "both inverses, h-lines, quadratic form, equivariance, diagonal "
                 "and small-diagonal transport hold",
                 not failed, f"failed: {failed}"))
         dx, dy, iso = random_fourfold_pair(seed * 1000 + pairs, rank=22)
         failed = _pair_failures(dx, dy, iso)
-        checks.append(_check("pair-rank22",
-                             "a full rank-22 primitive pair passes every identity",
-                             not failed, f"failed: {failed}"))
+        checks.append(check("pair-rank22",
+                            "a full rank-22 primitive pair passes every identity",
+                            not failed, f"failed: {failed}"))
 
         dx, dy, iso = random_fourfold_pair(seed * 1000 + pairs + 1)
         cert = build_gamma(dx, dy, iso)
@@ -603,12 +599,12 @@ def gamma_suite(cfg=None, seed: int = 0, pairs: int = 20) -> SuiteReport:
         comps[(("h", 1), ("h", 3))] = comps[(("h", 1), ("h", 3))] * QQ(-1)
         bad = type(cert.gamma)(cert.gamma.spaces, comps)
         failed = _corruption_failures(bad, dx, dy)
-        checks.append(_check("negative-hflip",
-                             "negating one h-line summand is detected by at least one check",
-                             bool(failed), "corruption passed every check"))
+        checks.append(check("negative-hflip",
+                            "negating one h-line summand is detected by at least one check",
+                            bool(failed), "corruption passed every check"))
         bad = _sheared_flip(cert, dx)
         failed = _corruption_failures(bad, dx, dy)
-        checks.append(_check(
+        checks.append(check(
             "negative-shear",
             "negating one summand of the transcendental block in a sheared basis "
             "is detected, in particular by the small-diagonal transport",
@@ -635,10 +631,10 @@ def gamma_k3_suite(cfg=None, seed: int = 0) -> SuiteReport:
         t1, t1q = dx.transcendental()
         t2, t2q = ds.transcendental()
         cert = build_gamma_cubic_k3(dx, ds, Isometry(t1q, t2q, eye(2)))
-        checks.append(_check("toy-rank2",
-                             "a rank-2 matched pair produces a passing certificate",
-                             cert.passed(),
-                             f"failed: {[c['id'] for c in cert.checks if not c['passed']]}"))
+        checks.append(check("toy-rank2",
+                            "a rank-2 matched pair produces a passing certificate",
+                            cert.passed(),
+                            f"failed: {[c['id'] for c in cert.checks if not c['passed']]}"))
         ok, wit = True, None
         for i in range(3):
             dxr, dsr, isor = random_cubic_k3_pair(seed * 100 + i)
@@ -646,25 +642,25 @@ def gamma_k3_suite(cfg=None, seed: int = 0) -> SuiteReport:
             if not c.passed():
                 ok, wit = False, f"pair seed {seed * 100 + i}"
                 break
-        checks.append(_check("random-pairs",
-                             "three randomized matched pairs produce passing certificates",
-                             ok, wit))
+        checks.append(check("random-pairs",
+                            "three randomized matched pairs produce passing certificates",
+                            ok, wit))
         dxr, dsr, isor = random_cubic_k3_pair(seed * 100 + 42, rank=22)
         c = build_gamma_cubic_k3(dxr, dsr, isor)
-        checks.append(_check("rank22",
-                             "a rank-22 matched pair produces a passing certificate",
-                             c.passed(),
-                             f"failed: {[x['id'] for x in c.checks if not x['passed']]}"))
+        checks.append(check("rank22",
+                            "a rank-22 matched pair produces a passing certificate",
+                            c.passed(),
+                            f"failed: {[x['id'] for x in c.checks if not x['passed']]}"))
         dxa, _, _ = random_cubic_k3_pair(seed * 100, rank=6)
         _, dsb, _ = random_cubic_k3_pair(seed * 100 + 1, rank=8)
         try:
             build_gamma_cubic_k3(dxa, dsb, isor)
-            checks.append(_check("mismatch-rejected",
-                                 "rank-mismatched inputs are rejected", False,
-                                 "no error raised"))
+            checks.append(check("mismatch-rejected",
+                                "rank-mismatched inputs are rejected", False,
+                                "no error raised"))
         except DomainError:
-            checks.append(_check("mismatch-rejected",
-                                 "rank-mismatched inputs are rejected", True))
+            checks.append(check("mismatch-rejected",
+                                "rank-mismatched inputs are rejected", True))
         return checks
 
     return _timed("gamma-k3", run)
@@ -693,4 +689,5 @@ def run_suite(name: str, cfg=None, seed: int = 0) -> SuiteReport:
 
 
 def run_all(cfg=None, seed: int = 0) -> list:
+    """Every suite, in registry order."""
     return [fn(cfg, seed) for fn in SUITES.values()]

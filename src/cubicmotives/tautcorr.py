@@ -14,8 +14,8 @@ self-intersection of the diagonal of a degree-e hypersurface X in P^{d+1},
 
 i.e. D_*(h^k) = (1/e) sum_{i=k..d} h^i x h^{d+k-i}, together with
 D . D = D_*(c_d(T_X)) and D_12 . D_13 = delta.  All products, compositions and
-pushforwards below are closed-form consequences; ``compose`` can also run
-through the full pull-push pipeline on X^3, and the two paths must agree.
+pushforwards below are closed-form consequences; the tests check the closed
+``compose`` against the full pull-push pipeline on X^3.
 
 The ring is *free*: the small-diagonal multiplicativity relation of the
 realized theory is deliberately not imposed here (it is recovered downstream
@@ -23,8 +23,6 @@ by the realization engine, which is the point of deriving it).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import StructureError
 from .gradedring import VarietyData, tangent_chern
@@ -378,21 +376,6 @@ def push(f: CorrClass, keep) -> CorrClass:
     raise StructureError("unsupported push specification")
 
 
-def push_pull(f: CorrClass, op: str, slots, n_to: int | None = None) -> CorrClass:
-    """Dispatcher: ``op`` is "pull" or "push"; ``slots`` are 0-based.
-
-    pull: embed an X^{f.n} class into X^{n_to} along the listed slots.
-    push: integrate out the complementary slots, keeping ``slots``.
-    """
-    if op == "pull":
-        if n_to is None:
-            raise StructureError("pull needs n_to")
-        return pull(f, slots, n_to)
-    if op == "push":
-        return push(f, slots)
-    raise StructureError(f"unknown push_pull op {op!r}")
-
-
 def transpose(f: CorrClass) -> CorrClass:
     """Swap the two slots of a class on X^2."""
     if f.n != 2:
@@ -404,22 +387,16 @@ def transpose(f: CorrClass) -> CorrClass:
     return CorrClass(f.vd, 2, out)
 
 
-def compose(f: CorrClass, g: CorrClass, method: str = "closed") -> CorrClass:
-    """Correspondence composition g o f (f acts first) on X^2.
-
-    ``method="closed"`` uses the monomial rules
+def compose(f: CorrClass, g: CorrClass) -> CorrClass:
+    """Correspondence composition g o f (f acts first) on X^2, by the
+    monomial rules
         D o x = x o D = x,
         (h^c x h^d') o (h^a x h^b) = e.[b + c = dim] h^a x h^d';
-    ``method="pullpush"`` runs p13_*( p12^* f . p23^* g ).  The two must
-    agree on everything; tests enforce it.
+    they agree with p13_*( p12^* f . p23^* g ), which the tests check.
     """
     f._check(g)
     if f.n != 2:
         raise StructureError("compose is defined on X^2")
-    if method == "pullpush":
-        return push(intersect(pull(f, (0, 1), 3), pull(g, (1, 2), 3)), (0, 2))
-    if method != "closed":
-        raise StructureError(f"unknown compose method {method!r}")
     vd, d, e = f.vd, f.vd.dim, f.vd.degree
     out = {}
 

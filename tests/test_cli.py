@@ -155,6 +155,12 @@ def test_all_subcommand_covers_every_suite(tmp_path, capsys):
     assert main(["all", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert [s["suite"] for s in payload["suites"]] == list(SUITES)
+    # one check record shape everywhere: a witness exactly on failure
+    for suite in payload["suites"]:
+        for check in suite["checks"]:
+            assert (check["witness"] is None) == check["passed"], check
+            if not check["passed"]:
+                assert isinstance(check["witness"], str) and check["witness"], check
     capsys.readouterr()
 
 

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from cubicmotives.errors import DomainError, StructureError
-from cubicmotives.linalg import eye, inverse, mat_eq, qmat, qvec, zeros
+from cubicmotives.linalg import eye, inverse, kernel_basis, mat_eq, qmat, qvec, zeros
 from cubicmotives.quadform import (GroupAction, Isometry, QuadSpace, WittResult,
-                                   aligned_elements, equivariant_transport,
-                                   equivariant_witt, fixed_space_form, group_closure,
-                                   radical, reflect_to, _orthogonalize)
+                                   aligned_elements, equivariant_witt, group_closure,
+                                   reflect_to, _orthogonalize)
 from cubicmotives.rationals import QQ
 
 
@@ -47,7 +46,7 @@ def test_restrict_complement_radical():
             assert v.bilinear(c, x) == 0
     degenerate = QuadSpace(qmat([[QQ(1), QQ(0)], [QQ(0), QQ(0)]]))
     assert not degenerate.is_nondegenerate()
-    rad = radical(degenerate)
+    rad = kernel_basis(degenerate.gram)
     assert len(rad) == 1 and degenerate.q(rad[0]) == 0
 
 
@@ -144,28 +143,18 @@ def test_aligned_elements():
         aligned_elements(flip, quarter)
 
 
-def test_fixed_space_form():
-    v = diag_space(1, -2, 5)
-    g = qmat([[QQ(1), QQ(0), QQ(0)], [QQ(0), QQ(-1), QQ(0)], [QQ(0), QQ(0), QQ(1)]])
-    grp = GroupAction.build(v, [g])
-    basis, form = fixed_space_form(v, grp)
-    assert len(basis) == 2
-    assert all(grp.fixes(b) for b in basis)
-    assert form.is_nondegenerate()
-
-
 def test_equivariant_transport():
     v = diag_space(1, 1, -3)
     g = qmat([[QQ(0), QQ(1), QQ(0)], [QQ(1), QQ(0), QQ(0)], [QQ(0), QQ(0), QQ(1)]])
     grp = GroupAction.build(v, [g])
     x, y = qvec([1, 1, 0]), qvec([-1, -1, 0])  # both fixed, same norm
-    iso = equivariant_transport(v, grp, x, y)
+    assert grp.fixes(x) and grp.fixes(y)
+    # reflections in G-fixed vectors commute with G
+    iso = reflect_to(v, x, y)
     assert iso.verify()
     assert mat_eq(iso(x), y)
     for m in grp.elements:
         assert mat_eq(iso.matrix.dot(m), m.dot(iso.matrix))
-    with pytest.raises(DomainError, match="G-fixed"):
-        equivariant_transport(v, grp, qvec([1, 0, 0]), qvec([0, 1, 0]))
 
 
 # --------------------------------------------------------------------------

@@ -13,12 +13,13 @@ from cubicmotives import realization
 from cubicmotives.errors import StructureError
 from cubicmotives.gradedring import VarietyData
 from cubicmotives.linalg import eye, mat_eq, qmat, zeros
-from cubicmotives.motiveiso import _random_diag_gram
+from cubicmotives.motiveiso import random_diag_gram
 from cubicmotives.rationals import QQ
 from cubicmotives.realization import (RealizationConfig, RealizedClass, Space,
-                                      action_matrix, compose_realized, degree,
-                                      derive_P, diagonal_realized, p_to_text,
-                                      realize, verify_kernel_identities)
+                                      action_matrix, check, check_equal,
+                                      compose_realized, degree, derive_P,
+                                      diagonal_realized, p_to_text, realize,
+                                      verify_kernel_identities)
 from cubicmotives.tautcorr import CorrClass, ck_projectors, compose, transpose
 
 
@@ -37,7 +38,7 @@ P_TERMS = {
 
 
 def small_cfg(rank=3, seed=5) -> RealizationConfig:
-    return RealizationConfig.with_gram(_random_diag_gram(random.Random(seed), rank))
+    return RealizationConfig.with_gram(random_diag_gram(random.Random(seed), rank))
 
 
 def test_space_shape():
@@ -267,6 +268,19 @@ def test_kernel_identities_two_grams():
         results = verify_kernel_identities(cfg)
         assert {r["id"] for r in results} == expected
         assert all(r["passed"] for r in results), [r for r in results if not r["passed"]]
+
+
+def test_check_records():
+    assert check("a", "claim", True, "unused") == {
+        "id": "a", "claim": "claim", "passed": True, "witness": None}
+    assert check("a", "claim", False)["witness"] == "identity does not hold"
+    assert check("a", "claim", 0, "why") == {
+        "id": "a", "claim": "claim", "passed": False, "witness": "why"}
+    d = diagonal_realized(small_cfg(rank=2).space)
+    assert check_equal("d", "claim", d, d)["witness"] is None
+    got = check_equal("d", "claim", d, d.scale(2))
+    assert not got["passed"]
+    assert got["witness"] == "first differing component: VxV"
 
 
 def test_realized_projectors_match_calculus():

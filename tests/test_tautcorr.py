@@ -11,7 +11,7 @@ from cubicmotives.gradedring import VarietyData
 from cubicmotives.rationals import QQ
 from cubicmotives.tautcorr import (CorrClass, ck_projectors, compose, diag_push,
                                    delta_push, intersect, monomial_str, parse_monomial,
-                                   pull, push, push_pull, transpose)
+                                   pull, push, transpose)
 
 
 CUBIC = VarietyData.cubic_fourfold()
@@ -80,7 +80,6 @@ def test_push_and_pull():
     x = CorrClass.h_monomial(CUBIC, (3,), QQ(1, 2))
     lifted = pull(x, (1,), 2)
     assert lifted == hmono((0, 3), QQ(1, 2))
-    assert push_pull(x, "pull", (1,), 2) == lifted
 
 
 def test_transpose():
@@ -105,7 +104,7 @@ def test_compose_closed_equals_pull_push_route():
     rng = random.Random(11)
     for _ in range(25):
         f, g = _random_class(rng), _random_class(rng)
-        assert compose(f, g, method="closed") == compose(f, g, method="pullpush")
+        assert compose(f, g) == push(intersect(pull(f, (0, 1), 3), pull(g, (1, 2), 3)), (0, 2))
 
 
 def test_compose_associative_and_unital():
