@@ -22,11 +22,12 @@ from .quadform import (GroupAction, Isometry, QuadSpace, WittResult, aligned_ele
                        equivariant_witt, reflect_to)
 from .rationals import QQ, parse_rational, rational_str
 from .realization import (RealizationConfig, RealizedClass, Space, action_matrix,
-                          compose_realized, degree, derive_P, diagonal_realized,
-                          p_to_json, p_to_text, realize, verify_kernel_identities)
+                          compose_realized, defect_of, degree, derive_P, diagonal_realized,
+                          hyperplane_part, p_to_json, p_to_text, realize,
+                          verify_kernel_identities)
 from .suites import SUITES, SuiteReport, run_all, run_suite
-from .tautcorr import (CorrClass, ck_projectors, compose, intersect, monomial_str,
-                       parse_monomial, pull, push, transpose)
+from .tautcorr import (CorrClass, ck_projectors, compose, intersect, monomial_str, pull,
+                       push, transpose)
 
 __version__ = "0.1.0"
 
@@ -45,10 +46,10 @@ __all__ = [
     "equivariant_witt", "reflect_to",
     "QQ", "parse_rational", "rational_str",
     "RealizationConfig", "RealizedClass", "Space", "action_matrix",
-    "compose_realized", "degree", "derive_P", "diagonal_realized", "p_to_json",
-    "p_to_text", "realize", "verify_kernel_identities",
+    "compose_realized", "defect_of", "degree", "derive_P", "diagonal_realized",
+    "hyperplane_part", "p_to_json", "p_to_text", "realize", "verify_kernel_identities",
     "SUITES", "SuiteReport", "run_all", "run_suite",
-    "CorrClass", "ck_projectors", "compose", "intersect", "monomial_str",
-    "parse_monomial", "pull", "push", "transpose",
+    "CorrClass", "ck_projectors", "compose", "intersect", "monomial_str", "pull",
+    "push", "transpose",
     "__version__",
 ]

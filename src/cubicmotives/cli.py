@@ -1,7 +1,8 @@
 """Command-line front end: run verification suites, emit JSON and markdown.
 
 Exit codes: 0 when every check passes, 1 when any check fails, 2 for a bad
-configuration (schema diagnostics on stderr).
+configuration (schema diagnostics on stderr), 3 when a suite raises (the
+traceback and an ``error: <suite>: ...`` line on stderr, no report).
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from .errors import DomainError, StructureError
@@ -136,10 +138,14 @@ def main(argv=None) -> int:
             print(line, file=sys.stderr)
         return 2
 
-    if args.suite == "all":
-        reports = run_all(cfg, seed)
-    else:
-        reports = [run_suite(args.suite, cfg, seed)]
+    reports = []
+    for name in SUITES if args.suite == "all" else [args.suite]:
+        try:
+            reports.append(run_suite(name, cfg, seed))
+        except Exception as e:  # a crash must not read as a failed check
+            traceback.print_exc()
+            print(f"error: {name}: {type(e).__name__}: {e}", file=sys.stderr)
+            return 3
 
     payload = reports_to_json(reports)
     payload.update({"command": args.suite, "seed": seed, "gram": gram_desc})

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import DomainError, ShadowViolation, StructureError
-from .rationals import QQ, parse_rational, rational_str
+from .rationals import QQ
 
 HYPERSURFACE = "hypersurface"
 K3 = "k3"
@@ -200,13 +200,6 @@ class TruncPoly:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def to_json(self):
-        return [rational_str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, vd, data) -> "TruncPoly":
-        return cls(vd, tuple(parse_rational(c) for c in data))
 
 
 def integrate(a: TruncPoly):

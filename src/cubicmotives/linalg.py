@@ -3,8 +3,8 @@
 Dense matrices/vectors carry exact rationals (see :mod:`cubicmotives.rationals`)
 in ``dtype=object`` arrays.  Every product goes through :func:`dot` or
 :func:`tensordot`, which follow the common-denominator design of FLINT's
-``fmpq_mat``: each operand is scaled once to Python integers over the lcm of
-its denominators, the integers are contracted by ``np.dot`` or
+rational matrices: each operand is scaled once to Python integers over the
+lcm of its denominators, the integers are contracted by ``np.dot`` or
 ``np.tensordot`` (exact, no overflow), and each output entry is divided once
 by the product of the two denominators.  Object ``np.dot`` on rationals
 would instead build and reduce a rational at every multiply-add.  The
@@ -171,10 +171,3 @@ def mat_to_json(a):
 def mat_from_json(rows):
     return qmat([[parse_rational(x) for x in row] for row in rows])
 
-
-def vec_to_json(v):
-    return [rational_str(x) for x in np.asarray(v, dtype=object)]
-
-
-def vec_from_json(entries):
-    return qvec([parse_rational(x) for x in entries])

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, StructureError
 from .gradedring import TruncPoly, VarietyData, dual, integrate, mukai_vector_line, tangent_chern
-from .linalg import mat_from_json, mat_to_json, qvec, zeros
+from .linalg import qvec, zeros
 from .quadform import QuadSpace
 from .rationals import QQ
 from .tautcorr import CorrClass, compose, intersect, pull, push
@@ -49,13 +49,6 @@ class MukaiSpace:
     @classmethod
     def cubic(cls, prim: QuadSpace) -> "MukaiSpace":
         return cls(VarietyData.cubic_fourfold(), prim)
-
-    @classmethod
-    def from_json(cls, data) -> "MukaiSpace":
-        return cls(VarietyData.cubic_fourfold(), QuadSpace(mat_from_json(data["prim_gram"])))
-
-    def to_json(self):
-        return {"prim_gram": mat_to_json(self.prim.gram)}
 
     def element(self, poly: TruncPoly, prim=None) -> "MSElement":
         if prim is None:

@@ -31,8 +31,6 @@ from .linalg import (
     eye,
     kernel_basis,
     mat_eq,
-    mat_from_json,
-    mat_to_json,
     qvec,
     rank,
     solve,
@@ -79,13 +77,6 @@ class QuadSpace:
             return [row for row in eye(self.dim)]
         b = np.stack(vectors, axis=0)
         return kernel_basis(dot(b, self.gram))
-
-    def to_json(self):
-        return {"gram": mat_to_json(self.gram)}
-
-    @classmethod
-    def from_json(cls, data) -> "QuadSpace":
-        return cls(mat_from_json(data["gram"]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,14 +186,6 @@ class GroupAction:
 
     def fixes(self, v) -> bool:
         return all(mat_eq(dot(g, v), np.asarray(v)) for g in self.generators)
-
-    def to_json(self):
-        return {"gram": mat_to_json(self.space.gram), "generators": [mat_to_json(g) for g in self.generators]}
-
-    @classmethod
-    def from_json(cls, data) -> "GroupAction":
-        space = QuadSpace(mat_from_json(data["gram"]))
-        return cls.build(space, [mat_from_json(g) for g in data.get("generators", [])])
 
 
 def aligned_elements(g1: GroupAction, g2: GroupAction):

@@ -1,67 +1,19 @@
-"""Exact rational scalars with a swappable backend.
+"""Exact rational scalars.
 
-Everything in this package computes over Q with zero tolerance, so the scalar
-type is the one genuinely hot kernel.  At import time we pick gmpy2's compiled
-``mpq`` when it is installed and fall back to the stdlib ``fractions.Fraction``
-otherwise.  Both implement ``numbers.Rational``, interoperate with ints and
-with each other, and round-trip through the ``"p/q"`` string form used in all
-JSON interfaces.
-
-Set ``CUBICMOTIVES_RATIONALS=fraction`` (or ``gmpy2``) to force a backend;
-``benchmarks/bench_rationals.py`` compares the two.
+Everything in this package computes over Q with zero tolerance.  The scalar
+type is the stdlib ``fractions.Fraction``: ``QQ`` is that class itself, so
+``QQ(p, q)`` builds p/q and ``QQ("p/q")`` parses the string form.  Every
+JSON interface writes rationals in the canonical ``"p/q"`` grammar below.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
+from numbers import Rational
 
-_choice = os.environ.get("CUBICMOTIVES_RATIONALS", "").strip().lower()
-
-if _choice in ("", "gmpy2"):
-    try:
-        from gmpy2 import mpq as _mpq  # type: ignore
-
-        BACKEND = "gmpy2"
-    except ImportError:
-        if _choice == "gmpy2":
-            raise
-        _mpq = None
-        BACKEND = "fraction"
-elif _choice == "fraction":
-    _mpq = None
-    BACKEND = "fraction"
-else:
-    raise RuntimeError(f"unknown CUBICMOTIVES_RATIONALS backend: {_choice!r}")
-
-
-if BACKEND == "gmpy2":
-
-    def QQ(num=0, den=None):
-        """Build an exact rational (gmpy2 backend)."""
-        if den is None:
-            if isinstance(num, str):
-                return _mpq(num)
-            return _mpq(num)
-        return _mpq(num, den)
-
-else:
-
-    def QQ(num=0, den=None):
-        """Build an exact rational (Fraction backend)."""
-        if den is None:
-            return Fraction(num)
-        return Fraction(num, den)
-
-
+QQ = Fraction
+BACKEND = "fraction"
 ZERO = QQ(0)
-ONE = QQ(1)
-
-
-def is_rational(x) -> bool:
-    import numbers
-
-    return isinstance(x, numbers.Rational)
 
 
 def rational_str(x) -> str:
@@ -75,8 +27,12 @@ def rational_str(x) -> str:
 
 
 def parse_rational(s):
-    """Parse ``"p/q"`` (or a bare integer / integer string) to an exact rational."""
-    if is_rational(s):
+    """Parse ``"p/q"`` (or a bare integer / integer string) to an exact rational.
+
+    A ``bool`` is rejected: JSON ``true`` is not a number here."""
+    if isinstance(s, bool):
+        raise TypeError(f"not a rational: {s!r}")
+    if isinstance(s, Rational):
         return QQ(s.numerator, s.denominator)
     text = str(s).strip()
     if "/" in text:

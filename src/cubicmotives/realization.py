@@ -22,8 +22,7 @@ import numpy as np
 
 from .errors import ShadowViolation, StructureError
 from .gradedring import VarietyData
-from .linalg import (dot, eye, inverse, is_zero, mat_eq, mat_from_json, mat_to_json, tensordot,
-                     zeros)
+from .linalg import dot, eye, inverse, is_zero, mat_eq, tensordot, zeros
 from .quadform import QuadSpace
 from .rationals import QQ, rational_str
 from .tautcorr import CorrClass, ck_projectors
@@ -100,13 +99,6 @@ class RealizationConfig:
     @classmethod
     def with_gram(cls, gram) -> "RealizationConfig":
         return cls(prim=QuadSpace(np.asarray(gram, dtype=object)))
-
-    @classmethod
-    def from_json(cls, data) -> "RealizationConfig":
-        return cls.with_gram(mat_from_json(data["prim_gram"]))
-
-    def to_json(self):
-        return {"prim_gram": mat_to_json(self.prim.gram)}
 
 
 def _val_is_zero(val) -> bool:
@@ -212,23 +204,6 @@ class RealizedClass:
             r0, r1 = sa.index(k0), sb.index(k1)
             m[r0, r1] = m[r0, r1] + val
         return m
-
-    @classmethod
-    def from_matrix(cls, spaces, m) -> "RealizedClass":
-        sa, sb = spaces
-        comps = {}
-        for i in range(sa.hdim):
-            for j in range(sb.hdim):
-                comps[(("h", i), ("h", j))] = m[i, j]
-        if sa.r:
-            for j in range(sb.hdim):
-                comps[("V", ("h", j))] = m[sa.hdim:, j].copy()
-        if sb.r:
-            for i in range(sa.hdim):
-                comps[(("h", i), "V")] = m[i, sb.hdim:].copy()
-        if sa.r and sb.r:
-            comps[("V", "V")] = m[sa.hdim:, sb.hdim:].copy()
-        return cls(spaces, comps)
 
     def transport(self, mats, targets) -> "RealizedClass":
         """Apply one linear map per slot (matrix of shape target x source).
@@ -381,25 +356,26 @@ def realize(x: CorrClass, cfg: RealizationConfig | Space) -> RealizedClass:
             _, i, j, deco = mon
             k = (3 - i - j) if x.n == 3 else None
             comps = _diagonal_comps(space, (i, j), x.n, deco_slot=k, deco=deco)
-            out = out + RealizedClass(spaces, comps).scale(c)
+            term = RealizedClass(spaces, comps)
+            out = out + (term if c == 1 else term.scale(c))
         else:  # small diagonal
             if delta_cache is None:
                 d12 = RealizedClass(spaces, _diagonal_comps(space, (0, 1), 3))
                 d13 = RealizedClass(spaces, _diagonal_comps(space, (0, 2), 3))
                 delta_cache = d12 * d13
-            out = out + delta_cache.scale(c)
+            out = out + (delta_cache if c == 1 else delta_cache.scale(c))
     return out
 
 
 def compose_realized(f: RealizedClass, g: RealizedClass) -> RealizedClass:
     """Composition of two-slot classes, f acting first (matching the
-    correspondence-ring convention): matrix form M_f . Pi . M_g."""
+    correspondence-ring convention): matrix form M_f . Pi . M_g, computed
+    block by block as f with its second slot transported by the action of g."""
     if f.n != 2 or g.n != 2:
         raise StructureError("composition needs two-slot classes")
     if f.spaces[1] != g.spaces[0]:
         raise StructureError("middle spaces do not match")
-    m = dot(dot(f.to_matrix(), f.spaces[1].pairing), g.to_matrix())
-    return RealizedClass.from_matrix((f.spaces[0], g.spaces[1]), m)
+    return f.transport((eye(f.spaces[0].size), action_matrix(g)), (f.spaces[0], g.spaces[1]))
 
 
 def action_matrix(f: RealizedClass) -> np.ndarray:
@@ -416,6 +392,28 @@ def degree(x: RealizedClass):
 # --- the small-diagonal defect polynomial -----------------------------------
 
 
+def hyperplane_part(vd: VarietyData) -> CorrClass:
+    """(1/e)[D_12 h_3^4 + D_13 h_2^4 + D_23 h_1^4] on X^3: the part of the
+    small diagonal that the defect polynomial P completes."""
+    if vd.dim != 4:
+        raise StructureError("the defect polynomial is computed on fourfolds")
+    return CorrClass(vd, 3, {("D", i, j, vd.dim): QQ(1, vd.degree)
+                             for i, j in ((0, 1), (0, 2), (1, 2))})
+
+
+def defect_of(delta: RealizedClass) -> CorrClass:
+    """P from a realized small diagonal: delta minus its realized hyperplane
+    part, which must have no V-component."""
+    space = delta.spaces[0]
+    rem = delta - realize(hyperplane_part(space.vd), space)
+    terms = {}
+    for sig, val in rem.comps.items():
+        if any(k == "V" for k in sig):
+            raise ShadowViolation("MCK shadow violated")
+        terms[("h", tuple(k[1] for k in sig))] = val
+    return CorrClass(space.vd, 3, terms)
+
+
 def derive_P(cfg: RealizationConfig) -> CorrClass:
     """The symmetric polynomial P with
 
@@ -425,20 +423,7 @@ def derive_P(cfg: RealizationConfig) -> CorrClass:
     Every V-component of the difference must cancel identically (for any
     Gram matrix); a nonzero one signals a broken multiplicativity shadow.
     """
-    vd = cfg.vd
-    if vd.dim != 4:
-        raise StructureError("the defect polynomial is computed on fourfolds")
-    delta = realize(CorrClass.small_diagonal(vd), cfg)
-    corr = CorrClass.zero(vd, 3)
-    for (i, j) in ((0, 1), (0, 2), (1, 2)):
-        corr = corr + CorrClass(vd, 3, {("D", i, j, vd.dim): QQ(1)})
-    rem = delta - realize(corr, cfg).scale(QQ(1, vd.degree))
-    terms = {}
-    for sig, val in rem.comps.items():
-        if any(k == "V" for k in sig):
-            raise ShadowViolation("MCK shadow violated")
-        terms[("h", tuple(k[1] for k in sig))] = val
-    return CorrClass(vd, 3, terms)
+    return defect_of(realize(CorrClass.small_diagonal(cfg.vd), cfg))
 
 
 def p_to_json(p: CorrClass):

@@ -456,7 +456,10 @@ def _random_witt_instance(rng: random.Random):
     return group1, w1, group2, w2, phi_v, psi_w
 
 
-def witt_suite(cfg=None, seed: int = 0, count: int = 200) -> SuiteReport:
+WITT_PROBLEMS = 200  # randomized extension problems per witt run
+
+
+def witt_suite(cfg=None, seed: int = 0) -> SuiteReport:
     """Randomized equivariant isometry extensions.
 
     Each returned map must be a global isometry, prescribed on the subspace,
@@ -466,7 +469,7 @@ def witt_suite(cfg=None, seed: int = 0, count: int = 200) -> SuiteReport:
         rng = random.Random(seed)
         fails = {"isometry": None, "prescription": None,
                  "equivariance": None, "complement": None}
-        for i in range(count):
+        for i in range(WITT_PROBLEMS):
             group1, w1, group2, w2, phi_v, psi_w = _random_witt_instance(rng)
             try:
                 wr = equivariant_witt(group1, w1, group2, w2, phi_v, psi_w)
@@ -489,16 +492,16 @@ def witt_suite(cfg=None, seed: int = 0, count: int = 200) -> SuiteReport:
                 fails["complement"] = fails["complement"] or f"instance {i}"
         checks = [
             check("isometry",
-                  f"all {count} extended maps satisfy M^T G2 M = G1",
+                  f"all {WITT_PROBLEMS} extended maps satisfy M^T G2 M = G1",
                   fails["isometry"] is None, fails["isometry"]),
             check("prescription",
-                  f"all {count} extended maps act on the subspace exactly as prescribed",
+                  f"all {WITT_PROBLEMS} extended maps act on the subspace exactly as prescribed",
                   fails["prescription"] is None, fails["prescription"]),
             check("equivariance",
-                  f"all {count} extended maps commute with every group element",
+                  f"all {WITT_PROBLEMS} extended maps commute with every group element",
                   fails["equivariance"] is None, fails["equivariance"]),
             check("complement",
-                  f"all {count} restrictions to the orthogonal complement are isometries "
+                  f"all {WITT_PROBLEMS} restrictions to the orthogonal complement are isometries "
                   "of the expected dimension",
                   fails["complement"] is None, fails["complement"]),
         ]
@@ -525,6 +528,7 @@ def witt_suite(cfg=None, seed: int = 0, count: int = 200) -> SuiteReport:
 # gamma
 
 
+GAMMA_PAIRS = 20  # randomized rank-6 fourfold pairs per gamma run
 _FROBENIUS_IDS = ("leftinv", "rightinv", "hlines", "quadratic", "equivariant",
                   "diagonal", "small-diagonal", "small-diagonal-route",
                   "route-agreement")
@@ -532,9 +536,7 @@ _FROBENIUS_IDS = ("leftinv", "rightinv", "hlines", "quadratic", "equivariant",
 
 def _pair_failures(dx, dy, iso) -> list:
     cert = build_gamma(dx, dy, iso)
-    results = {c["id"]: c for c in cert.checks}
-    for c in verify_frobenius(cert):
-        results[c["id"]] = c
+    results = {c["id"]: c for c in cert.checks + verify_frobenius(cert)}
     return [cid for cid in _FROBENIUS_IDS if not results[cid]["passed"]]
 
 
@@ -571,7 +573,7 @@ def _sheared_flip(cert: GammaCert, dx):
     return type(cert.gamma)(cert.gamma.spaces, comps)
 
 
-def gamma_suite(cfg=None, seed: int = 0, pairs: int = 20) -> SuiteReport:
+def gamma_suite(cfg=None, seed: int = 0) -> SuiteReport:
     """Randomized fourfold-pair isomorphism certificates plus negative controls.
 
     Builds the isomorphism candidate, verifies all certified identities, and
@@ -579,7 +581,7 @@ def gamma_suite(cfg=None, seed: int = 0, pairs: int = 20) -> SuiteReport:
 
     def run():
         checks = []
-        for i in range(pairs):
+        for i in range(GAMMA_PAIRS):
             dx, dy, iso = random_fourfold_pair(seed * 1000 + i)
             failed = _pair_failures(dx, dy, iso)
             checks.append(check(
@@ -587,13 +589,13 @@ def gamma_suite(cfg=None, seed: int = 0, pairs: int = 20) -> SuiteReport:
                 "both inverses, h-lines, quadratic form, equivariance, diagonal "
                 "and small-diagonal transport hold",
                 not failed, f"failed: {failed}"))
-        dx, dy, iso = random_fourfold_pair(seed * 1000 + pairs, rank=22)
+        dx, dy, iso = random_fourfold_pair(seed * 1000 + GAMMA_PAIRS, rank=22)
         failed = _pair_failures(dx, dy, iso)
         checks.append(check("pair-rank22",
                             "a full rank-22 primitive pair passes every identity",
                             not failed, f"failed: {failed}"))
 
-        dx, dy, iso = random_fourfold_pair(seed * 1000 + pairs + 1)
+        dx, dy, iso = random_fourfold_pair(seed * 1000 + GAMMA_PAIRS + 1)
         cert = build_gamma(dx, dy, iso)
         comps = dict(cert.gamma.comps)
         comps[(("h", 1), ("h", 3))] = comps[(("h", 1), ("h", 3))] * QQ(-1)

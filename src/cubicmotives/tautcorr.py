@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from .errors import StructureError
 from .gradedring import VarietyData, tangent_chern
-from .rationals import QQ, parse_rational, rational_str
+from .rationals import QQ, rational_str
 
 # monomial encodings (hashable, orderable via _term_key):
 #   ('h', exps)        exps a tuple of length n
@@ -138,19 +138,6 @@ class CorrClass:
         parts = [f"{rational_str(c)}*{monomial_str(m)}" for m, c in self.sorted_terms()]
         return "CorrClass<" + " + ".join(parts) + ">"
 
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self):
-        return [{"monomial": monomial_str(m), "coeff": rational_str(c)} for m, c in self.sorted_terms()]
-
-    @classmethod
-    def from_json(cls, vd, n, data):
-        terms = {}
-        for entry in data:
-            m = parse_monomial(entry["monomial"], n)
-            terms[m] = terms.get(m, QQ(0)) + parse_rational(entry["coeff"])
-        return cls(vd, n, terms)
-
 
 def monomial_str(mon) -> str:
     if mon[0] == "delta":
@@ -165,31 +152,6 @@ def monomial_str(mon) -> str:
     exps = mon[1]
     parts = [f"h{i + 1}^{a}" if a > 1 else f"h{i + 1}" for i, a in enumerate(exps) if a > 0]
     return " ".join(parts) if parts else "1"
-
-
-def parse_monomial(text: str, n: int):
-    text = text.strip()
-    if text == "delta":
-        return ("delta",)
-    if text == "1":
-        return ("h", (0,) * n)
-    exps = [0] * n
-    diag = None
-    for tok in text.split():
-        if tok.startswith("D"):
-            i, j = int(tok[1]) - 1, int(tok[2]) - 1
-            diag = (i, j)
-        else:
-            head, _, p = tok.partition("^")
-            slot = int(head[1:]) - 1
-            exps[slot] += int(p) if p else 1
-    if diag is None:
-        return ("h", tuple(exps))
-    i, j = diag
-    if exps[i] or exps[j] or (n == 2 and any(exps)):
-        raise StructureError("diagonal decorations only on the complementary slot")
-    c = exps[3 - i - j] if n == 3 else 0
-    return ("D", i, j, c)
 
 
 # -- reduction data ---------------------------------------------------------

@@ -1,17 +1,20 @@
 """Reference routes that the block-sparse realization engine replaced.
 
-``RealizedClass.transport`` works signature block by signature block, and
-``_component_product`` contracts V-slots by pairwise ``tensordot``.  The
+``RealizedClass.transport`` works signature block by signature block,
+``_component_product`` contracts V-slots by pairwise ``tensordot``, and
+``compose_realized`` transports the second slot of f by the action of g.  The
 routes below are the straightforward ones they replaced: densify every class
 to a full (sum of h-lines + r)^n array and apply one ``tensordot`` per slot,
-and contract V-slots with a single unoptimised ``np.einsum``.  The tests
-compare the library against them for exact equality.
+contract V-slots with a single unoptimised ``np.einsum``, and compose two-slot
+classes as the matrix product M_f . Pi . M_g read back block by block.  The
+tests compare the library against them for exact equality.
 """
 
 import itertools
 
 import numpy as np
 
+from cubicmotives.linalg import dot
 from cubicmotives.rationals import QQ
 from cubicmotives.realization import RealizedClass
 
@@ -45,6 +48,30 @@ def dense_transport(x: RealizedClass, mats, targets) -> RealizedClass:
     for s, m in enumerate(mats):
         dense = np.moveaxis(np.tensordot(m, dense, axes=([1], [s])), 0, s)
     return from_dense(tuple(targets), dense)
+
+
+def from_matrix(spaces, m) -> RealizedClass:
+    """The two-slot class whose matrix form (``to_matrix``) is m."""
+    sa, sb = spaces
+    comps = {}
+    for i in range(sa.hdim):
+        for j in range(sb.hdim):
+            comps[(("h", i), ("h", j))] = m[i, j]
+    if sa.r:
+        for j in range(sb.hdim):
+            comps[("V", ("h", j))] = m[sa.hdim:, j].copy()
+    if sb.r:
+        for i in range(sa.hdim):
+            comps[(("h", i), "V")] = m[i, sb.hdim:].copy()
+    if sa.r and sb.r:
+        comps[("V", "V")] = m[sa.hdim:, sb.hdim:].copy()
+    return RealizedClass(spaces, comps)
+
+
+def dense_compose(f: RealizedClass, g: RealizedClass) -> RealizedClass:
+    """f then g as the matrix product M_f . Pi . M_g over the middle space."""
+    m = dot(dot(f.to_matrix(), f.spaces[1].pairing), g.to_matrix())
+    return from_matrix((f.spaces[0], g.spaces[1]), m)
 
 
 def einsum_product(spaces, sig_a, val_a, sig_b, val_b):

@@ -85,13 +85,13 @@ def test_criterion_07_euler_negative_control():
 
 
 def test_criterion_08_equivariant_witt_randomized():
-    rep = _passed(witt_suite(count=200), 8, "200 randomized equivariant Witt extensions", budget=60.0)
+    rep = _passed(witt_suite(), 8, "200 randomized equivariant Witt extensions", budget=60.0)
     assert {"isometry", "prescription", "equivariance", "complement",
             "degenerate-rejected"} <= set(_ids(rep))
 
 
 def test_criterion_09_gamma_certificates():
-    rep = _passed(gamma_suite(pairs=20), 9, "20 randomized Γ certificates plus negative controls", budget=120.0)
+    rep = _passed(gamma_suite(), 9, "20 randomized Γ certificates plus negative controls", budget=120.0)
     ids = set(_ids(rep))
     assert {f"pair-{i:02d}" for i in range(20)} <= ids
     assert {"pair-rank22", "negative-hflip", "negative-shear"} <= ids

@@ -104,6 +104,16 @@ def test_zero_denominator_gram_exits_two(tmp_path, capsys):
     cfg.write_text(json.dumps({"gram": [["1/0"]]}))
     assert main(["derive-p", "--config", str(cfg)]) == 2
     assert "config: inline 'gram' value is not a valid Gram matrix" in capsys.readouterr().err
+    # JSON true is not the number 1
+    boolean = tmp_path / "bool.json"
+    boolean.write_text(json.dumps([[True, 0], [0, -1]]))
+    assert main(["chern", "--gram", str(boolean)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config: gram file")
+    assert "is not a valid Gram matrix" in err
+    cfg.write_text(json.dumps({"gram": [[1, 0], [0, False]]}))
+    assert main(["chern", "--config", str(cfg)]) == 2
+    assert "config: inline 'gram' value is not a valid Gram matrix" in capsys.readouterr().err
 
 
 def test_boolean_seed_exits_two(tmp_path, capsys):
@@ -111,6 +121,23 @@ def test_boolean_seed_exits_two(tmp_path, capsys):
     cfg.write_text(json.dumps({"seed": True}))
     assert main(["chern", "--config", str(cfg)]) == 2
     assert "'seed' must be an integer, got bool" in capsys.readouterr().err
+
+
+def test_suite_crash_exits_three(monkeypatch, capsys):
+    def boom(cfg=None, seed=0):
+        raise RuntimeError("kaboom")
+
+    monkeypatch.setitem(SUITES, "projectors", boom)
+    assert main(["projectors"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err
+    assert captured.err.rstrip().splitlines()[-1] == "error: projectors: RuntimeError: kaboom"
+    # under 'all' the suites before it run, but no report is printed
+    assert main(["all"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.rstrip().splitlines()[-1] == "error: projectors: RuntimeError: kaboom"
 
 
 def test_config_file_with_inline_gram(tmp_path, capsys):

@@ -138,11 +138,3 @@ def test_mukai_vector_line():
     # twisting is multiplication by exp(i h)
     for i in (-2, 1, 3):
         assert mukai_vector_line(CUBIC, i) == rt * TruncPoly.exp_h(CUBIC, QQ(i))
-
-
-def test_json_roundtrip():
-    a = TruncPoly.from_coeffs(CUBIC, [1, QQ(-7, 3), 0, QQ(1, 2), 5])
-    data = a.to_json()
-    assert TruncPoly.from_json(CUBIC, data) == a
-    # denominators are always explicit in serialized form
-    assert data == ["1/1", "-7/3", "0/1", "1/2", "5/1"]

@@ -169,14 +169,6 @@ def test_corr_action_input_validation():
         corr_action(sp, z3, sp.line_vector(0))
 
 
-def test_mukai_space_json():
-    prim = QuadSpace(qmat([[QQ(2), QQ(1)], [QQ(1), QQ(2)]]))
-    sp = MukaiSpace.cubic(prim)
-    sp2 = MukaiSpace.from_json(sp.to_json())
-    assert sp2.vd == CUBIC
-    assert sp2.prim.gram[0, 1] == QQ(1)
-
-
 def test_pairing_includes_primitive_block():
     prim = QuadSpace(qmat([[QQ(2), QQ(0)], [QQ(0), QQ(-2)]]))
     sp = MukaiSpace.cubic(prim)

@@ -291,14 +291,3 @@ def test_equivariant_witt_rejections():
     with pytest.raises(StructureError, match="equal dimension"):
         equivariant_witt(grp, [], grp, [qvec([1, 0])], ident,
                          Isometry(v.restrict([]), v.restrict([qvec([1, 0])]), zeros(1, 0)))
-
-
-def test_json_roundtrips():
-    v = diag_space(2, -1, 3)
-    assert mat_eq(QuadSpace.from_json(v.to_json()).gram, v.gram)
-    g = eye(3)
-    g[2, 2] = QQ(-1)
-    grp = GroupAction.build(v, [g])
-    grp2 = GroupAction.from_json(grp.to_json())
-    assert grp2.order == grp.order
-    assert mat_eq(grp2.space.gram, v.gram)

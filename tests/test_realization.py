@@ -8,11 +8,12 @@ import random
 import numpy as np
 import pytest
 
-from dense_oracle import dense_transport, einsum_product, from_dense, to_dense
+from dense_oracle import (dense_compose, dense_transport, einsum_product, from_dense,
+                          from_matrix, to_dense)
 from cubicmotives import realization
 from cubicmotives.errors import StructureError
 from cubicmotives.gradedring import VarietyData
-from cubicmotives.linalg import eye, mat_eq, qmat, zeros
+from cubicmotives.linalg import eye, mat_eq, mat_from_json, mat_to_json, qmat, zeros
 from cubicmotives.motiveiso import random_diag_gram
 from cubicmotives.rationals import QQ
 from cubicmotives.realization import (RealizationConfig, RealizedClass, Space,
@@ -62,9 +63,12 @@ def test_default_config_rank():
 
 
 def test_config_json_roundtrip():
+    # a configuration's JSON form is its Gram matrix in "p/q" rows, the form
+    # the CLI reads from a gram file
     cfg = small_cfg(rank=4)
-    cfg2 = RealizationConfig.from_json(cfg.to_json())
+    cfg2 = RealizationConfig.with_gram(mat_from_json(mat_to_json(cfg.prim.gram)))
     assert mat_eq(cfg2.prim.gram, cfg.prim.gram)
+    assert cfg2.space == cfg.space
 
 
 def test_realize_diagonal_and_monomials():
@@ -118,7 +122,7 @@ def test_matrix_and_dense_roundtrip():
     sp = cfg.space
     f = realize(_random_taut(random.Random(21)), cfg)
     m = f.to_matrix()
-    assert RealizedClass.from_matrix((sp, sp), m) == f
+    assert from_matrix((sp, sp), m) == f
     dense = to_dense(f)
     assert from_dense((sp, sp), dense) == f
 
@@ -214,6 +218,33 @@ def test_products_match_einsum_oracle(monkeypatch):
     monkeypatch.setattr(realization, "_component_product", einsum_product)
     assert got_real == [realize(x, cfg) for cfg in cfgs for x in taut]
     assert got_prod == [a * b for a, b in pairs]
+
+
+def test_compose_matches_dense_oracle():
+    rng = random.Random(23)
+    h_only = Space(CUBIC)  # rank 0
+    sp1, sp4 = small_cfg(rank=1).space, small_cfg(rank=4, seed=8).space
+    nondiag = RealizationConfig.with_gram(qmat([[QQ(2), QQ(1), QQ(0)],
+                                                [QQ(1), QQ(2), QQ(0)],
+                                                [QQ(0), QQ(0), QQ(-1)]])).space
+    k3 = Space(VarietyData.k3(), small_cfg(rank=4, seed=2).prim)
+    chains = [
+        (h_only, h_only, h_only),
+        (sp1, sp1, sp1),
+        (sp4, sp4, sp4),
+        (nondiag, nondiag, nondiag),
+        (sp4, sp1, h_only),      # the rank changes along the chain
+        (h_only, sp4, sp1),
+        (sp4, k3, nondiag),      # fourfold x K3, then K3 x fourfold
+        (k3, sp4, k3),
+    ]
+    for a, b, c in chains:
+        for n_comps in (4, 36):  # sparse, and every block present
+            f = _random_realized(rng, (a, b), n_comps)
+            g = _random_realized(rng, (b, c), n_comps)
+            got = compose_realized(f, g)
+            assert got.spaces == (a, c)
+            assert got == dense_compose(f, g)
 
 
 def test_middle_part_of_diagonal():
