@@ -31,15 +31,22 @@ class ConfigError(Exception):
 _CONFIG_KEYS = {"seed", "gram"}
 
 
-def _load_config_file(path: str) -> dict:
+def _read_json(path, what: str):
+    """The JSON value in a file; unreadable or undecodable input (a bad path,
+    bytes that are not UTF-8, invalid JSON, an integer literal beyond
+    Python's conversion limit) raises ConfigError."""
     try:
         text = Path(path).read_text()
-    except OSError as e:
-        raise ConfigError([f"config: cannot read {path}: {e}"])
+    except (OSError, ValueError) as e:
+        raise ConfigError([f"config: cannot read {what}: {e}"])
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError([f"config: {path} is not valid JSON: {e}"])
+        return json.loads(text)
+    except ValueError as e:
+        raise ConfigError([f"config: {what} is not valid JSON: {e}"])
+
+
+def _load_config_file(path: str) -> dict:
+    data = _read_json(path, path)
     if not isinstance(data, dict):
         raise ConfigError([f"config: {path} must contain a JSON object"])
     diags = []
@@ -73,13 +80,7 @@ def _resolve_gram(spec, seed: int):
         return RealizationConfig.with_gram(random_gram(seed)), f"random(seed={seed})"
     if isinstance(spec, list):
         return _gram_from_rows(spec, "inline 'gram' value"), "inline"
-    path = Path(spec)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as e:
-        raise ConfigError([f"config: cannot read gram file {spec}: {e}"])
-    except json.JSONDecodeError as e:
-        raise ConfigError([f"config: gram file {spec} is not valid JSON: {e}"])
+    data = _read_json(spec, f"gram file {spec}")
     if isinstance(data, dict):
         if "prim_gram" not in data:
             raise ConfigError([f"config: gram file {spec} must contain a matrix "

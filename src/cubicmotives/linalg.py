@@ -1,16 +1,17 @@
 """Exact linear algebra over Q on numpy object arrays.
 
 Dense matrices/vectors carry exact rationals (see :mod:`cubicmotives.rationals`)
-in ``dtype=object`` arrays.  Every product goes through :func:`dot` or
-:func:`tensordot`, which follow the common-denominator design of FLINT's
-rational matrices: each operand is scaled once to Python integers over the
-lcm of its denominators, the integers are contracted by ``np.dot`` or
-``np.tensordot`` (exact, no overflow), and each output entry is divided once
-by the product of the two denominators.  Object ``np.dot`` on rationals
-would instead build and reduce a rational at every multiply-add.  The
-eliminations below are plain fraction Gauss-Jordan: the matrices in this
-package are small (rank <= 27) and exactness matters more than pivoting
-strategy.
+in ``dtype=object`` arrays.  Every product goes through :func:`dot`, which
+follows the common-denominator design of FLINT's rational matrices: each
+operand is scaled once (:func:`scaled`) to Python integers over the lcm of its
+denominators, the integers are contracted by ``np.dot`` (exact, no overflow),
+and each output entry is divided once by the product of the two denominators
+(:func:`boxed`).  Object ``np.dot`` on rationals would instead build and
+reduce a rational at every multiply-add.  The realization engine keeps its
+tensors in the scaled form throughout and uses the same two conversions at
+its boundary.  The eliminations below are plain fraction Gauss-Jordan: the
+matrices in this package are small (rank <= 27) and exactness matters more
+than pivoting strategy.
 """
 
 from __future__ import annotations
@@ -47,47 +48,40 @@ def eye(n) -> np.ndarray:
     return a
 
 
-def is_zero(a) -> bool:
-    return all(x == 0 for x in np.asarray(a, dtype=object).flat)
-
-
 def mat_eq(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and all(x == y for x, y in zip(a.flat, b.flat))
 
 
-def _scaled(a):
-    """(n, d): an integer object array and one denominator with a = n / d."""
+def scaled(a):
+    """(n, d): an integer object array (an int for a scalar) and one
+    denominator with a = n / d.
+
+    d is the lcm of the entries' denominators, so for entries in lowest terms
+    gcd(d, every entry of n) = 1."""
     a = np.asarray(a, dtype=object)
     pq = [(x.numerator, x.denominator) for x in a.flat]
     d = math.lcm(*(q for _, q in pq))
     n = np.array([p * (d // q) for p, q in pq], dtype=object)
-    return n.reshape(a.shape), d
+    return (n.reshape(a.shape) if a.ndim else n[0]), d
 
 
-def _contract(contract, a, b, *args):
-    """``contract`` applied to the scaled integer forms of a and b, with each
-    output entry divided once by the product of the two denominators; a
-    scalar or 0-d integer result comes back as a rational scalar."""
-    na, da = _scaled(a)
-    nb, db = _scaled(b)
-    n, d = np.asarray(contract(na, nb, *args), dtype=object), da * db
+def boxed(n, d):
+    """The rationals n / d of an integer array (or scalar) and one positive
+    denominator, one division per entry; a 0-d result is a scalar."""
+    n = np.asarray(n, dtype=object)
     if n.ndim == 0:
         return QQ(n[()], d)
     return np.array([QQ(x, d) for x in n.flat], dtype=object).reshape(n.shape)
 
 
-def tensordot(a, b, axes=1):
-    """Exact ``np.tensordot`` of rational arrays over one common denominator
-    per operand; a 0-d result comes back as a scalar."""
-    return _contract(np.tensordot, a, b, axes)
-
-
 def dot(a, b):
-    """Exact matrix/vector product of 1- and 2-d arrays (``np.dot`` shapes);
-    the integers go through ``np.dot``, which costs far less per call than
-    ``np.tensordot`` on the small matrices that dominate here."""
-    return _contract(np.dot, a, b)
+    """Exact matrix/vector product of 1- and 2-d arrays (``np.dot`` shapes):
+    ``np.dot`` on the scaled integer forms, boxed once over the product of
+    the two denominators; a scalar result comes back as a rational."""
+    na, da = scaled(a)
+    nb, db = scaled(b)
+    return boxed(np.dot(na, nb), da * db)
 
 
 def rref(a):

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DomainError, StructureError
 from .gradedring import VarietyData
 from .linalg import dot, eye, inverse, mat_eq, solve, zeros
-from .quadform import GroupAction, Isometry, QuadSpace, aligned_elements, equivariant_witt
+from .quadform import GroupAction, Isometry, QuadSpace, equivariant_witt
 from .rationals import QQ
 from .realization import (
     RealizationConfig,
@@ -246,19 +246,15 @@ def build_gamma(dx: FourfoldData, dy: FourfoldData, iso_tr: Isometry) -> GammaCe
     phi_v = Isometry(primx, primy, m_phi)
     phi_v.require_valid("assembled global map")
 
-    g1, g2 = dx.group_or_trivial(), dy.group_or_trivial()
-    pairs = aligned_elements(g1, g2)
-    for m1, m2 in pairs:
-        if not mat_eq(dot(m_phi, m1), dot(m2, m_phi)):
-            raise DomainError("iso_tr is not equivariant")
-
-    # equivariant Witt extension: carry the complement of the algebraic span
+    # equivariant Witt extension: carry the complement of the algebraic span;
+    # it rejects a global map that does not intertwine the aligned groups
     w_iso = Isometry(
         primx.restrict(list(dx.alg_basis)),
         primy.restrict(list(dy.alg_basis)),
         eye(len(dx.alg_basis)),
     )
-    wr = equivariant_witt(g1, list(dx.alg_basis), g2, list(dy.alg_basis), phi_v, w_iso)
+    wr = equivariant_witt(dx.group_or_trivial(), list(dx.alg_basis),
+                          dy.group_or_trivial(), list(dy.alg_basis), phi_v, w_iso)
 
     vv = zeros(spx.r, spy.r)
     if len(wr.u1_basis):
@@ -282,7 +278,7 @@ def build_gamma(dx: FourfoldData, dy: FourfoldData, iso_tr: Isometry) -> GammaCe
         check("quadratic", "the pairing is preserved on the full basis",
               mat_eq(dot(dot(a.T, spy.pairing), a), spx.pairing), "pairing matrices differ"),
         check("equivariant", "the map commutes with every aligned group element",
-              all(mat_eq(dot(a, _embed(spx, m1)), dot(_embed(spy, m2), a)) for m1, m2 in pairs),
+              all(mat_eq(dot(a, _embed(spx, m1)), dot(_embed(spy, m2), a)) for m1, m2 in wr.pairs),
               "group element does not intertwine"),
     ]
     return GammaCert(gamma, dx, dy, checks)

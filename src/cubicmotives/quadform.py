@@ -287,13 +287,16 @@ class WittResult:
     ``full``         G-equivariant isometry V1 -> V2 mapping span W1 onto
                      span W2 compatibly with psi_W,
     ``restriction``  the induced isometry between the orthogonal complements,
-                     in the coordinates of ``u1_basis`` / ``u2_basis``.
+                     in the coordinates of ``u1_basis`` / ``u2_basis``,
+    ``pairs``        the aligned group elements (:func:`aligned_elements`)
+                     that phi_V was checked to intertwine.
     """
 
     full: Isometry
     restriction: Isometry
     u1_basis: list
     u2_basis: list
+    pairs: list
 
 
 def equivariant_witt(g1: GroupAction, w1_basis, g2: GroupAction, w2_basis,
@@ -355,4 +358,5 @@ def equivariant_witt(g1: GroupAction, w1_basis, g2: GroupAction, w2_basis,
     coords = solve(b2, np.stack(images, axis=1)) if u1 else zeros(0, 0)
     restriction = Isometry(v1.restrict(u1), v2.restrict(u2), coords)
     restriction.require_valid("restricted map")
-    return WittResult(full=full, restriction=restriction, u1_basis=u1, u2_basis=u2)
+    return WittResult(full=full, restriction=restriction, u1_basis=u1, u2_basis=u2,
+                      pairs=pairs)

@@ -14,15 +14,28 @@ the inverse Gram tensor of V — the Kuenneth component of the middle degree.
 Everything downstream (the multiplicativity defect P of the small diagonal,
 the kernel-projector identities, transported diagonals between two varieties)
 is exact tensor algebra over this model.
+
+A realized class stores its components as Python integers (an ``int`` per
+h-only signature, an ``int`` object array per V-carrying one) over one
+positive class denominator, in the common-denominator form of
+:func:`cubicmotives.linalg.scaled`.  Sums, products, transport and equality
+run on those integers; rationals appear only at the two boundary conversions:
+the constructor scales rational components once, and ``comps`` (with
+``to_matrix`` and ``action_matrix``) boxes them back with
+:func:`cubicmotives.linalg.boxed`.
 """
 
 from __future__ import annotations
+
+import math
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import ShadowViolation, StructureError
 from .gradedring import VarietyData
-from .linalg import dot, eye, inverse, is_zero, mat_eq, tensordot, zeros
+from .linalg import boxed, eye, inverse, mat_eq, scaled, zeros
 from .quadform import QuadSpace
 from .rationals import QQ, rational_str
 from .tautcorr import CorrClass, ck_projectors
@@ -30,7 +43,9 @@ from . import mukai as _mukai
 
 
 class Space:
-    """Realization space of one variety slot: h-powers plus a V-block."""
+    """Realization space of one variety slot: h-powers plus a V-block.
+    ``_gram``, ``_gram_inv`` and ``_pairing`` are the scaled forms of the
+    rational ``gram``, ``gram_inv`` and ``pairing``, computed once."""
 
     def __init__(self, vd: VarietyData, prim: QuadSpace | None = None):
         self.vd = vd
@@ -42,6 +57,7 @@ class Space:
         if prim is not None:
             self.gram = prim.gram
             self.gram_inv = inverse(prim.gram)
+            self._gram, self._gram_inv = scaled(self.gram), scaled(self.gram_inv)
         else:
             self.gram = None
             self.gram_inv = None
@@ -51,6 +67,7 @@ class Space:
         if prim is not None:
             pairing[self.hdim:, self.hdim:] = prim.gram
         self.pairing = pairing
+        self._pairing = scaled(pairing)
 
     def __eq__(self, other):
         if not isinstance(other, Space):
@@ -101,30 +118,62 @@ class RealizationConfig:
         return cls(prim=QuadSpace(np.asarray(gram, dtype=object)))
 
 
-def _val_is_zero(val) -> bool:
-    if isinstance(val, np.ndarray):
-        return is_zero(val)
-    return val == 0
+def _nonzero(val) -> bool:
+    return bool(val.any()) if isinstance(val, np.ndarray) else val != 0
+
+
+def _tensordot(a, b, axes):
+    val = np.tensordot(a, b, axes=axes)
+    return val[()] if val.ndim == 0 else val
 
 
 class RealizedClass:
     """Sparse graded tensor on a product of realization spaces.
 
     Components are keyed by a per-slot signature: ('h', k) for the line
-    spanned by h^k, or 'V' for the primitive block.  The value is a rational
-    scalar when the signature has no V-slots, else an object ndarray with one
-    axis (of size r) per V-slot, in slot order.
+    spanned by h^k, or 'V' for the primitive block.  A component is a scalar
+    when the signature has no V-slots, else an array with one axis (of size
+    r) per V-slot, in slot order.
+
+    The class is stored as integer numerators ``_num`` (``int`` or ``int``
+    object arrays) over one denominator ``_den > 0``, kept canonical: no
+    all-zero component, gcd(``_den``, every numerator) = 1 (the zero class
+    has ``_den == 1``).  Equal classes therefore store equal integers.
+    ``RealizedClass(spaces, comps)`` takes rational scalars and arrays and
+    scales them once; ``comps`` is the read-only rational view, boxed on
+    first access.
     """
 
     def __init__(self, spaces, comps=None):
+        pairs = {sig: scaled(val) for sig, val in (comps or {}).items()}
+        den = math.lcm(*(d for _, d in pairs.values()))
+        self._set(spaces, {s: n * (den // d) for s, (n, d) in pairs.items()}, den)
+
+    @classmethod
+    def _of(cls, spaces, num, den) -> "RealizedClass":
+        """The class num / den, from integer components (put in canonical form)."""
+        x = cls.__new__(cls)
+        x._set(spaces, num, den)
+        return x
+
+    def _set(self, spaces, num, den):
         self.spaces = tuple(spaces)
         self.n = len(self.spaces)
-        clean = {}
-        if comps:
-            for sig, val in comps.items():
-                if not _val_is_zero(val):
-                    clean[sig] = val
-        self.comps = clean
+        num = {sig: val for sig, val in num.items() if _nonzero(val)}
+        g = den  # with no component left, den // g = 1
+        for val in num.values():
+            g = math.gcd(g, *val.flat) if isinstance(val, np.ndarray) else math.gcd(g, val)
+        self._num = {sig: val // g for sig, val in num.items()} if g != 1 else num
+        self._den = den // g
+
+    @cached_property
+    def comps(self):
+        """Read-only view {signature: rational scalar or array}."""
+        view = {sig: boxed(val, self._den) for sig, val in self._num.items()}
+        for val in view.values():
+            if isinstance(val, np.ndarray):
+                val.flags.writeable = False
+        return MappingProxyType(view)
 
     # --- basic algebra -------------------------------------------------
 
@@ -134,56 +183,61 @@ class RealizedClass:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.comps)
-        for sig, val in other.comps.items():
+        den = math.lcm(self._den, other._den)
+        fa, fb = den // self._den, den // other._den
+        out = {s: v * fa for s, v in self._num.items()}
+        for sig, val in other._num.items():
+            val = val * fb
             out[sig] = out[sig] + val if sig in out else val
-        return RealizedClass(self.spaces, out)
+        return RealizedClass._of(self.spaces, out, den)
 
     def __sub__(self, other):
         return self + -other
 
     def __neg__(self):
-        return RealizedClass(self.spaces, {s: -v for s, v in self.comps.items()})
+        return RealizedClass._of(self.spaces, {s: -v for s, v in self._num.items()}, self._den)
 
     def scale(self, t):
         t = QQ(t)
-        return RealizedClass(self.spaces, {s: v * t for s, v in self.comps.items()})
+        return RealizedClass._of(self.spaces, {s: v * t.numerator for s, v in self._num.items()},
+                                 self._den * t.denominator)
 
     def is_zero(self) -> bool:
-        return not self.comps
+        return not self._num
 
     def __eq__(self, other):
         if not isinstance(other, RealizedClass):
             return NotImplemented
         self._check(other)
-        return (self - other).is_zero()
+        b = other._num
+        return (self._den == other._den and self._num.keys() == b.keys()
+                and all(np.array_equal(v, b[s]) if isinstance(v, np.ndarray) else v == b[s]
+                        for s, v in self._num.items()))
 
     # --- intersection product -------------------------------------------
 
     def __mul__(self, other):
         self._check(other)
-        acc = {}
-        for sa, va in self.comps.items():
-            for sb, vb in other.comps.items():
+        terms = []
+        for sa, va in self._num.items():
+            for sb, vb in other._num.items():
                 got = _component_product(self.spaces, sa, va, sb, vb)
-                if got is None:
-                    continue
-                sig, val = got
-                acc[sig] = acc[sig] + val if sig in acc else val
-        return RealizedClass(self.spaces, acc)
+                if got is not None:
+                    terms.append(got)
+        # one denominator for all pairwise products: the lcm of their factors
+        lcm = math.lcm(*(d for _, _, d in terms))
+        acc = {}
+        for sig, val, d in terms:
+            val = val * (lcm // d)
+            acc[sig] = acc[sig] + val if sig in acc else val
+        return RealizedClass._of(self.spaces, acc, self._den * other._den * lcm)
 
     # --- integration ----------------------------------------------------
 
     def degree(self):
         """Pair the top component against the fundamental class of X^n."""
-        total = QQ(0)
-        for sig, val in self.comps.items():
-            if all(k == ("h", sp.vd.dim) for k, sp in zip(sig, self.spaces)):
-                f = QQ(1)
-                for sp in self.spaces:
-                    f = f * sp.e
-                total = total + val * f
-        return total
+        top = self._num.get(tuple(("h", sp.vd.dim) for sp in self.spaces), 0)
+        return QQ(top * math.prod(sp.vd.degree for sp in self.spaces), self._den)
 
     # --- two-slot matrix form --------------------------------------------
 
@@ -191,19 +245,27 @@ class RealizedClass:
         if self.n != 2:
             raise StructureError("transpose needs two slots")
         out = {}
-        for (k0, k1), val in self.comps.items():
+        for (k0, k1), val in self._num.items():
             out[(k1, k0)] = val.T if isinstance(val, np.ndarray) and val.ndim == 2 else val
-        return RealizedClass((self.spaces[1], self.spaces[0]), out)
+        return RealizedClass._of((self.spaces[1], self.spaces[0]), out, self._den)
 
-    def to_matrix(self) -> np.ndarray:
+    def _matrix(self) -> np.ndarray:
+        """Integer matrix form, over the class denominator."""
         if self.n != 2:
             raise StructureError("matrix form needs two slots")
         sa, sb = self.spaces
-        m = zeros(sa.size, sb.size)
-        for (k0, k1), val in self.comps.items():
-            r0, r1 = sa.index(k0), sb.index(k1)
-            m[r0, r1] = m[r0, r1] + val
+        m = np.zeros((sa.size, sb.size), dtype=object)
+        for (k0, k1), val in self._num.items():
+            m[sa.index(k0), sb.index(k1)] = val
         return m
+
+    def to_matrix(self) -> np.ndarray:
+        return boxed(self._matrix(), self._den)
+
+    def _action(self):
+        """(integers, denominator) of :func:`action_matrix`."""
+        pn, pd = self.spaces[0]._pairing
+        return np.dot(self._matrix().T, pn), self._den * pd
 
     def transport(self, mats, targets) -> "RealizedClass":
         """Apply one linear map per slot (matrix of shape target x source).
@@ -213,40 +275,49 @@ class RealizedClass:
         ``m[kt, ks]`` — a scalar for h -> h, an outer product placed at the
         slot's V-axis for h -> V, a contraction of that axis for V -> h, and a
         contraction with the new axis put back in place for V -> V.  All-zero
-        blocks are skipped.
+        blocks are skipped.  Each distinct matrix is scaled to integers once.
         """
         if len(mats) != self.n or len(targets) != self.n:
             raise StructureError("need one transport matrix per slot")
-        comps = self.comps
+        by_id = {key: scaled(m) for key, m in {id(m): m for m in mats}.items()}
+        return self._transport([by_id[id(m)] for m in mats], targets)
+
+    def _transport(self, mats, targets) -> "RealizedClass":
+        """:meth:`transport` by scaled matrices ((integers, denominator)
+        pairs); a slot whose matrix is None is left as it is."""
+        num, den = self._num, self._den
         for s, (m, src, tgt) in enumerate(zip(mats, self.spaces, targets)):
+            if m is None:
+                continue
+            m, d = m
             blocks = {}
             for ks in src.kinds():
                 cells = ((kt, m[tgt.index(kt), src.index(ks)]) for kt in tgt.kinds())
-                blocks[ks] = [(kt, b) for kt, b in cells if not _val_is_zero(b)]
+                blocks[ks] = [(kt, b) for kt, b in cells if _nonzero(b)]
             out = {}
-            for sig, val in comps.items():
+            for sig, val in num.items():
                 p = sig[:s].count("V")  # position of this slot's V-axis
                 for kt, b in blocks[sig[s]]:
                     if sig[s] == "V":
-                        new = tensordot(val, b, axes=([p], [b.ndim - 1]))
-                    else:
+                        new = _tensordot(val, b, ([p], [b.ndim - 1]))
+                    elif isinstance(val, np.ndarray) and isinstance(b, np.ndarray):
                         new = np.multiply.outer(val, b)
+                    else:  # a scalar: no Python int passes through a fixed-width dtype
+                        new = val * b
                     if kt == "V":
                         new = np.moveaxis(new, -1, p)
-                    elif isinstance(new, np.ndarray) and new.ndim == 0:
-                        new = new[()]
                     key = sig[:s] + (kt,) + sig[s + 1:]
                     out[key] = out[key] + new if key in out else new
-            comps = out
-        return RealizedClass(targets, comps)
+            num, den = out, den * d
+        return RealizedClass._of(targets, num, den)
 
     def middle_part(self) -> "RealizedClass":
         """Components with every slot in the middle degree (h^{d/2} or V)."""
         out = {}
-        for sig, val in self.comps.items():
+        for sig, val in self._num.items():
             if all(k == "V" or k == ("h", sp.vd.dim // 2) for k, sp in zip(sig, self.spaces)):
                 out[sig] = val
-        return RealizedClass(self.spaces, out)
+        return RealizedClass._of(self.spaces, out, self._den)
 
     def __repr__(self):
         bits = []
@@ -261,9 +332,13 @@ class RealizedClass:
 
 
 def _component_product(spaces, sig_a, val_a, sig_b, val_b):
-    """One pairwise product of components, or None when it vanishes."""
+    """One pairwise product of integer components, or None when it vanishes.
+
+    Returns (signature, integers, d): the product of the two numerators is
+    integers / d, where d collects e and the Gram's denominator of each
+    contracted V-slot."""
     out_sig = []
-    factor = QQ(1)
+    d = 1
     a_axes = [s for s, k in enumerate(sig_a) if k == "V"]
     b_axes = [s for s, k in enumerate(sig_b) if k == "V"]
     contracted = []
@@ -272,7 +347,7 @@ def _component_product(spaces, sig_a, val_a, sig_b, val_b):
         if ka == "V" and kb == "V":
             out_sig.append(("h", sp.vd.dim))
             contracted.append(s)
-            factor = factor / sp.e
+            d *= sp.vd.degree * sp._gram[1]
         elif ka == "V" or kb == "V":
             other = kb if ka == "V" else ka
             if other != ("h", 0):
@@ -283,56 +358,50 @@ def _component_product(spaces, sig_a, val_a, sig_b, val_b):
             if k > sp.vd.dim:
                 return None
             out_sig.append(("h", k))
-    if not a_axes and not b_axes:
-        return tuple(out_sig), val_a * val_b * factor
-    if not a_axes:
-        return tuple(out_sig), val_b * (val_a * factor)
-    if not b_axes:
-        return tuple(out_sig), val_a * (val_b * factor)
+    if not a_axes or not b_axes:
+        return tuple(out_sig), val_a * val_b, d
     # general case: contract each paired V-slot of a through the Gram matrix,
     # then contract a with b over those slots, one pairwise tensordot each
     for s in contracted:
         i = a_axes.index(s)
-        val_a = np.moveaxis(tensordot(val_a, spaces[s].gram, axes=([i], [0])), -1, i)
-    val = tensordot(val_a, val_b, axes=([a_axes.index(s) for s in contracted],
-                                        [b_axes.index(s) for s in contracted]))
+        val_a = np.moveaxis(np.tensordot(val_a, spaces[s]._gram[0], axes=([i], [0])), -1, i)
+    val = _tensordot(val_a, val_b, ([a_axes.index(s) for s in contracted],
+                                    [b_axes.index(s) for s in contracted]))
     # the free axes come out as a's then b's; put them back in slot order
     free = [s for s in a_axes + b_axes if s not in contracted]
     if free:
         val = np.transpose(val, np.argsort(free))
-    return tuple(out_sig), val * factor
+    return tuple(out_sig), val, d
 
 
 # --- the realization functor ------------------------------------------------
 
 
-def _diagonal_comps(space: Space, slots, n, deco_slot=None, deco=0):
-    """Components of the diagonal on the two listed slots of an n-fold
-    product (all slots over the same space), optionally decorated by h^deco
-    on the complementary slot."""
+def _diagonal(space: Space, slots, n, deco_slot=None, deco=0) -> RealizedClass:
+    """The diagonal on the two listed slots of an n-fold product (all slots
+    over the same space), optionally decorated by h^deco on the complementary
+    slot: 1/e on each h-line pair plus the inverse Gram tensor on V x V."""
     i, j = slots
     base = [("h", 0)] * n
     if deco_slot is not None:
         base[deco_slot] = ("h", deco)
-    comps = {}
-    inv_e = QQ(1) / space.e
-    for a in range(space.hdim):
-        sig = list(base)
-        sig[i] = ("h", a)
-        sig[j] = ("h", space.vd.dim - a)
-        key = tuple(sig)
-        comps[key] = comps.get(key, QQ(0)) + inv_e
+
+    def sig(ki, kj):
+        out = list(base)
+        out[i], out[j] = ki, kj
+        return tuple(out)
+
+    e = space.vd.degree
+    den = math.lcm(e, space._gram_inv[1]) if space.r else e
+    num = {sig(("h", a), ("h", space.vd.dim - a)): den // e for a in range(space.hdim)}
     if space.r:
-        sig = list(base)
-        sig[i] = "V"
-        sig[j] = "V"
-        comps[tuple(sig)] = space.gram_inv.copy()
-    return comps
+        num[sig("V", "V")] = space._gram_inv[0] * (den // space._gram_inv[1])
+    return RealizedClass._of((space,) * n, num, den)
 
 
 def diagonal_realized(space: Space) -> RealizedClass:
     """real(D) = (1/e) sum_i h^i (x) h^{d-i} + kappa on X x X."""
-    return RealizedClass((space, space), _diagonal_comps(space, (0, 1), 2))
+    return _diagonal(space, (0, 1), 2)
 
 
 def realize(x: CorrClass, cfg: RealizationConfig | Space) -> RealizedClass:
@@ -355,14 +424,11 @@ def realize(x: CorrClass, cfg: RealizationConfig | Space) -> RealizedClass:
         elif mon[0] == "D":
             _, i, j, deco = mon
             k = (3 - i - j) if x.n == 3 else None
-            comps = _diagonal_comps(space, (i, j), x.n, deco_slot=k, deco=deco)
-            term = RealizedClass(spaces, comps)
+            term = _diagonal(space, (i, j), x.n, deco_slot=k, deco=deco)
             out = out + (term if c == 1 else term.scale(c))
         else:  # small diagonal
             if delta_cache is None:
-                d12 = RealizedClass(spaces, _diagonal_comps(space, (0, 1), 3))
-                d13 = RealizedClass(spaces, _diagonal_comps(space, (0, 2), 3))
-                delta_cache = d12 * d13
+                delta_cache = _diagonal(space, (0, 1), 3) * _diagonal(space, (0, 2), 3)
             out = out + (delta_cache if c == 1 else delta_cache.scale(c))
     return out
 
@@ -375,14 +441,12 @@ def compose_realized(f: RealizedClass, g: RealizedClass) -> RealizedClass:
         raise StructureError("composition needs two-slot classes")
     if f.spaces[1] != g.spaces[0]:
         raise StructureError("middle spaces do not match")
-    return f.transport((eye(f.spaces[0].size), action_matrix(g)), (f.spaces[0], g.spaces[1]))
+    return f._transport((None, g._action()), (f.spaces[0], g.spaces[1]))
 
 
 def action_matrix(f: RealizedClass) -> np.ndarray:
     """Matrix of alpha |-> p2_*(p1^* alpha . f) on the realization bases."""
-    if f.n != 2:
-        raise StructureError("action needs a two-slot class")
-    return dot(f.to_matrix().T, f.spaces[0].pairing)
+    return boxed(*f._action())
 
 
 def degree(x: RealizedClass):

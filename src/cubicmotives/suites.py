@@ -22,7 +22,7 @@ from .mukai import MukaiSpace, kuznetsov_project, lambda_basis
 from .motiveiso import (GammaCert, build_gamma, build_gamma_cubic_k3, random_cubic_k3_pair,
                         random_diag_gram, random_fourfold_pair, random_unimodular,
                         verify_frobenius)
-from .quadform import (GroupAction, Isometry, QuadSpace, aligned_elements, equivariant_witt)
+from .quadform import GroupAction, Isometry, QuadSpace, equivariant_witt
 from .rationals import QQ
 from .realization import (RealizationConfig, check, compose_realized, degree, derive_P,
                           diagonal_realized, p_to_text, realize,
@@ -485,7 +485,7 @@ def witt_suite(cfg=None, seed: int = 0) -> SuiteReport:
             if any(not mat_eq(dot(m, w1[k]), w2m[k]) for k in range(len(w1))):
                 fails["prescription"] = fails["prescription"] or f"instance {i}"
             if any(not mat_eq(dot(m, m1), dot(m2, m))
-                   for m1, m2 in aligned_elements(group1, group2)):
+                   for m1, m2 in wr.pairs):
                 fails["equivariance"] = fails["equivariance"] or f"instance {i}"
             if (not wr.restriction.verify()
                     or len(wr.u1_basis) != group1.space.dim - len(w1)):

@@ -1,7 +1,8 @@
 """Reference routes that the block-sparse realization engine replaced.
 
 ``RealizedClass.transport`` works signature block by signature block,
-``_component_product`` contracts V-slots by pairwise ``tensordot``, and
+``_component_product`` contracts V-slots by pairwise ``np.tensordot`` on
+integer numerators, and
 ``compose_realized`` transports the second slot of f by the action of g.  The
 routes below are the straightforward ones they replaced: densify every class
 to a full (sum of h-lines + r)^n array and apply one ``tensordot`` per slot,

@@ -1,11 +1,16 @@
 """Command-line interface: subcommand dispatch, exit codes, report files,
 configuration diagnostics, and determinism of check content."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
-import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from cubicmotives.cli import main
 from cubicmotives.linalg import mat_to_json
@@ -196,3 +201,82 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "suite `chern`" in proc.stdout
+
+
+# --- config fuzz ---------------------------------------------------------------
+
+_entry = st.one_of(
+    st.integers(-5, 5),
+    st.integers(2**63, 2**70).map(lambda n: n * (-1) ** n),        # beyond int64
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(-3, 9)),  # "p/q", "p/0"
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.lists(st.integers(-2, 2), max_size=2),
+)
+
+
+@st.composite
+def _valid_gram(draw):
+    """A symmetric rank 1-4 matrix with a nonzero diagonal, in "p/q" rows."""
+    n = draw(st.integers(1, 4))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = draw(st.sampled_from((1, 2, 3, -1, -2, 2**64 + 1)))
+        for j in range(i):
+            rows[i][j] = rows[j][i] = draw(st.sampled_from((0, 0, 1, -1)))
+    return [[f"{x}/1" for x in row] for row in rows]
+
+
+_gram = st.one_of(
+    _valid_gram(),
+    _valid_gram().map(lambda g: {"prim_gram": g}),
+    st.lists(st.lists(_entry, max_size=4), max_size=4),           # ragged, non-square
+    st.integers(1, 3).map(lambda n: [["1/1"] * n] * n),            # singular
+    st.sampled_from(([["1/0"]], [], [[]], {"rows": []}, 7, "x")),
+)
+# file contents that no JSON encoder writes: an integer literal beyond the
+# conversion limit, invalid JSON, bytes that are not UTF-8
+_raw_gram = st.sampled_from((b"[[" + b"9" * 5000 + b"]]", b"{not json", b"", b"\xff\xfe[[1]]"))
+_seed = st.one_of(st.integers(-3, 3), st.integers(2**63, 2**70), st.booleans(),
+                  st.floats(allow_nan=False), st.text(max_size=3), st.none())
+_gram_spec = st.one_of(st.sampled_from(("default", "random", "GRAMFILE")),
+                       st.text(max_size=6), _gram)
+
+
+@st.composite
+def _cli_case(draw):
+    config = draw(st.dictionaries(
+        st.sampled_from(("seed", "gram", "tolerance", "")),
+        st.one_of(_seed, _gram_spec), max_size=3))
+    gram_file = draw(st.one_of(_gram.map(lambda g: json.dumps(g).encode()), _raw_gram))
+    suite = draw(st.sampled_from(("chern", "derive-p")))
+    flags = draw(st.sampled_from((["--config"], ["--gram"], ["--config", "--gram"])))
+    return config, gram_file, suite, flags
+
+
+@settings(max_examples=40, deadline=None)
+@given(_cli_case())
+def test_config_fuzz_exits_cleanly(case):
+    """Random config and gram files: every run ends with 0, 1 or 2 and never
+    with a traceback (a crash must not look like a check result)."""
+    config, gram_file, suite, flags = case
+    with tempfile.TemporaryDirectory() as tmp:
+        gram_path = Path(tmp) / "gram.json"
+        gram_path.write_bytes(gram_file)
+        if config.get("gram") == "GRAMFILE":
+            config["gram"] = str(gram_path)
+        cfg_path = Path(tmp) / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        argv = [suite]
+        if "--config" in flags:
+            argv += ["--config", str(cfg_path)]
+        if "--gram" in flags:
+            argv += ["--gram", str(gram_path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    event(f"{suite} exit {code}")
+    assert code in (0, 1, 2), (argv, config, err.getvalue())
+    assert "Traceback" not in err.getvalue()

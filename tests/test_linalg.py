@@ -1,6 +1,8 @@
-"""The exact contraction kernel ``linalg.tensordot``/``linalg.dot`` against
-object ``np.tensordot``/``np.dot`` over rationals (the route it replaced,
-kept here as the oracle) and, for 2-d products, against ``sympy.Matrix``."""
+"""The exact contraction kernel ``linalg.dot`` against object ``np.dot`` over
+rationals (the route it replaced, kept here as the oracle) and, for 2-d
+products, against ``sympy.Matrix``.  The tensor contractions of the
+realization engine are checked against the Fraction-array oracle in
+``test_fraction_oracle.py``."""
 
 from fractions import Fraction
 
@@ -9,7 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubicmotives.linalg import dot, tensordot
+from cubicmotives.linalg import dot
 from cubicmotives.rationals import QQ
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -36,10 +38,7 @@ def _array(draw, shape, elems=entries):
 
 
 def _same(got, want):
-    """Exact equality of values, shapes, and scalar-versus-array form; a 0-d
-    ``np.tensordot`` result is a scalar in the kernel, as in ``np.dot``."""
-    if isinstance(want, np.ndarray) and want.ndim == 0:
-        want = want[()]
+    """Exact equality of values, shapes, and scalar-versus-array form."""
     if not isinstance(want, np.ndarray):
         assert type(got) is type(QQ(0))
         assert got == want
@@ -70,28 +69,6 @@ def test_empty_contraction_is_zero():
     assert got.shape == (3, 2) and all(x == 0 and type(x) is type(QQ(0)) for x in got.flat)
     assert dot(np.empty((0, 3), dtype=object), np.ones((3, 2), dtype=object)).shape == (0, 2)
     assert dot(np.empty(0, dtype=object), np.empty(0, dtype=object)) == 0
-
-
-@SETTINGS
-@given(st.data())
-def test_slot_contraction_axes_match_object_tensordot(data):
-    """The list-axes forms of RealizedClass.transport (a V-axis against the
-    last axis of a block) and of _component_product (a V-axis against a Gram
-    matrix, then several axes of a against b)."""
-    r = data.draw(st.integers(1, 3))
-    ndim = data.draw(st.integers(1, 3))
-    val = _array(data.draw, (r,) * ndim, small)
-    p = data.draw(st.integers(0, ndim - 1))
-    block = _array(data.draw, data.draw(st.sampled_from([(r,), (2, r)])), small)
-    axes = ([p], [block.ndim - 1])
-    _same(tensordot(val, block, axes), np.tensordot(val, block, axes))
-    gram = _array(data.draw, (r, r), small)
-    _same(tensordot(val, gram, ([p], [0])), np.tensordot(val, gram, ([p], [0])))
-    other = _array(data.draw, (r,) * data.draw(st.integers(1, 3)), small)
-    n = data.draw(st.integers(1, min(ndim, other.ndim)))
-    axes = (data.draw(st.permutations(range(ndim)))[:n],
-            data.draw(st.permutations(range(other.ndim)))[:n])
-    _same(tensordot(val, other, axes), np.tensordot(val, other, axes))
 
 
 @SETTINGS

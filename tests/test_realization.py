@@ -10,7 +10,6 @@ import pytest
 
 from dense_oracle import (dense_compose, dense_transport, einsum_product, from_dense,
                           from_matrix, to_dense)
-from cubicmotives import realization
 from cubicmotives.errors import StructureError
 from cubicmotives.gradedring import VarietyData
 from cubicmotives.linalg import eye, mat_eq, mat_from_json, mat_to_json, qmat, zeros
@@ -197,7 +196,21 @@ def test_block_transport_of_diagonals_matches_dense_oracle():
     assert delta.transport((m, m, m), (sp,) * 3) == dense_transport(delta, (m, m, m), (sp,) * 3)
 
 
+def _einsum_mul(a: RealizedClass, b: RealizedClass) -> RealizedClass:
+    """a * b assembled from ``einsum_product`` on the boxed components."""
+    acc = {}
+    for sa, va in a.comps.items():
+        for sb, vb in b.comps.items():
+            got = einsum_product(a.spaces, sa, va, sb, vb)
+            if got is not None:
+                sig, val = got
+                acc[sig] = acc[sig] + val if sig in acc else val
+    return RealizedClass(a.spaces, acc)
+
+
 def test_products_match_einsum_oracle(monkeypatch):
+    """The library product against one assembled from the einsum oracle,
+    alone and inside ``realize`` (the small diagonal is a product)."""
     nondiag = RealizationConfig.with_gram(qmat([[QQ(2), QQ(1), QQ(0)],
                                                 [QQ(1), QQ(2), QQ(0)],
                                                 [QQ(0), QQ(0), QQ(-1)]]))
@@ -215,7 +228,7 @@ def test_products_match_einsum_oracle(monkeypatch):
                        _random_realized(rng, (sp,) * n, 8)) for _ in range(3)]
     got_real = [realize(x, cfg) for cfg in cfgs for x in taut]
     got_prod = [a * b for a, b in pairs]
-    monkeypatch.setattr(realization, "_component_product", einsum_product)
+    monkeypatch.setattr(RealizedClass, "__mul__", _einsum_mul)
     assert got_real == [realize(x, cfg) for cfg in cfgs for x in taut]
     assert got_prod == [a * b for a, b in pairs]
 
