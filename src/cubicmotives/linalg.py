@@ -1,17 +1,15 @@
 """Exact linear algebra over Q on numpy object arrays.
 
 Dense matrices/vectors carry exact rationals (see :mod:`cubicmotives.rationals`)
-in ``dtype=object`` arrays.  Every product goes through :func:`dot`, which
-follows the common-denominator design of FLINT's rational matrices: each
-operand is scaled once (:func:`scaled`) to Python integers over the lcm of its
-denominators, the integers are contracted by ``np.dot`` (exact, no overflow),
-and each output entry is divided once by the product of the two denominators
-(:func:`boxed`).  Object ``np.dot`` on rationals would instead build and
-reduce a rational at every multiply-add.  The realization engine keeps its
-tensors in the scaled form throughout and uses the same two conversions at
-its boundary.  The eliminations below are plain fraction Gauss-Jordan: the
-matrices in this package are small (rank <= 27) and exactness matters more
-than pivoting strategy.
+in ``dtype=object`` arrays.  The arithmetic follows FLINT's common-denominator
+rational matrices: a matrix is scaled once (:func:`scaled`) to Python integers
+over one denominator, multiplied (:func:`product`) and compared (:func:`same`)
+as such pairs, so a cached scaled form is never re-scaled, and boxed back once
+per entry (:func:`boxed`) only where a rational result is handed out;
+:func:`dot` is the rational front end of a chain.  The eliminations are
+fraction-free Gauss-Jordan on the numerators: at pivot p every other row
+becomes (p row - f pivot_row) // previous_pivot, exact since every entry is a
+minor of the input (Bareiss 1968), and one final division per entry.
 """
 
 from __future__ import annotations
@@ -67,7 +65,7 @@ def scaled(a):
 
 
 def boxed(n, d):
-    """The rationals n / d of an integer array (or scalar) and one positive
+    """The rationals n / d of an integer array (or scalar) and one nonzero
     denominator, one division per entry; a 0-d result is a scalar."""
     n = np.asarray(n, dtype=object)
     if n.ndim == 0:
@@ -75,55 +73,72 @@ def boxed(n, d):
     return np.array([QQ(x, d) for x in n.flat], dtype=object).reshape(n.shape)
 
 
-def dot(a, b):
-    """Exact matrix/vector product of 1- and 2-d arrays (``np.dot`` shapes):
-    ``np.dot`` on the scaled integer forms, boxed once over the product of
-    the two denominators; a scalar result comes back as a rational."""
-    na, da = scaled(a)
-    nb, db = scaled(b)
-    return boxed(np.dot(na, nb), da * db)
+def canonical(n, d):
+    """n / d in lowest terms (d > 0, gcd(d, n) = 1), equal for equal values."""
+    g = math.gcd(d, *np.asarray(n).flat) * (1 if d > 0 else -1)
+    return (n // g, d // g) if g != 1 else (n, d)
+
+
+def product(*pairs):
+    """Scaled pair of the left-to-right (``np.dot``) product of scaled pairs."""
+    n, d = pairs[0]
+    for m, e in pairs[1:]:
+        n, d = np.dot(n, m), d * e
+    return n, d
+
+
+def same(a, b) -> bool:
+    """Exact equality of two scaled pairs: equal shapes and n1 d2 == n2 d1."""
+    (n1, d1), (n2, d2) = a, b
+    return np.shape(n1) == np.shape(n2) and bool(np.all(n1 * d2 == n2 * d1))
+
+
+def dot(*operands):
+    """Exact product of a left-to-right chain of 1- and 2-d arrays (``np.dot``
+    shapes): each operand scaled once, ``np.dot`` on the integers, the result
+    boxed once; a scalar result comes back as a rational."""
+    return boxed(*product(*(scaled(a) for a in operands)))
+
+
+def _echelon(a):
+    """Fraction-free Gauss-Jordan: (m, p, pivot_columns) with m / p the
+    reduced row-echelon form of the rational matrix ``a`` (p may be negative)."""
+    m = scaled(a)[0]
+    rows, cols = m.shape
+    pivots, prev = [], 1
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        nz = np.flatnonzero(m[r:, c])
+        if not len(nz):
+            continue
+        m[[r, r + nz[0]]] = m[[r + nz[0], r]]
+        p, row = m[r, c], m[r]
+        m = (m * p - np.multiply.outer(m[:, c], row)) // prev  # row r becomes 0 here
+        m[r], prev = row, p
+        pivots.append(c)
+    return m, prev, pivots
 
 
 def rref(a):
     """Reduced row-echelon form; returns (R, pivot_columns)."""
-    m = np.array(a, dtype=object, copy=True)
-    rows, cols = m.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if m[i, c] != 0), None)
-        if pr is None:
-            continue
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        m[r] = m[r] * (QQ(1) / QQ(m[r, c]))
-        for i in range(rows):
-            if i != r and m[i, c] != 0:
-                m[i] = m[i] - m[i, c] * m[r]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    m, p, pivots = _echelon(a)
+    return boxed(m, p), pivots
 
 
 def rank(a) -> int:
-    return len(rref(a)[1])
+    return len(_echelon(a)[2])
 
 
 def kernel_basis(a):
     """Basis (list of vectors) of the right null space of ``a``."""
-    m, pivots = rref(a)
-    cols = m.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = zeros(cols)
-        v[f] = QQ(1)
-        for r, p in enumerate(pivots):
-            v[p] = -m[r, f]
-        basis.append(v)
-    return basis
+    m, p, pivots = _echelon(a)
+    free = [c for c in range(m.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), m.shape[1]), dtype=object)
+    basis[range(len(free)), free] = p
+    basis[:, pivots] = -m[:len(pivots), free].T
+    return list(boxed(basis, p))
 
 
 def solve(a, b):
@@ -136,14 +151,13 @@ def solve(a, b):
     b = np.asarray(b, dtype=object)
     vec = b.ndim == 1
     rhs = b.reshape(-1, 1) if vec else b
-    aug = np.concatenate([a, rhs], axis=1)
-    m, pivots = rref(aug)
+    m, p, pivots = _echelon(np.concatenate([a, rhs], axis=1))
     n = a.shape[1]
-    if any(p >= n for p in pivots):
+    if any(c >= n for c in pivots):
         raise ValueError("inconsistent linear system")
-    x = zeros(n, rhs.shape[1])
-    for r, p in enumerate(pivots):
-        x[p] = m[r, n:]
+    x = np.zeros((n, rhs.shape[1]), dtype=object)
+    x[pivots] = m[:len(pivots), n:]
+    x = boxed(x, p)
     return x[:, 0] if vec else x
 
 
@@ -152,10 +166,10 @@ def inverse(a):
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("inverse needs a square matrix")
-    m, pivots = rref(np.concatenate([a, eye(n)], axis=1))
+    m, p, pivots = _echelon(np.concatenate([a, eye(n)], axis=1))
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return m[:, n:]
+    return boxed(m[:, n:], p)
 
 
 def mat_to_json(a):
@@ -164,4 +178,3 @@ def mat_to_json(a):
 
 def mat_from_json(rows):
     return qmat([[parse_rational(x) for x in row] for row in rows])
-

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, StructureError
 from .gradedring import VarietyData
-from .linalg import dot, eye, inverse, mat_eq, solve, zeros
+from .linalg import dot, eye, inverse, product, same, solve, zeros
 from .quadform import GroupAction, Isometry, QuadSpace, equivariant_witt
 from .rationals import QQ
 from .realization import (
@@ -42,6 +42,7 @@ from .realization import (
     diagonal_realized,
     hyperplane_part,
     realize,
+    scaled_action,
 )
 from .tautcorr import CorrClass, ck_projectors
 
@@ -82,7 +83,7 @@ class FourfoldData:
             self, "alg_basis", _as_vectors(prim, self.alg_basis, "algebraic basis")
         )
         if self.group is not None:
-            if self.group.space.dim != prim.dim or not mat_eq(self.group.space.gram, prim.gram):
+            if not same(self.group.space.scaled_gram, prim.scaled_gram):
                 raise StructureError("group acts on a different space")
             for a in self.alg_basis:
                 if not self.group.fixes(a):
@@ -131,10 +132,10 @@ class SurfaceData:
 
 
 def _alg_tensor_pair(primx: QuadSpace, basis_x, basis_y) -> np.ndarray:
-    out = zeros(len(basis_x[0]), len(basis_y[0]))
-    for a, b in zip(basis_x, basis_y):
-        out = out + np.multiply.outer(a, b) * (QQ(1) / primx.q(a))
-    return out
+    """sum_i a_i (x) b_i / q(a_i): one product of the stacked bases, the
+    columns of the first scaled by 1 / q(a_i)."""
+    inv_q = np.array([QQ(1) / primx.q(a) for a in basis_x], dtype=object)
+    return dot(np.stack(basis_x, axis=1) * inv_q, np.stack(basis_y, axis=0))
 
 
 def build_refined_projectors(d: FourfoldData):
@@ -189,19 +190,10 @@ class GammaCert:
         return all(c["passed"] for c in self.checks)
 
 
-def _embed(space: Space, m: np.ndarray) -> np.ndarray:
-    """Extend a V-isometry to the full realization basis (identity on h)."""
-    out = eye(space.size)
-    out[space.hdim:, space.hdim:] = m
-    return out
-
-
 def _transport_tensor(u1_basis, u2_basis, restriction: Isometry) -> np.ndarray:
     """Ambient V x V' tensor acting as the given isometry on span(u1)."""
-    b1 = np.stack(u1_basis, axis=1)
-    b2 = np.stack(u2_basis, axis=1)
-    k = dot(inverse(restriction.source.gram), restriction.matrix.T)
-    return dot(dot(b1, k), b2.T)
+    return dot(np.stack(u1_basis, axis=1), solve(restriction.source.gram, restriction.matrix.T),
+               np.stack(u2_basis, axis=0))
 
 
 def _transcendental_bases(src, tgt, iso: Isometry, name: str, what: str):
@@ -212,8 +204,8 @@ def _transcendental_bases(src, tgt, iso: Isometry, name: str, what: str):
     t2_basis, t2 = tgt.transcendental()
     if len(t1_basis) != len(t2_basis):
         raise DomainError("not Witt-equivalent transcendental shadows")
-    if iso.matrix.shape != (t2.dim, t1.dim) or not mat_eq(iso.source.gram, t1.gram) \
-            or not mat_eq(iso.target.gram, t2.gram):
+    if iso.matrix.shape != (t2.dim, t1.dim) or not same(iso.source.scaled_gram, t1.scaled_gram) \
+            or not same(iso.target.scaled_gram, t2.scaled_gram):
         raise StructureError(f"{name} must map the canonical transcendental coordinates")
     iso.require_valid(what)
     return t1_basis, t2_basis
@@ -244,10 +236,10 @@ def build_gamma(dx: FourfoldData, dy: FourfoldData, iso_tr: Isometry) -> GammaCe
     img = list(dy.alg_basis) + list(dot(b2, iso_tr.matrix).T)
     m_phi = dot(np.stack(img, axis=1), inverse(np.stack(dom, axis=1)))
     phi_v = Isometry(primx, primy, m_phi)
-    phi_v.require_valid("assembled global map")
 
     # equivariant Witt extension: carry the complement of the algebraic span;
-    # it rejects a global map that does not intertwine the aligned groups
+    # it validates the global map and rejects one that does not intertwine
+    # the aligned groups
     w_iso = Isometry(
         primx.restrict(list(dx.alg_basis)),
         primy.restrict(list(dy.alg_basis)),
@@ -256,29 +248,34 @@ def build_gamma(dx: FourfoldData, dy: FourfoldData, iso_tr: Isometry) -> GammaCe
     wr = equivariant_witt(dx.group_or_trivial(), list(dx.alg_basis),
                           dy.group_or_trivial(), list(dy.alg_basis), phi_v, w_iso)
 
-    vv = zeros(spx.r, spy.r)
-    if len(wr.u1_basis):
-        vv = vv + _transport_tensor(wr.u1_basis, wr.u2_basis, wr.restriction)
+    vv = (_transport_tensor(wr.u1_basis, wr.u2_basis, wr.restriction) if len(wr.u1_basis)
+          else zeros(spx.r, spy.r))
     if dx.alg_basis:
         vv = vv + _alg_tensor_pair(primx, dx.alg_basis, dy.alg_basis)
     comps = {(("h", 4 - i), ("h", i)): QQ(1, 3) for i in range(5)}
     comps[("V", "V")] = vv
     gamma = RealizedClass((spx, spy), comps)
 
+    # the checks read Gamma's action as integers over one denominator; an
+    # aligned pair (m1, m2) is the identity on h, so only blocks touching V move
     tg = gamma.transpose()
-    a = action_matrix(gamma)
+    an, ad = scaled_action(gamma)
+    hx, hy = spx.hdim, spy.hdim
+    a_hv, a_vh, a_vv = (an[:hy, hx:], ad), (an[hy:, :hx], ad), (an[hy:, hx:], ad)
     checks = [
         check_equal("leftinv", "transpose composed after the map is the source diagonal",
                     compose_realized(gamma, tg), diagonal_realized(spx)),
         check_equal("rightinv", "the map composed after its transpose is the target diagonal",
                     compose_realized(tg, gamma), diagonal_realized(spy)),
         check("hlines", "h-powers map to the matching h-powers",
-              all(mat_eq(a[:, i:i + 1], eye(spy.size)[:, i:i + 1]) for i in range(spx.hdim)),
+              same((an[:, :hx], ad), (np.eye(spy.size, hx, dtype=int).astype(object), 1)),
               "some h-power moves off the line"),
         check("quadratic", "the pairing is preserved on the full basis",
-              mat_eq(dot(dot(a.T, spy.pairing), a), spx.pairing), "pairing matrices differ"),
+              same(product((an.T, ad), spy.scaled_pairing, (an, ad)), spx.scaled_pairing),
+              "pairing matrices differ"),
         check("equivariant", "the map commutes with every aligned group element",
-              all(mat_eq(dot(a, _embed(spx, m1)), dot(_embed(spy, m2), a)) for m1, m2 in wr.pairs),
+              all(same(product(a_hv, m1), a_hv) and same(product(m2, a_vh), a_vh)
+                  and same(product(a_vv, m1), product(m2, a_vv)) for m1, m2 in wr.scaled_pairs),
               "group element does not intertwine"),
     ]
     return GammaCert(gamma, dx, dy, checks)
@@ -381,9 +378,8 @@ def _conjugation_iso(src, tgt, s_inv) -> Isometry:
     conjugate ``tgt``, in canonical transcendental coordinates."""
     t1_basis, t1 = src.transcendental()
     t2_basis, t2 = tgt.transcendental()
-    b2 = np.stack(t2_basis, axis=1)
-    cols = [solve(b2, dot(s_inv, u)) for u in t1_basis]
-    return Isometry(t1, t2, np.stack(cols, axis=1))
+    images = dot(s_inv, np.stack(t1_basis, axis=1))
+    return Isometry(t1, t2, solve(np.stack(t2_basis, axis=1), images))
 
 
 def random_fourfold_pair(seed: int, rank: int = 6):
@@ -413,9 +409,9 @@ def random_fourfold_pair(seed: int, rank: int = 6):
 
     s = random_unimodular(rng, rank)
     s_inv = inverse(s)
-    prim2 = QuadSpace(dot(dot(s.T, g1), s))
+    prim2 = QuadSpace(dot(s.T, g1, s))
     alg2 = [dot(s_inv, a) for a in alg1]
-    group2 = GroupAction.build(prim2, [dot(dot(s_inv, flips), s)])
+    group2 = GroupAction.build(prim2, [dot(s_inv, flips, s)])
 
     dx = FourfoldData(RealizationConfig(prim=prim1), tuple(alg1), group1)
     dy = FourfoldData(RealizationConfig(prim=prim2), tuple(alg2), group2)
@@ -437,5 +433,5 @@ def random_cubic_k3_pair(seed: int, rank: int = 6):
     g1 = random_diag_gram(rng, rank)
     dx = FourfoldData(RealizationConfig(prim=QuadSpace(g1)))
     s = random_unimodular(rng, rank)
-    ds = SurfaceData(VarietyData.k3(), QuadSpace(dot(dot(s.T, g1), s)))
+    ds = SurfaceData(VarietyData.k3(), QuadSpace(dot(s.T, g1, s)))
     return dx, ds, _conjugation_iso(dx, ds, inverse(s))

@@ -4,6 +4,11 @@ Everything here is constructive and certified: each returned map is a matrix
 over Q whose defining identities (isometry, equivariance, prescribed images)
 can be — and in the test-suites are — checked exactly.
 
+Forms, maps and group elements are kept and computed on as scaled pairs
+(:func:`cubicmotives.linalg.scaled`: ``scaled_gram``, ``scaled_matrix``,
+``scaled_generators``); ``gram``, ``matrix``, ``elements`` and the aligned
+pairs stay ``Fraction`` arrays, each boxed at most once.
+
 The central algorithm extends a G-equivariant isometry so that it matches a
 prescribed isometry on a G-fixed nondegenerate subspace W, by composing with
 reflections in G-fixed vectors:
@@ -22,115 +27,167 @@ restriction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, StructureError
-from .linalg import (
-    dot,
-    eye,
-    kernel_basis,
-    mat_eq,
-    qvec,
-    rank,
-    solve,
-    zeros,
-)
-from .rationals import QQ
+from .linalg import (boxed, canonical, eye, inverse, kernel_basis, mat_eq, product, rank,
+                     same, scaled, solve, zeros)
 
 
-@dataclass(frozen=True, eq=False)
-class QuadSpace:
-    """Finite-dimensional Q-vector space with a symmetric bilinear form."""
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    gram: np.ndarray
 
-    def __post_init__(self):
-        g = np.asarray(self.gram, dtype=object)
+def _identity(n: int):
+    return np.eye(n, dtype=int).astype(object), 1
+
+
+class _Frozen:
+    """Attributes set once, so a cached scaled form matches its array."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _of(cls, **attrs):
+        obj = cls.__new__(cls)
+        obj.__dict__.update(attrs)
+        return obj
+
+
+class QuadSpace(_Frozen):
+    """Finite-dimensional Q-vector space with a symmetric bilinear form:
+    ``gram``, a read-only copy (boxed on first read for a restricted space),
+    and its scaled form ``scaled_gram``."""
+
+    def __init__(self, gram):
+        g = np.array(gram, dtype=object)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise StructureError("Gram matrix must be square")
-        if not mat_eq(g, g.T):
+        n, d = scaled(g)
+        if not np.array_equal(n, n.T):
             raise StructureError("Gram matrix must be symmetric")
-        object.__setattr__(self, "gram", g)
+        self.__dict__.update(gram=_readonly(g), scaled_gram=(n, d))
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return _readonly(boxed(*self.scaled_gram))
 
     @property
     def dim(self) -> int:
-        return self.gram.shape[0]
+        return self.scaled_gram[0].shape[0]
 
     def bilinear(self, x, y):
-        return dot(dot(x, self.gram), y)
+        return boxed(*product(scaled(x), self.scaled_gram, scaled(y)))
 
     def q(self, x):
         return self.bilinear(x, x)
 
     def is_nondegenerate(self) -> bool:
-        return rank(self.gram) == self.dim
+        return rank(self.scaled_gram[0]) == self.dim
 
     def restrict(self, basis) -> "QuadSpace":
         """Form restricted to the span of the given (ambient) vectors."""
-        b = np.stack(basis, axis=1) if basis else zeros(self.dim, 0)
-        return QuadSpace(dot(b.T, dot(self.gram, b)))
+        b = scaled(np.stack(basis, axis=1) if len(basis) else zeros(self.dim, 0))
+        return QuadSpace._of(scaled_gram=canonical(*product((b[0].T, b[1]), self.scaled_gram, b)))
 
     def orthogonal_complement(self, vectors):
         """Basis of the orthogonal complement of span(vectors)."""
         if not len(vectors):
             return [row for row in eye(self.dim)]
-        b = np.stack(vectors, axis=0)
-        return kernel_basis(dot(b, self.gram))
+        return kernel_basis(np.dot(scaled(np.stack(vectors, axis=0))[0], self.scaled_gram[0]))
 
 
-@dataclass(frozen=True, eq=False)
-class Isometry:
-    """Exact isometry source -> target, acting on coordinates by y = M x."""
+class Isometry(_Frozen):
+    """Exact isometry source -> target, acting on coordinates by y = M x:
+    ``matrix``, a read-only copy (boxed on first read for one made by
+    :meth:`from_scaled`), and its scaled form ``scaled_matrix``."""
 
-    source: QuadSpace
-    target: QuadSpace
-    matrix: np.ndarray
+    def __init__(self, source: QuadSpace, target: QuadSpace, matrix):
+        m = np.array(matrix, dtype=object)
+        self.__dict__.update(source=source, target=target, matrix=_readonly(m),
+                             scaled_matrix=scaled(m))
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=object))
+    @classmethod
+    def from_scaled(cls, source: QuadSpace, target: QuadSpace, pair) -> "Isometry":
+        return cls._of(source=source, target=target, scaled_matrix=canonical(*pair))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _readonly(boxed(*self.scaled_matrix))
 
     def __call__(self, x):
-        return dot(self.matrix, x)
+        return boxed(*product(self.scaled_matrix, scaled(x)))
 
     def verify(self) -> bool:
-        m = self.matrix
-        return mat_eq(dot(m.T, dot(self.target.gram, m)), self.source.gram)
+        m = self.scaled_matrix
+        return same(product((m[0].T, m[1]), self.target.scaled_gram, m), self.source.scaled_gram)
 
     def require_valid(self, what="map"):
-        if self.matrix.shape != (self.target.dim, self.source.dim):
+        if self.scaled_matrix[0].shape != (self.target.dim, self.source.dim):
             raise StructureError(f"{what} has the wrong shape")
         if not self.verify():
             raise DomainError(f"{what} is not an isometry")
 
     def compose(self, other: "Isometry") -> "Isometry":
         """self after other (other acts first)."""
-        if other.target is not self.source and not mat_eq(other.target.gram, self.source.gram):
+        if other.target is not self.source and not same(other.target.scaled_gram,
+                                                         self.source.scaled_gram):
             raise StructureError("isometries do not chain")
-        return Isometry(other.source, self.target, dot(self.matrix, other.matrix))
+        return Isometry.from_scaled(other.source, self.target,
+                                    product(self.scaled_matrix, other.scaled_matrix))
 
     def inverse(self) -> "Isometry":
-        from .linalg import inverse
-
-        return Isometry(self.target, self.source, inverse(self.matrix))
+        n, d = self.scaled_matrix
+        return Isometry(self.target, self.source, inverse(n) * d)
 
     @classmethod
     def identity(cls, space: QuadSpace) -> "Isometry":
-        return cls(space, space, eye(space.dim))
+        return cls.from_scaled(space, space, _identity(space.dim))
 
     @classmethod
     def reflection(cls, space: QuadSpace, u) -> "Isometry":
-        """Reflection z |-> z - 2<z,u>/q(u) u; needs q(u) != 0."""
-        qu = space.q(u)
-        if qu == 0:
+        """Reflection z |-> z - 2<z,u>/q(u) u; needs q(u) != 0.  For u = n / d
+        and Gram matrix g / e it is (Q - 2 n (g n)^T) / Q with Q = n^T g n."""
+        n = scaled(u)[0]
+        gn = np.dot(space.scaled_gram[0], n)
+        qn = np.dot(n, gn)
+        if qn == 0:
             raise DomainError("cannot reflect in an isotropic vector")
-        gu = dot(space.gram, u)
-        m = eye(space.dim) - np.outer(u, gu) * (QQ(2) / qu)
-        return cls(space, space, m)
+        return cls.from_scaled(space, space,
+                               (_identity(space.dim)[0] * qn - 2 * np.multiply.outer(n, gn), qn))
 
 
-def _key(m) -> tuple:
-    return tuple((x.numerator, x.denominator) for x in np.asarray(m, dtype=object).flat)
+def _key(pair) -> tuple:
+    return pair[1], tuple(pair[0].flat)
+
+
+def _closure(gens, dims, cap: int = 4096):
+    """All products of generator tuples acting entrywise, as canonical scaled
+    pairs: a BFS keyed on the first entry that raises when two words agree
+    there but not on the rest, or when it exceeds ``cap`` elements."""
+    ident = tuple(_identity(n) for n in dims)
+    found = {_key(ident[0]): (ident, [_key(m) for m in ident[1:]])}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for ms in frontier:
+            for gs in gens:
+                ps = tuple(canonical(*product(g, m)) for g, m in zip(gs, ms))
+                k, rest = _key(ps[0]), [_key(p) for p in ps[1:]]
+                if k in found:
+                    if found[k][1] != rest:
+                        raise DomainError("group actions are not aligned")
+                    continue
+                if len(found) >= cap:
+                    raise DomainError("group not verifiably finite")
+                found[k] = (ps, rest)
+                nxt.append(ps)
+        frontier = nxt
+    return [ps for ps, _ in found.values()]
 
 
 def group_closure(space: QuadSpace, generators, cap: int = 4096):
@@ -139,28 +196,11 @@ def group_closure(space: QuadSpace, generators, cap: int = 4096):
     Every generator must be an isometry of the space.  Raises when the closure
     exceeds ``cap``, since then the group is not verifiably finite.
     """
-    gens = [np.asarray(g, dtype=object) for g in generators]
-    for g in gens:
-        if not mat_eq(dot(g.T, dot(space.gram, g)), space.gram):
-            raise DomainError("group generator is not an isometry of the form")
-    ident = eye(space.dim)
-    elements = [ident]
-    seen = {_key(ident)}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                p = dot(g, m)
-                k = _key(p)
-                if k not in seen:
-                    if len(elements) >= cap:
-                        raise DomainError("group not verifiably finite")
-                    seen.add(k)
-                    elements.append(p)
-                    nxt.append(p)
-        frontier = nxt
-    return elements
+    gens = [scaled(g) for g in generators]
+    gram = space.scaled_gram
+    if not all(same(product((g[0].T, g[1]), gram, g), gram) for g in gens):
+        raise DomainError("group generator is not an isometry of the form")
+    return [boxed(*m) for m, in _closure([(g,) for g in gens], [space.dim], cap)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,19 +213,35 @@ class GroupAction:
 
     @classmethod
     def build(cls, space: QuadSpace, generators) -> "GroupAction":
-        gens = tuple(np.asarray(g, dtype=object) for g in generators)
+        gens = tuple(_readonly(np.array(g, dtype=object)) for g in generators)
         return cls(space, gens, group_closure(space, gens))
 
     @classmethod
     def trivial(cls, space: QuadSpace) -> "GroupAction":
         return cls.build(space, [])
 
+    @cached_property
+    def scaled_generators(self) -> tuple:
+        return tuple(scaled(g) for g in self.generators)
+
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def fixes(self, v) -> bool:
-        return all(mat_eq(dot(g, v), np.asarray(v)) for g in self.generators)
+        sv = scaled(v)
+        return all(same(product(g, sv), sv) for g in self.scaled_generators)
+
+
+def _aligned(g1: GroupAction, g2: GroupAction):
+    """:func:`aligned_elements` as canonical scaled pairs."""
+    if len(g1.generators) != len(g2.generators):
+        raise StructureError("generator lists must have equal length")
+    pairs = _closure(list(zip(g1.scaled_generators, g2.scaled_generators)),
+                     [g1.space.dim, g2.space.dim])
+    if len(pairs) != g1.order or len({_key(m2) for _, m2 in pairs}) != g2.order:
+        raise DomainError("group actions are not aligned")
+    return pairs
 
 
 def aligned_elements(g1: GroupAction, g2: GroupAction):
@@ -195,27 +251,7 @@ def aligned_elements(g1: GroupAction, g2: GroupAction):
     correspondence extends to all elements when the two actions satisfy the
     same relations, and an error is raised when they do not.
     """
-    if len(g1.generators) != len(g2.generators):
-        raise StructureError("generator lists must have equal length")
-    ident = (eye(g1.space.dim), eye(g2.space.dim))
-    pairs = {_key(ident[0]): ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m1, m2 in frontier:
-            for a1, a2 in zip(g1.generators, g2.generators):
-                p1, p2 = dot(a1, m1), dot(a2, m2)
-                k = _key(p1)
-                if k in pairs:
-                    if _key(pairs[k][1]) != _key(p2):
-                        raise DomainError("group actions are not aligned")
-                else:
-                    pairs[k] = (p1, p2)
-                    nxt.append((p1, p2))
-        frontier = nxt
-    if len(pairs) != g1.order or len({_key(m2) for _, m2 in pairs.values()}) != g2.order:
-        raise DomainError("group actions are not aligned")
-    return list(pairs.values())
+    return [(boxed(*m1), boxed(*m2)) for m1, m2 in _aligned(g1, g2)]
 
 
 def reflect_to(space: QuadSpace, x, y) -> Isometry:
@@ -250,31 +286,25 @@ def _orthogonalize(space: QuadSpace, vectors):
     coeffs expressing each output in terms of the input vectors.
     """
     remaining = [np.asarray(v, dtype=object) for v in vectors]
-    n = len(remaining)
-    coords = [qvec([QQ(1) if j == i else QQ(0) for j in range(n)]) for i in range(n)]
+    coords = list(eye(len(remaining)))
     out, out_coords = [], []
     while remaining:
         pivot = next((i for i, v in enumerate(remaining) if space.q(v) != 0), None)
         if pivot is not None:
             w, wc = remaining.pop(pivot), coords.pop(pivot)
         else:
-            pair = next(
-                ((i, j) for i in range(len(remaining)) for j in range(i + 1, len(remaining))
-                 if space.bilinear(remaining[i], remaining[j]) != 0),
-                None,
-            )
+            pair = next(((i, j) for i in range(len(remaining)) for j in range(i + 1, len(remaining))
+                         if space.bilinear(remaining[i], remaining[j]) != 0), None)
             if pair is None:
                 raise DomainError("unsupported: degenerate complement")
             i, j = pair
             # keep v_j: the projection below makes it orthogonal to w
-            w = remaining[i] + remaining[j]
-            wc = coords[i] + coords[j]
+            w, wc = remaining[i] + remaining[j], coords[i] + coords[j]
             del remaining[i], coords[i]
         qw = space.q(w)
         for k in range(len(remaining)):
             t = space.bilinear(remaining[k], w) / qw
-            remaining[k] = remaining[k] - w * t
-            coords[k] = coords[k] - wc * t
+            remaining[k], coords[k] = remaining[k] - w * t, coords[k] - wc * t
         out.append(w)
         out_coords.append(wc)
     return out, out_coords
@@ -284,19 +314,23 @@ def _orthogonalize(space: QuadSpace, vectors):
 class WittResult:
     """Certified output of :func:`equivariant_witt`.
 
-    ``full``         G-equivariant isometry V1 -> V2 mapping span W1 onto
-                     span W2 compatibly with psi_W,
-    ``restriction``  the induced isometry between the orthogonal complements,
-                     in the coordinates of ``u1_basis`` / ``u2_basis``,
-    ``pairs``        the aligned group elements (:func:`aligned_elements`)
-                     that phi_V was checked to intertwine.
+    ``full``          G-equivariant isometry V1 -> V2 mapping span W1 onto
+                      span W2 compatibly with psi_W,
+    ``restriction``   the induced isometry between the orthogonal complements,
+                      in the coordinates of ``u1_basis`` / ``u2_basis``,
+    ``scaled_pairs``  the aligned group elements that phi_V was checked to
+                      intertwine, as scaled pairs (``pairs`` boxes them).
     """
 
     full: Isometry
     restriction: Isometry
     u1_basis: list
     u2_basis: list
-    pairs: list
+    scaled_pairs: list
+
+    @cached_property
+    def pairs(self) -> list:
+        return [(boxed(*m1), boxed(*m2)) for m1, m2 in self.scaled_pairs]
 
 
 def equivariant_witt(g1: GroupAction, w1_basis, g2: GroupAction, w2_basis,
@@ -315,48 +349,43 @@ def equivariant_witt(g1: GroupAction, w1_basis, g2: GroupAction, w2_basis,
     w2 = [np.asarray(w, dtype=object) for w in w2_basis]
     if len(w1) != len(w2):
         raise StructureError("W1 and W2 must have equal dimension")
-    for w in w1:
-        if not g1.fixes(w):
-            raise DomainError("W1 is not contained in the G-fixed subspace")
-    for w in w2:
-        if not g2.fixes(w):
-            raise DomainError("W2 is not contained in the G-fixed subspace")
+    if not all(map(g1.fixes, w1)):
+        raise DomainError("W1 is not contained in the G-fixed subspace")
+    if not all(map(g2.fixes, w2)):
+        raise DomainError("W2 is not contained in the G-fixed subspace")
     rw1, rw2 = v1.restrict(w1), v2.restrict(w2)
     if len(w1) and not rw1.is_nondegenerate():
         raise DomainError("unsupported: degenerate complement")
-    if not mat_eq(psi_w.source.gram, rw1.gram) or not mat_eq(psi_w.target.gram, rw2.gram):
+    if not same(psi_w.source.scaled_gram, rw1.scaled_gram) \
+            or not same(psi_w.target.scaled_gram, rw2.scaled_gram):
         raise StructureError("psi_W must map (W1, form) to (W2, form)")
     psi_w.require_valid("psi_W")
     phi_v.require_valid("phi_V")
-    if not mat_eq(phi_v.source.gram, v1.gram) or not mat_eq(phi_v.target.gram, v2.gram):
+    if not same(phi_v.source.scaled_gram, v1.scaled_gram) \
+            or not same(phi_v.target.scaled_gram, v2.scaled_gram):
         raise StructureError("phi_V must map V1 to V2")
-    pairs = aligned_elements(g1, g2)
+    phi = phi_v.scaled_matrix
+    pairs = _aligned(g1, g2)
     for m1, m2 in pairs:
-        if not mat_eq(dot(phi_v.matrix, m1), dot(m2, phi_v.matrix)):
+        if not same(product(phi, m1), product(m2, phi)):
             raise DomainError("phi_V is not equivariant")
 
     # Orthogonalize W1 and carry the same combinations through psi_W.
     diag1, dcoords = _orthogonalize(v1, w1)
-    w1_mat = np.stack(w1, axis=1) if w1 else zeros(v1.dim, 0)
-    w2_mat = np.stack(w2, axis=1) if w2 else zeros(v2.dim, 0)
-    diag2 = [dot(w2_mat, dot(psi_w.matrix, c)) for c in dcoords]
+    w2_mat = scaled(np.stack(w2, axis=1) if w2 else zeros(v2.dim, 0))
+    for wj, cj in zip(diag1, dcoords):
+        y, tj = product(phi, scaled(wj)), product(w2_mat, psi_w.scaled_matrix, scaled(cj))
+        if not same(y, tj):
+            phi = product(reflect_to(v2, boxed(*y), boxed(*tj)).scaled_matrix, phi)
+            assert same(product(phi, scaled(wj)), tj)
 
-    phi = phi_v.matrix
-    for wj, tj in zip(diag1, diag2):
-        y = dot(phi, wj)
-        if not mat_eq(y, tj):
-            phi = dot(reflect_to(v2, y, tj).matrix, phi)
-            assert mat_eq(dot(phi, wj), tj)
-
-    full = Isometry(v1, v2, phi)
+    full = Isometry.from_scaled(v1, v2, phi)
     full.require_valid("extended map")
 
     u1 = v1.orthogonal_complement(w1)
     u2 = v2.orthogonal_complement(w2)
-    b2 = np.stack(u2, axis=1) if u2 else zeros(v2.dim, 0)
-    images = [dot(phi, b) for b in u1]
-    coords = solve(b2, np.stack(images, axis=1)) if u1 else zeros(0, 0)
+    coords = solve(np.stack(u2, axis=1), full(np.stack(u1, axis=1))) if u1 else zeros(0, 0)
     restriction = Isometry(v1.restrict(u1), v2.restrict(u2), coords)
     restriction.require_valid("restricted map")
     return WittResult(full=full, restriction=restriction, u1_basis=u1, u2_basis=u2,
-                      pairs=pairs)
+                      scaled_pairs=pairs)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ShadowViolation, StructureError
 from .gradedring import VarietyData
-from .linalg import boxed, eye, inverse, mat_eq, scaled, zeros
+from .linalg import boxed, eye, inverse, mat_eq, same, scaled, zeros
 from .quadform import QuadSpace
 from .rationals import QQ, rational_str
 from .tautcorr import CorrClass, ck_projectors
@@ -44,8 +44,8 @@ from . import mukai as _mukai
 
 class Space:
     """Realization space of one variety slot: h-powers plus a V-block.
-    ``_gram``, ``_gram_inv`` and ``_pairing`` are the scaled forms of the
-    rational ``gram``, ``gram_inv`` and ``pairing``, computed once."""
+    ``_gram`` (``prim.scaled_gram``), ``_gram_inv`` and ``scaled_pairing`` are
+    the scaled forms of ``gram``, ``gram_inv`` and ``pairing``, made once."""
 
     def __init__(self, vd: VarietyData, prim: QuadSpace | None = None):
         self.vd = vd
@@ -57,7 +57,7 @@ class Space:
         if prim is not None:
             self.gram = prim.gram
             self.gram_inv = inverse(prim.gram)
-            self._gram, self._gram_inv = scaled(self.gram), scaled(self.gram_inv)
+            self._gram, self._gram_inv = prim.scaled_gram, scaled(self.gram_inv)
         else:
             self.gram = None
             self.gram_inv = None
@@ -67,7 +67,7 @@ class Space:
         if prim is not None:
             pairing[self.hdim:, self.hdim:] = prim.gram
         self.pairing = pairing
-        self._pairing = scaled(pairing)
+        self.scaled_pairing = scaled(pairing)
 
     def __eq__(self, other):
         if not isinstance(other, Space):
@@ -76,7 +76,7 @@ class Space:
             return True
         if self.vd != other.vd or self.r != other.r:
             return False
-        return self.r == 0 or mat_eq(self.gram, other.gram)
+        return self.r == 0 or same(self._gram, other._gram)
 
     def index(self, kind):
         """Basis position of a kind: the h^k row, or the slice of the V-block."""
@@ -262,11 +262,6 @@ class RealizedClass:
     def to_matrix(self) -> np.ndarray:
         return boxed(self._matrix(), self._den)
 
-    def _action(self):
-        """(integers, denominator) of :func:`action_matrix`."""
-        pn, pd = self.spaces[0]._pairing
-        return np.dot(self._matrix().T, pn), self._den * pd
-
     def transport(self, mats, targets) -> "RealizedClass":
         """Apply one linear map per slot (matrix of shape target x source).
 
@@ -441,12 +436,18 @@ def compose_realized(f: RealizedClass, g: RealizedClass) -> RealizedClass:
         raise StructureError("composition needs two-slot classes")
     if f.spaces[1] != g.spaces[0]:
         raise StructureError("middle spaces do not match")
-    return f._transport((None, g._action()), (f.spaces[0], g.spaces[1]))
+    return f._transport((None, scaled_action(g)), (f.spaces[0], g.spaces[1]))
 
 
 def action_matrix(f: RealizedClass) -> np.ndarray:
     """Matrix of alpha |-> p2_*(p1^* alpha . f) on the realization bases."""
-    return boxed(*f._action())
+    return boxed(*scaled_action(f))
+
+
+def scaled_action(f: RealizedClass):
+    """:func:`action_matrix` as a scaled pair (integers, denominator)."""
+    pn, pd = f.spaces[0].scaled_pairing
+    return np.dot(f._matrix().T, pn), f._den * pd
 
 
 def degree(x: RealizedClass):

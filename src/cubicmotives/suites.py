@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, ShadowViolation, StructureError
 from .gradedring import TruncPoly, VarietyData, integrate, tangent_chern, todd_and_sqrt
-from .linalg import dot, eye, inverse, mat_eq, qmat, rank, zeros
+from .linalg import dot, eye, inverse, mat_eq, product, qmat, rank, same, zeros
 from .mukai import MukaiSpace, kuznetsov_project, lambda_basis
 from .motiveiso import (GammaCert, build_gamma, build_gamma_cubic_k3, random_cubic_k3_pair,
                         random_diag_gram, random_fourfold_pair, random_unimodular,
@@ -436,9 +436,9 @@ def _random_witt_instance(rng: random.Random):
 
     s = random_unimodular(rng, n)
     s_inv = inverse(s)
-    g2m = dot(dot(s.T, g1m), s)
+    g2m = dot(s.T, g1m, s)
     v2 = QuadSpace(g2m)
-    gens2 = [dot(dot(s_inv, g), s) for g in gens1]
+    gens2 = [dot(s_inv, g, s) for g in gens1]
     group2 = GroupAction.build(v2, gens2)
     w2 = [dot(s_inv, w) for w in w1]
 
@@ -477,15 +477,15 @@ def witt_suite(cfg=None, seed: int = 0) -> SuiteReport:
                 for k in fails:
                     fails[k] = fails[k] or f"instance {i}: raised {e!r}"
                 continue
-            m = wr.full.matrix
+            m = wr.full.scaled_matrix
             if not wr.full.verify():
                 fails["isometry"] = fails["isometry"] or f"instance {i}"
             w2m = [dot(np.stack(w2, axis=1), psi_w.matrix[:, k]) if w2 else None
                    for k in range(len(w1))]
-            if any(not mat_eq(dot(m, w1[k]), w2m[k]) for k in range(len(w1))):
+            if any(not mat_eq(wr.full(w1[k]), w2m[k]) for k in range(len(w1))):
                 fails["prescription"] = fails["prescription"] or f"instance {i}"
-            if any(not mat_eq(dot(m, m1), dot(m2, m))
-                   for m1, m2 in wr.pairs):
+            if any(not same(product(m, m1), product(m2, m))
+                   for m1, m2 in wr.scaled_pairs):
                 fails["equivariance"] = fails["equivariance"] or f"instance {i}"
             if (not wr.restriction.verify()
                     or len(wr.u1_basis) != group1.space.dim - len(w1)):

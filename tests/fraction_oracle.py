@@ -1,16 +1,26 @@
-"""The Fraction-array route that ``RealizedClass``'s integer numerators replaced.
+"""The Fraction-array routes that the integer-numerator kernels replaced.
 
 ``RealizedClass`` stores integer numerators over one class denominator and
 runs its arithmetic on those integers.  ``FractionClass`` below is the route
 it replaced: components are rational scalars and ``Fraction`` object arrays,
 added, negated and scaled entry by entry, with products and transport
 contracted by object ``np.tensordot`` (exact over ``Fraction``), and all-zero
-components dropped.  The tests compare the library against it for exact
-equality.
+components dropped.
+
+``linalg``'s eliminations are fraction-free Gauss-Jordan on scaled integer
+numerators, and ``quadform`` checks isometries and closes groups on scaled
+pairs.  ``rref`` to ``inverse``, ``isometry_verify``, ``group_closure`` and
+``aligned_elements`` below are the routes they replaced: plain ``Fraction``
+Gauss-Jordan, object ``np.dot`` products, ``mat_eq`` comparisons and group
+searches keyed on the ``(numerator, denominator)`` of every entry.
+
+The tests compare the library against these for exact equality.
 """
 
 import numpy as np
 
+from cubicmotives.errors import DomainError, StructureError
+from cubicmotives.linalg import eye, mat_eq, zeros
 from cubicmotives.rationals import QQ
 
 
@@ -130,3 +140,136 @@ def component_product(spaces, sig_a, val_a, sig_b, val_b):
     if free:
         val = np.transpose(val, np.argsort(free))
     return tuple(out_sig), val * factor
+
+
+# --- linalg: Fraction Gauss-Jordan -----------------------------------------------
+
+
+def rref(a):
+    """Reduced row-echelon form; returns (R, pivot_columns)."""
+    m = np.array(a, dtype=object, copy=True)
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if m[i, c] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m[[r, pr]] = m[[pr, r]]
+        m[r] = m[r] * (QQ(1) / QQ(m[r, c]))
+        for i in range(rows):
+            if i != r and m[i, c] != 0:
+                m[i] = m[i] - m[i, c] * m[r]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def rank(a) -> int:
+    return len(rref(a)[1])
+
+
+def kernel_basis(a):
+    m, pivots = rref(a)
+    cols = m.shape[1]
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = zeros(cols)
+        v[f] = QQ(1)
+        for r, p in enumerate(pivots):
+            v[p] = -m[r, f]
+        basis.append(v)
+    return basis
+
+
+def solve(a, b):
+    a = np.asarray(a, dtype=object)
+    b = np.asarray(b, dtype=object)
+    vec = b.ndim == 1
+    rhs = b.reshape(-1, 1) if vec else b
+    m, pivots = rref(np.concatenate([a, rhs], axis=1))
+    n = a.shape[1]
+    if any(p >= n for p in pivots):
+        raise ValueError("inconsistent linear system")
+    x = zeros(n, rhs.shape[1])
+    for r, p in enumerate(pivots):
+        x[p] = m[r, n:]
+    return x[:, 0] if vec else x
+
+
+def inverse(a):
+    a = np.asarray(a, dtype=object)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError("inverse needs a square matrix")
+    m, pivots = rref(np.concatenate([a, eye(n)], axis=1))
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return m[:, n:]
+
+
+# --- quadform: Fraction products and entry-keyed group searches ------------------
+
+
+def isometry_verify(matrix, source_gram, target_gram) -> bool:
+    m = np.asarray(matrix, dtype=object)
+    return mat_eq(np.dot(m.T, np.dot(target_gram, m)), source_gram)
+
+
+def _key(m) -> tuple:
+    return tuple((x.numerator, x.denominator) for x in np.asarray(m, dtype=object).flat)
+
+
+def group_closure(gram, generators, cap: int = 4096):
+    gens = [np.asarray(g, dtype=object) for g in generators]
+    for g in gens:
+        if not isometry_verify(g, gram, gram):
+            raise DomainError("group generator is not an isometry of the form")
+    ident = eye(len(gram))
+    elements = [ident]
+    seen = {_key(ident)}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                p = np.dot(g, m)
+                k = _key(p)
+                if k not in seen:
+                    if len(elements) >= cap:
+                        raise DomainError("group not verifiably finite")
+                    seen.add(k)
+                    elements.append(p)
+                    nxt.append(p)
+        frontier = nxt
+    return elements
+
+
+def aligned_elements(gram1, gens1, gram2, gens2):
+    """Aligned pairs of the groups generated by gens1 on gram1 and gens2 on
+    gram2."""
+    if len(gens1) != len(gens2):
+        raise StructureError("generator lists must have equal length")
+    order1, order2 = len(group_closure(gram1, gens1)), len(group_closure(gram2, gens2))
+    ident = (eye(len(gram1)), eye(len(gram2)))
+    pairs = {_key(ident[0]): ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m1, m2 in frontier:
+            for a1, a2 in zip(gens1, gens2):
+                p1, p2 = np.dot(a1, m1), np.dot(a2, m2)
+                k = _key(p1)
+                if k in pairs:
+                    if _key(pairs[k][1]) != _key(p2):
+                        raise DomainError("group actions are not aligned")
+                else:
+                    pairs[k] = (p1, p2)
+                    nxt.append((p1, p2))
+        frontier = nxt
+    if len(pairs) != order1 or len({_key(m2) for _, m2 in pairs.values()}) != order2:
+        raise DomainError("group actions are not aligned")
+    return list(pairs.values())

@@ -1,8 +1,12 @@
 """The exact contraction kernel ``linalg.dot`` against object ``np.dot`` over
 rationals (the route it replaced, kept here as the oracle) and, for 2-d
-products, against ``sympy.Matrix``.  The tensor contractions of the
-realization engine are checked against the Fraction-array oracle in
-``test_fraction_oracle.py``."""
+products, against ``sympy.Matrix``; chained products against nested ones; and
+the fraction-free eliminations against the ``Fraction`` Gauss-Jordan they
+replaced (``fraction_oracle``), on rectangular, rank-deficient and
+zero-column matrices with fractional and beyond-int64 entries, including the
+singular and inconsistent systems that must raise the same errors.  The
+tensor contractions of the realization engine are checked against the
+Fraction-array oracle in ``test_fraction_oracle.py``."""
 
 from fractions import Fraction
 
@@ -11,7 +15,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubicmotives.linalg import dot
+import fraction_oracle as oracle
+from cubicmotives.linalg import dot, inverse, kernel_basis, rank, rref, solve
 from cubicmotives.rationals import QQ
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -88,3 +93,104 @@ def test_integer_dtype_operands():
     a = np.array([[1, 2], [3, 4]])
     b = np.array([[QQ(1, 2), 0], [0, QQ(-1, 3)]], dtype=object)
     _same(dot(a, b), np.dot(a.astype(object), b))
+
+
+@SETTINGS
+@given(st.data())
+def test_chained_dot_matches_nested_products(data):
+    n, k, l, m = (data.draw(dims) for _ in range(4))
+    a = _array(data.draw, data.draw(st.sampled_from([(n, k), (k,)])))
+    b = _array(data.draw, (k, l))
+    c = _array(data.draw, data.draw(st.sampled_from([(l, m), (l,)])))
+    got = dot(a, b, c)
+    _same(got, dot(dot(a, b), c))
+    _same(got, np.dot(np.dot(a, b), c))
+
+
+# --- eliminations against the Fraction Gauss-Jordan ------------------------------
+
+ELIM = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def elimination_matrices(draw, rows=None, cols=None, degenerate=True):
+    """Rectangular matrices, often (when ``degenerate``) of deficient rank (a
+    product through a narrower inner dimension) and with zero columns."""
+    rows = draw(st.integers(0, 5)) if rows is None else rows
+    cols = draw(st.integers(0, 6)) if cols is None else cols
+    if not degenerate:
+        return _array(draw, (rows, cols))
+    if rows and cols and draw(st.booleans()):
+        k = draw(st.integers(0, min(rows, cols) - 1))
+        a = _rational(np.dot(_array(draw, (rows, k)), _array(draw, (k, cols))))
+    else:
+        a = _array(draw, (rows, cols))
+    for c in draw(st.sets(st.integers(0, cols - 1), max_size=2)) if cols else ():
+        a[:, c] = QQ(0)
+    return a
+
+
+def _rational(a):
+    return np.array([QQ(x) for x in a.flat], dtype=object).reshape(a.shape)
+
+
+def _outcome(fn, *args):
+    """The result, or the ValueError message."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return str(e)
+
+
+def _same_outcome(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        _same(got, want)
+
+
+@ELIM
+@given(elimination_matrices())
+def test_rref_rank_kernel_match_oracle(a):
+    (r, pivots), (want_r, want_pivots) = rref(a), oracle.rref(a)
+    assert pivots == want_pivots
+    _same(r, want_r)
+    assert rank(a) == oracle.rank(a) == len(pivots)
+    got, want = kernel_basis(a), oracle.kernel_basis(a)
+    assert len(got) == len(want) == a.shape[1] - len(pivots)
+    for g, w in zip(got, want):
+        _same(g, w)
+
+
+@ELIM
+@given(st.data())
+def test_solve_matches_oracle(data):
+    a = data.draw(elimination_matrices())
+    rows, cols = a.shape
+    if data.draw(st.booleans()):  # consistent: the image of a drawn x
+        x = _array(data.draw, data.draw(st.sampled_from([(cols,), (cols, 2)])))
+        b = _rational(np.dot(a, x))
+    else:  # often inconsistent when a has deficient row rank
+        b = _array(data.draw, data.draw(st.sampled_from([(rows,), (rows, 2)])))
+    _same_outcome(_outcome(solve, a, b), _outcome(oracle.solve, a, b))
+
+
+@ELIM
+@given(st.data())
+def test_inverse_matches_oracle(data):
+    n = data.draw(st.integers(0, 5))
+    square = data.draw(st.sampled_from([True, True, True, False]))
+    a = data.draw(elimination_matrices(rows=n, cols=n if square else n + 1,
+                                       degenerate=data.draw(st.booleans())))
+    got, want = _outcome(inverse, a), _outcome(oracle.inverse, a)
+    _same_outcome(got, want)
+    assert square or got == "inverse needs a square matrix"
+
+
+def test_singular_and_inconsistent_errors():
+    a = np.array([[QQ(1), QQ(2)], [QQ(2), QQ(4)]], dtype=object)
+    for fn in (inverse, oracle.inverse):
+        assert _outcome(fn, a) == "matrix is singular"
+    b = np.array([QQ(1), QQ(3)], dtype=object)
+    for fn in (solve, oracle.solve):
+        assert _outcome(fn, a, b) == "inconsistent linear system"

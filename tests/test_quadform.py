@@ -1,10 +1,17 @@
 """Quadratic spaces, isometries, finite group actions, and the equivariant
-extension theorem, including a randomized property run."""
+extension theorem, including a randomized property run.  Isometry checks and
+group searches run on scaled integer pairs; they are compared with the
+``Fraction`` routes they replaced (``fraction_oracle``) on groups conjugated
+into entries with non-unit denominators."""
 
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fraction_oracle as oracle
 
 from cubicmotives.errors import DomainError, StructureError
 from cubicmotives.linalg import eye, inverse, kernel_basis, mat_eq, qmat, qvec, zeros
@@ -291,3 +298,117 @@ def test_equivariant_witt_rejections():
     with pytest.raises(StructureError, match="equal dimension"):
         equivariant_witt(grp, [], grp, [qvec([1, 0])], ident,
                          Isometry(v.restrict([]), v.restrict([qvec([1, 0])]), zeros(1, 0)))
+
+
+def test_cached_scaled_forms_cannot_go_stale():
+    g = qmat([[1, QQ(1, 2)], [QQ(1, 2), -1]])
+    m = qmat([[-1, -1], [0, 1]])  # the reflection in e1 for this form
+    v = QuadSpace(g)
+    iso = Isometry(v, v, m)
+    x, y = qvec([1, 2]), qvec([3, QQ(1, 3)])
+    assert iso.verify()
+    before = v.bilinear(x, y)
+    g[0, 0], m[0, 1] = QQ(5), QQ(7)  # the caller's arrays stay writable
+    assert iso.verify() and v.bilinear(x, y) == before
+    assert v.gram[0, 0] == 1 and iso.matrix[0, 1] == -1
+    for arr in (v.gram, iso.matrix, v.restrict([x, y]).gram, iso.compose(iso).matrix):
+        with pytest.raises(ValueError):
+            arr[0, 0] = QQ(2)
+    with pytest.raises(AttributeError):
+        v.gram = g
+    with pytest.raises(AttributeError):
+        iso.matrix = m
+
+
+# --------------------------------------------------------------------------
+# scaled-pair group work against the Fraction oracle
+
+QUAD = settings(max_examples=25, deadline=None)
+fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+def _signed_permutation(perm, signs):
+    m = zeros(len(perm), len(perm))
+    for i, (p, s) in enumerate(zip(perm, signs)):
+        m[p, i] = QQ(s)
+    return m
+
+
+def _conjugate(gram, gens, s):
+    s_inv = oracle.inverse(s)
+    return np.dot(s.T, np.dot(gram, s)), [np.dot(s_inv, np.dot(g, s)) for g in gens]
+
+
+def _change_of_basis(data, n):
+    """A random invertible n x n matrix with small fractional entries."""
+    s = qmat([[data.draw(fractions) for _ in range(n)] for _ in range(n)])
+    while oracle.rank(s) < n:
+        s = s + eye(n)
+    return s
+
+
+@st.composite
+def signed_permutation_groups(draw, n):
+    """(gram, generators): signed permutations of c * identity."""
+    c = draw(st.sampled_from([QQ(1), QQ(-2), QQ(3, 2)]))
+    gens = [_signed_permutation(draw(st.permutations(range(n))),
+                                draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)))
+            for _ in range(draw(st.integers(1, 2)))]
+    return eye(n) * c, gens
+
+
+@QUAD
+@given(st.data())
+def test_verify_and_closure_match_oracle(data):
+    n = data.draw(st.integers(1, 3))
+    s = _change_of_basis(data, n)
+    base, base_gens = data.draw(signed_permutation_groups(n))
+    gram, gens = _conjugate(base, base_gens, s)  # entries with non-unit denominators
+    noise = qmat([[data.draw(fractions) for _ in range(n)] for _ in range(n)])
+    for m, src, tgt in [(g, gram, gram) for g in gens] + [(gens[0] + noise, gram, gram),
+                                                          (s, gram, base), (s + noise, gram, base)]:
+        got = Isometry(QuadSpace(src), QuadSpace(tgt), m).verify()
+        assert got == oracle.isometry_verify(m, src, tgt)
+    got, want = group_closure(QuadSpace(gram), gens), oracle.group_closure(gram, gens)
+    assert len(got) == len(want)
+    assert all(mat_eq(a, b) for a, b in zip(got, want))
+
+
+@QUAD
+@given(st.data())
+def test_aligned_elements_match_oracle(data):
+    n = data.draw(st.integers(1, 3))
+    s1, s2 = _change_of_basis(data, n), _change_of_basis(data, n)
+    base, base_gens = data.draw(signed_permutation_groups(n))
+    gram1, gens1 = _conjugate(base, base_gens, s1)
+    gram2, gens2 = _conjugate(base, base_gens, s2)
+    g1 = GroupAction.build(QuadSpace(gram1), gens1)
+    # conjugate generators are aligned; any other elements of the second group
+    # as generators may or may not be, and both routes must agree
+    if data.draw(st.sampled_from([True, True, False])):
+        elements = oracle.group_closure(gram2, gens2)
+        gens2 = [data.draw(st.sampled_from(elements)) for _ in gens1]
+    g2 = GroupAction.build(QuadSpace(gram2), gens2)
+    try:
+        want = oracle.aligned_elements(gram1, gens1, gram2, gens2)
+    except DomainError as e:
+        with pytest.raises(DomainError, match=str(e)):
+            aligned_elements(g1, g2)
+        return
+    got = aligned_elements(g1, g2)
+    assert len(got) == len(want)
+    assert all(mat_eq(a1, b1) and mat_eq(a2, b2) for (a1, a2), (b1, b2) in zip(got, want))
+
+
+def test_non_aligned_conjugated_actions_are_rejected():
+    # order 2 against order 4 after conjugation into non-integral entries
+    rot = qmat([[0, -1], [1, 0]])
+    s = qmat([[QQ(1, 2), QQ(1, 3)], [0, QQ(2, 5)]])
+    gram1, (flip,) = _conjugate(eye(2), [-eye(2)], s)
+    gram2, (quarter,) = _conjugate(eye(2), [rot], s)
+    assert any(x.denominator > 1 for x in list(gram2.flat) + list(quarter.flat))
+    g1, g2 = GroupAction.build(QuadSpace(gram1), [flip]), GroupAction.build(QuadSpace(gram2), [quarter])
+    with pytest.raises(DomainError, match="not aligned"):
+        aligned_elements(g1, g2)
+    with pytest.raises(DomainError, match="not aligned"):
+        oracle.aligned_elements(gram1, [flip], gram2, [quarter])
