@@ -15,7 +15,7 @@ from .mukai import (MSElement, MukaiSpace, corr_action, corr_to_poly, kernel_cla
                     kuznetsov_project, lambda_basis, mukai_pairing, mutate_project,
                     poly_to_corr)
 from .motiveiso import (FourfoldData, GammaCert, SurfaceData, build_gamma,
-                        build_gamma_cubic_k3, build_refined_projectors,
+                        build_gamma_cubic_k3, build_refined_projectors, certify_gamma,
                         random_cubic_k3_pair, random_fourfold_pair, surface_ck,
                         verify_frobenius)
 from .quadform import (GroupAction, Isometry, QuadSpace, WittResult, aligned_elements,
@@ -40,8 +40,8 @@ __all__ = [
     "kuznetsov_project", "lambda_basis", "mukai_pairing", "mutate_project",
     "poly_to_corr",
     "FourfoldData", "GammaCert", "SurfaceData", "build_gamma",
-    "build_gamma_cubic_k3", "build_refined_projectors", "random_cubic_k3_pair",
-    "random_fourfold_pair", "surface_ck", "verify_frobenius",
+    "build_gamma_cubic_k3", "build_refined_projectors", "certify_gamma",
+    "random_cubic_k3_pair", "random_fourfold_pair", "surface_ck", "verify_frobenius",
     "GroupAction", "Isometry", "QuadSpace", "WittResult", "aligned_elements",
     "equivariant_witt", "reflect_to",
     "QQ", "parse_rational", "rational_str",

@@ -34,7 +34,6 @@ from .realization import (
     RealizationConfig,
     RealizedClass,
     Space,
-    action_matrix,
     check,
     check_equal,
     compose_realized,
@@ -254,10 +253,24 @@ def build_gamma(dx: FourfoldData, dy: FourfoldData, iso_tr: Isometry) -> GammaCe
         vv = vv + _alg_tensor_pair(primx, dx.alg_basis, dy.alg_basis)
     comps = {(("h", 4 - i), ("h", i)): QQ(1, 3) for i in range(5)}
     comps[("V", "V")] = vv
-    gamma = RealizedClass((spx, spy), comps)
+    return certify_gamma(RealizedClass((spx, spy), comps), dx, dy)
 
-    # the checks read Gamma's action as integers over one denominator; an
-    # aligned pair (m1, m2) is the identity on h, so only blocks touching V move
+
+def certify_gamma(gamma: RealizedClass, dx: FourfoldData, dy: FourfoldData) -> GammaCert:
+    """Certify any candidate Gamma between two fourfold data sets.
+
+    Checks both inverse compositions, the h-lines, the pairing and
+    equivariance; :func:`verify_frobenius` adds the transported diagonals.
+    Equivariance is checked on the generator pairs only: blocks that
+    intertwine each pair intertwine every word in them.
+    """
+    spx, spy = dx.space, dy.space
+    gens = (dx.group_or_trivial().scaled_generators, dy.group_or_trivial().scaled_generators)
+    if len(gens[0]) != len(gens[1]):
+        raise StructureError("generator lists must have equal length")
+
+    # the checks read Gamma's action as integers over one denominator; a
+    # generator pair (m1, m2) is the identity on h, so only blocks touching V move
     tg = gamma.transpose()
     an, ad = scaled_action(gamma)
     hx, hy = spx.hdim, spy.hdim
@@ -275,7 +288,7 @@ def build_gamma(dx: FourfoldData, dy: FourfoldData, iso_tr: Isometry) -> GammaCe
               "pairing matrices differ"),
         check("equivariant", "the map commutes with every aligned group element",
               all(same(product(a_hv, m1), a_hv) and same(product(m2, a_vh), a_vh)
-                  and same(product(a_vv, m1), product(m2, a_vv)) for m1, m2 in wr.scaled_pairs),
+                  and same(product(a_vv, m1), product(m2, a_vv)) for m1, m2 in zip(*gens)),
               "group element does not intertwine"),
     ]
     return GammaCert(gamma, dx, dy, checks)
@@ -295,7 +308,7 @@ def verify_frobenius(cert: GammaCert):
     dx, dy = cert.source, cert.target
     spx, spy = dx.space, dy.space
     vd = dx.cfg.vd
-    a = action_matrix(cert.gamma)
+    a = scaled_action(cert.gamma)
 
     got2 = diagonal_realized(spx).transport((a, a), (spy, spy))
     checks = [check_equal("diagonal", "the transported diagonal equals the target diagonal",

@@ -239,7 +239,8 @@ def _aligned(g1: GroupAction, g2: GroupAction):
         raise StructureError("generator lists must have equal length")
     pairs = _closure(list(zip(g1.scaled_generators, g2.scaled_generators)),
                      [g1.space.dim, g2.space.dim])
-    if len(pairs) != g1.order or len({_key(m2) for _, m2 in pairs}) != g2.order:
+    # a bijection: as many distinct second entries as pairs, and both groups whole
+    if not len({_key(m2) for _, m2 in pairs}) == len(pairs) == g1.order == g2.order:
         raise DomainError("group actions are not aligned")
     return pairs
 
@@ -317,20 +318,13 @@ class WittResult:
     ``full``          G-equivariant isometry V1 -> V2 mapping span W1 onto
                       span W2 compatibly with psi_W,
     ``restriction``   the induced isometry between the orthogonal complements,
-                      in the coordinates of ``u1_basis`` / ``u2_basis``,
-    ``scaled_pairs``  the aligned group elements that phi_V was checked to
-                      intertwine, as scaled pairs (``pairs`` boxes them).
+                      in the coordinates of ``u1_basis`` / ``u2_basis``.
     """
 
     full: Isometry
     restriction: Isometry
     u1_basis: list
     u2_basis: list
-    scaled_pairs: list
-
-    @cached_property
-    def pairs(self) -> list:
-        return [(boxed(*m1), boxed(*m2)) for m1, m2 in self.scaled_pairs]
 
 
 def equivariant_witt(g1: GroupAction, w1_basis, g2: GroupAction, w2_basis,
@@ -365,8 +359,7 @@ def equivariant_witt(g1: GroupAction, w1_basis, g2: GroupAction, w2_basis,
             or not same(phi_v.target.scaled_gram, v2.scaled_gram):
         raise StructureError("phi_V must map V1 to V2")
     phi = phi_v.scaled_matrix
-    pairs = _aligned(g1, g2)
-    for m1, m2 in pairs:
+    for m1, m2 in _aligned(g1, g2):
         if not same(product(phi, m1), product(m2, phi)):
             raise DomainError("phi_V is not equivariant")
 
@@ -387,5 +380,4 @@ def equivariant_witt(g1: GroupAction, w1_basis, g2: GroupAction, w2_basis,
     coords = solve(np.stack(u2, axis=1), full(np.stack(u1, axis=1))) if u1 else zeros(0, 0)
     restriction = Isometry(v1.restrict(u1), v2.restrict(u2), coords)
     restriction.require_valid("restricted map")
-    return WittResult(full=full, restriction=restriction, u1_basis=u1, u2_basis=u2,
-                      scaled_pairs=pairs)
+    return WittResult(full=full, restriction=restriction, u1_basis=u1, u2_basis=u2)

@@ -18,11 +18,11 @@ is exact tensor algebra over this model.
 A realized class stores its components as Python integers (an ``int`` per
 h-only signature, an ``int`` object array per V-carrying one) over one
 positive class denominator, in the common-denominator form of
-:func:`cubicmotives.linalg.scaled`.  Sums, products, transport and equality
-run on those integers; rationals appear only at the two boundary conversions:
-the constructor scales rational components once, and ``comps`` (with
-``to_matrix`` and ``action_matrix``) boxes them back with
-:func:`cubicmotives.linalg.boxed`.
+:func:`cubicmotives.linalg.scaled`.  Sums, products, transport (by slot
+maps given as scaled pairs) and equality run on those integers; rationals
+appear only at the two boundary conversions: the constructor scales rational
+components once, and ``comps`` (with ``to_matrix`` and ``action_matrix``)
+boxes them back with :func:`cubicmotives.linalg.boxed`.
 """
 
 from __future__ import annotations
@@ -263,23 +263,19 @@ class RealizedClass:
         return boxed(self._matrix(), self._den)
 
     def transport(self, mats, targets) -> "RealizedClass":
-        """Apply one linear map per slot (matrix of shape target x source).
+        """Apply one linear map per slot, each a scaled pair (integers,
+        denominator) of shape target x source, or None to leave the slot as
+        it is (its target must then be its space).
 
         Works block by block on the signature: in each slot, a component of
         source kind ks goes to every target kind kt through the block
         ``m[kt, ks]`` — a scalar for h -> h, an outer product placed at the
         slot's V-axis for h -> V, a contraction of that axis for V -> h, and a
         contraction with the new axis put back in place for V -> V.  All-zero
-        blocks are skipped.  Each distinct matrix is scaled to integers once.
+        blocks are skipped.
         """
         if len(mats) != self.n or len(targets) != self.n:
             raise StructureError("need one transport matrix per slot")
-        by_id = {key: scaled(m) for key, m in {id(m): m for m in mats}.items()}
-        return self._transport([by_id[id(m)] for m in mats], targets)
-
-    def _transport(self, mats, targets) -> "RealizedClass":
-        """:meth:`transport` by scaled matrices ((integers, denominator)
-        pairs); a slot whose matrix is None is left as it is."""
         num, den = self._num, self._den
         for s, (m, src, tgt) in enumerate(zip(mats, self.spaces, targets)):
             if m is None:
@@ -436,7 +432,7 @@ def compose_realized(f: RealizedClass, g: RealizedClass) -> RealizedClass:
         raise StructureError("composition needs two-slot classes")
     if f.spaces[1] != g.spaces[0]:
         raise StructureError("middle spaces do not match")
-    return f._transport((None, scaled_action(g)), (f.spaces[0], g.spaces[1]))
+    return f.transport((None, scaled_action(g)), (f.spaces[0], g.spaces[1]))
 
 
 def action_matrix(f: RealizedClass) -> np.ndarray:

@@ -270,6 +270,6 @@ def aligned_elements(gram1, gens1, gram2, gens2):
                     pairs[k] = (p1, p2)
                     nxt.append((p1, p2))
         frontier = nxt
-    if len(pairs) != order1 or len({_key(m2) for _, m2 in pairs.values()}) != order2:
+    if not len({_key(m2) for _, m2 in pairs.values()}) == len(pairs) == order1 == order2:
         raise DomainError("group actions are not aligned")
     return list(pairs.values())

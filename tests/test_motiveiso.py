@@ -8,12 +8,12 @@ import pytest
 from dense_oracle import dense_transport
 from cubicmotives.errors import DomainError, StructureError
 from cubicmotives.gradedring import VarietyData
-from cubicmotives.linalg import eye, inverse, qmat, qvec, zeros
+from cubicmotives.linalg import eye, inverse, mat_eq, qmat, qvec, scaled, zeros
 from cubicmotives.motiveiso import (FourfoldData, GammaCert, SurfaceData, build_gamma,
                                     build_gamma_cubic_k3, build_refined_projectors,
-                                    random_cubic_k3_pair, random_fourfold_pair,
-                                    surface_ck, verify_frobenius)
-from cubicmotives.quadform import GroupAction, Isometry, QuadSpace
+                                    certify_gamma, random_cubic_k3_pair,
+                                    random_fourfold_pair, surface_ck, verify_frobenius)
+from cubicmotives.quadform import GroupAction, Isometry, QuadSpace, aligned_elements
 from cubicmotives.rationals import QQ
 from cubicmotives.realization import (RealizationConfig, RealizedClass, action_matrix,
                                       compose_realized, diagonal_realized, realize)
@@ -169,6 +169,65 @@ def test_build_gamma_equivariance_rejection():
 
 
 # --------------------------------------------------------------------------
+# equivariance on generator pairs
+
+
+def _all_elements_equivariant(gamma, dx, dy) -> bool:
+    """The replaced route: Gamma's action matrix commutes with every aligned
+    group element, each extended by the identity on the h-lines."""
+    a = action_matrix(gamma)
+    spx, spy = dx.space, dy.space
+    for m1, m2 in aligned_elements(dx.group_or_trivial(), dy.group_or_trivial()):
+        f1, f2 = eye(spx.size), eye(spy.size)
+        f1[spx.hdim:, spx.hdim:] = m1
+        f2[spy.hdim:, spy.hdim:] = m2
+        if not mat_eq(a.dot(f1), f2.dot(a)):
+            return False
+    return True
+
+
+def _reflected_gamma(seed):
+    """A valid rank-6 Gamma with its V-block composed with the reflection in
+    u = e_i + e_j, anisotropic and moved by the group's generator: still an
+    isometry, but no longer equivariant."""
+    dx, dy, iso = random_fourfold_pair(seed)
+    gamma = build_gamma(dx, dy, iso).gamma
+    prim, gen = dx.cfg.prim, dx.group.generators[0]
+    i, j = next((i, j) for i in range(prim.dim) for j in range(i + 1, prim.dim)
+                if gen[i, i] != gen[j, j] and prim.gram[i, i] + prim.gram[j, j] != 0)
+    u = zeros(prim.dim)
+    u[i] = u[j] = QQ(1)
+    comps = dict(gamma.comps)
+    comps[("V", "V")] = Isometry.reflection(prim, u).matrix.dot(comps[("V", "V")])
+    return dx, dy, RealizedClass(gamma.spaces, comps)
+
+
+def test_generator_pair_equivariance_matches_all_elements():
+    for seed in range(10):
+        dx, dy, iso = random_fourfold_pair(seed)
+        cert = build_gamma(dx, dy, iso)
+        verdict = next(c["passed"] for c in cert.checks if c["id"] == "equivariant")
+        assert verdict is _all_elements_equivariant(cert.gamma, dx, dy) is True
+
+
+def test_reflected_candidate_fails_equivariance_only():
+    # seed 0's group moves no anisotropic e_i + e_j
+    for seed in range(1, 10):
+        dx, dy, bad = _reflected_gamma(seed)
+        cert = certify_gamma(bad, dx, dy)
+        assert _all_elements_equivariant(bad, dx, dy) is False
+        failed = [c["id"] for c in cert.checks + verify_frobenius(cert) if not c["passed"]]
+        assert failed == ["equivariant"]
+
+
+def test_certify_gamma_rejects_unequal_generator_lists():
+    dx, dy, iso = random_fourfold_pair(1)
+    gamma = build_gamma(dx, dy, iso).gamma
+    with pytest.raises(StructureError, match="generator lists must have equal length"):
+        certify_gamma(gamma, dx, FourfoldData(dy.cfg, dy.alg_basis))
+
+
+# --------------------------------------------------------------------------
 # negative controls
 
 
@@ -198,6 +257,12 @@ def _failed_witnesses(checks):
     return {c["id"]: c["witness"] for c in checks if not c["passed"]}
 
 
+def _certified(bad, dx, dy):
+    """Every check of the full identity list on a candidate."""
+    cert = certify_gamma(bad, dx, dy)
+    return cert.checks + verify_frobenius(cert)
+
+
 def test_corrupted_h_summand_fails_transport():
     dx, dy, bad = _tampered_gamma("hflip")
     fr = verify_frobenius(GammaCert(bad, dx, dy, []))
@@ -208,6 +273,9 @@ def test_corrupted_h_summand_fails_transport():
         "small-diagonal": "first differing component: h^1xh^3xh^4",
         "small-diagonal-route": "first differing component: h^1xh^3xh^4",
     }
+    assert set(_failed_witnesses(_certified(bad, dx, dy))) == {
+        "leftinv", "rightinv", "hlines", "quadratic", "diagonal", "small-diagonal",
+        "small-diagonal-route"}
 
 
 def test_sheared_transcendental_flip_is_caught():
@@ -223,6 +291,9 @@ def test_sheared_transcendental_flip_is_caught():
         "small-diagonal": "first differing component: VxVxh^4",
         "small-diagonal-route": "first differing component: VxVxh^4",
     }
+    assert set(_failed_witnesses(_certified(bad, dx, dy))) == {
+        "leftinv", "rightinv", "quadratic", "diagonal", "small-diagonal",
+        "small-diagonal-route"}
 
 
 def test_tampered_gamma_transport_matches_dense_oracle():
@@ -231,11 +302,12 @@ def test_tampered_gamma_transport_matches_dense_oracle():
     for kind in ("hflip", "shear"):
         dx, dy, bad = _tampered_gamma(kind)
         a = action_matrix(bad)
+        sa = scaled(a)
         spx, spy = dx.space, dy.space
         d = diagonal_realized(spx)
-        assert d.transport((a, a), (spy, spy)) == dense_transport(d, (a, a), (spy, spy))
+        assert d.transport((sa, sa), (spy, spy)) == dense_transport(d, (a, a), (spy, spy))
         delta = realize(CorrClass.small_diagonal(dx.cfg.vd), dx.cfg)
-        assert delta.transport((a, a, a), (spy,) * 3) == \
+        assert delta.transport((sa, sa, sa), (spy,) * 3) == \
             dense_transport(delta, (a, a, a), (spy,) * 3)
 
 

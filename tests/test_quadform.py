@@ -143,11 +143,13 @@ def test_aligned_elements():
     assert len(pairs) == 4
     for m1, m2 in pairs:
         assert mat_eq(inverse(s).dot(m1).dot(s), m2)
-    # same generator count, incompatible relations: order 2 vs order 4
+    # same generator count, incompatible relations: order 2 vs order 4, and
+    # order 4 onto order 2 (a homomorphism, but not a bijection)
     flip = GroupAction.build(v1, [qmat([[QQ(-1), QQ(0)], [QQ(0), QQ(-1)]])])
     quarter = GroupAction.build(v1, [rot])
-    with pytest.raises(DomainError, match="not aligned"):
-        aligned_elements(flip, quarter)
+    for a, b in ((flip, quarter), (quarter, flip)):
+        with pytest.raises(DomainError, match="not aligned"):
+            aligned_elements(a, b)
 
 
 def test_equivariant_transport():

@@ -12,7 +12,7 @@ from dense_oracle import (dense_compose, dense_transport, einsum_product, from_d
                           from_matrix, to_dense)
 from cubicmotives.errors import StructureError
 from cubicmotives.gradedring import VarietyData
-from cubicmotives.linalg import eye, mat_eq, mat_from_json, mat_to_json, qmat, zeros
+from cubicmotives.linalg import eye, mat_eq, mat_from_json, mat_to_json, qmat, scaled, zeros
 from cubicmotives.motiveiso import random_diag_gram
 from cubicmotives.rationals import QQ
 from cubicmotives.realization import (RealizationConfig, RealizedClass, Space,
@@ -130,7 +130,8 @@ def test_transport_by_identity():
     cfg = small_cfg()
     sp = cfg.space
     f = realize(_random_taut(random.Random(2)), cfg)
-    assert f.transport([eye(sp.size), eye(sp.size)], [sp, sp]) == f
+    assert f.transport([scaled(eye(sp.size)), scaled(eye(sp.size))], [sp, sp]) == f
+    assert f.transport([None, None], [sp, sp]) == f
 
 
 def _rand_q(rng):
@@ -180,7 +181,7 @@ def test_block_transport_matches_dense_oracle():
         for _ in range(3):
             x = _random_realized(rng, sources)
             mats = [_random_map(rng, a, b) for a, b in zip(sources, targets)]
-            got = x.transport(mats, targets)
+            got = x.transport([scaled(m) for m in mats], targets)
             assert got.spaces == tuple(targets)
             assert got == dense_transport(x, mats, targets)
 
@@ -191,9 +192,10 @@ def test_block_transport_of_diagonals_matches_dense_oracle():
     rng = random.Random(8)
     m = _random_map(rng, sp, sp)
     d = diagonal_realized(sp)
-    assert d.transport((m, m), (sp, sp)) == dense_transport(d, (m, m), (sp, sp))
+    sm = scaled(m)
+    assert d.transport((sm, sm), (sp, sp)) == dense_transport(d, (m, m), (sp, sp))
     delta = realize(CorrClass.small_diagonal(CUBIC), cfg)
-    assert delta.transport((m, m, m), (sp,) * 3) == dense_transport(delta, (m, m, m), (sp,) * 3)
+    assert delta.transport((sm, sm, sm), (sp,) * 3) == dense_transport(delta, (m, m, m), (sp,) * 3)
 
 
 def _einsum_mul(a: RealizedClass, b: RealizedClass) -> RealizedClass:
