@@ -7,14 +7,15 @@ The central construction is Gamma: a two-slot realized class
             + Gamma_tr,
 
 whose action carries h^i to h'^i, each algebraic class a_i to its partner,
-and the transcendental complement through an equivariant isometry obtained
-from the constructive Witt extension.  A certificate records the exact
-identities: Gamma composed with its transpose is the diagonal on either
-side, the pairing is preserved, and (when group data is present) the map
-commutes with the group.  The Frobenius-level verification transports the
-diagonal and the small diagonal and checks both against the target — the
-small diagonal twice, once directly and once through the multiplicative
-decomposition by the defect polynomial P.
+and the transcendental complement through the given isometry: together one
+global isometry phi_V, and Gamma's V-block is its Poincare dual
+G_X^{-1} phi_V^T.  A certificate records the exact identities: Gamma
+composed with its transpose is the diagonal on either side, the pairing is
+preserved, and (when group data is present) the map commutes with the
+group.  The Frobenius-level verification transports the diagonal and the
+small diagonal and checks both against the target — the small diagonal
+twice, once directly and once through the multiplicative decomposition by
+the defect polynomial P.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import numpy as np
 
 from .errors import DomainError, StructureError
 from .gradedring import VarietyData
-from .linalg import dot, eye, inverse, product, same, solve, zeros
-from .quadform import GroupAction, Isometry, QuadSpace, equivariant_witt
+from .linalg import boxed, dot, eye, product, same, scaled, solve, zeros
+from .quadform import GroupAction, Isometry, QuadSpace
 from .rationals import QQ
 from .realization import (
     RealizationConfig,
@@ -214,11 +215,12 @@ def build_gamma(dx: FourfoldData, dy: FourfoldData, iso_tr: Isometry) -> GammaCe
     """Assemble and certify Gamma for two fourfold data sets.
 
     ``iso_tr`` is an isometry between the canonical transcendental
-    coordinates of the two sides (see :meth:`FourfoldData.transcendental`);
-    with group data present it must intertwine the aligned group elements.
+    coordinates of the two sides (see :meth:`FourfoldData.transcendental`).
     The algebraic classes are matched up index by index (their q-values must
-    agree), and the transcendental complement is carried by the equivariant
-    Witt extension applied to the assembled global isometry.
+    agree); together with ``iso_tr`` on the complements they define the
+    global isometry phi_V, which must commute with each generator pair of the
+    two groups.  Gamma's V-block is phi_V read through Poincare duality,
+    G_X^{-1} phi_V^T.
     """
     spx, spy = dx.space, dy.space
     primx, primy = dx.cfg.prim, dy.cfg.prim
@@ -229,28 +231,16 @@ def build_gamma(dx: FourfoldData, dy: FourfoldData, iso_tr: Isometry) -> GammaCe
             raise DomainError("algebraic classes do not match up isometrically")
     t1_basis, t2_basis = _transcendental_bases(dx, dy, iso_tr, "iso_tr", "iso_tr")
 
-    # global isometry phi_V = (algebraic index map) + (iso_tr on complements)
-    dom = list(dx.alg_basis) + list(t1_basis)
+    # phi_V maps the rows of dom (algebraic classes, then the transcendental
+    # basis) to those of img; vv = G_X^{-1} phi_V^T solves (dom G_X) vv = img
     b2 = np.stack(t2_basis, axis=1) if t2_basis else zeros(primy.dim, 0)
-    img = list(dy.alg_basis) + list(dot(b2, iso_tr.matrix).T)
-    m_phi = dot(np.stack(img, axis=1), inverse(np.stack(dom, axis=1)))
-    phi_v = Isometry(primx, primy, m_phi)
+    dom = np.stack(list(dx.alg_basis) + list(t1_basis))
+    img = np.stack(list(dy.alg_basis) + list(dot(b2, iso_tr.matrix).T))
+    vv = solve(dot(dom, primx.gram), img)
+    phi_v = Isometry.from_scaled(primx, primy, product(scaled(vv.T), primx.scaled_gram))
+    phi_v.require_valid("phi_V")  # invertible as G_X is, so equivariance aligns the groups
+    phi_v.require_equivariant(dx.group_or_trivial(), dy.group_or_trivial(), "phi_V")
 
-    # equivariant Witt extension: carry the complement of the algebraic span;
-    # it validates the global map and rejects one that does not intertwine
-    # the aligned groups
-    w_iso = Isometry(
-        primx.restrict(list(dx.alg_basis)),
-        primy.restrict(list(dy.alg_basis)),
-        eye(len(dx.alg_basis)),
-    )
-    wr = equivariant_witt(dx.group_or_trivial(), list(dx.alg_basis),
-                          dy.group_or_trivial(), list(dy.alg_basis), phi_v, w_iso)
-
-    vv = (_transport_tensor(wr.u1_basis, wr.u2_basis, wr.restriction) if len(wr.u1_basis)
-          else zeros(spx.r, spy.r))
-    if dx.alg_basis:
-        vv = vv + _alg_tensor_pair(primx, dx.alg_basis, dy.alg_basis)
     comps = {(("h", 4 - i), ("h", i)): QQ(1, 3) for i in range(5)}
     comps[("V", "V")] = vv
     return certify_gamma(RealizedClass((spx, spy), comps), dx, dy)
@@ -366,15 +356,18 @@ def build_gamma_cubic_k3(dx: FourfoldData, ds: SurfaceData, iso: Isometry) -> Ga
 # --- randomized instances ------------------------------------------------------
 
 
-def random_unimodular(rng: random.Random, n: int) -> np.ndarray:
-    """A random product of 2n elementary integer row operations (draws two
-    indices per operation, and a sign when they differ)."""
-    m = eye(n)
+def random_unimodular(rng: random.Random, n: int):
+    """(s, s^{-1}): a random product s of 2n elementary integer row operations
+    (draws two indices per operation, and a sign when they differ), and its
+    inverse built from the inverse column operations in reverse order."""
+    m, m_inv = (np.eye(n, dtype=int).astype(object) for _ in range(2))
     for _ in range(2 * n):
         i, j = rng.randrange(n), rng.randrange(n)
         if i != j:
-            m[i] = m[i] + m[j] * QQ(rng.choice((-1, 1)))
-    return m
+            c = rng.choice((-1, 1))
+            m[i] = m[i] + m[j] * c
+            m_inv[:, j] = m_inv[:, j] - m_inv[:, i] * c
+    return boxed(m, 1), boxed(m_inv, 1)
 
 
 def random_diag_gram(rng: random.Random, n: int) -> np.ndarray:
@@ -420,8 +413,7 @@ def random_fourfold_pair(seed: int, rank: int = 6):
             fixed_t.remove(i)
     group1 = GroupAction.build(prim1, [flips])
 
-    s = random_unimodular(rng, rank)
-    s_inv = inverse(s)
+    s, s_inv = random_unimodular(rng, rank)
     prim2 = QuadSpace(dot(s.T, g1, s))
     alg2 = [dot(s_inv, a) for a in alg1]
     group2 = GroupAction.build(prim2, [dot(s_inv, flips, s)])
@@ -445,6 +437,6 @@ def random_cubic_k3_pair(seed: int, rank: int = 6):
     rng = random.Random(seed)
     g1 = random_diag_gram(rng, rank)
     dx = FourfoldData(RealizationConfig(prim=QuadSpace(g1)))
-    s = random_unimodular(rng, rank)
+    s, s_inv = random_unimodular(rng, rank)
     ds = SurfaceData(VarietyData.k3(), QuadSpace(dot(s.T, g1, s)))
-    return dx, ds, _conjugation_iso(dx, ds, inverse(s))
+    return dx, ds, _conjugation_iso(dx, ds, s_inv)

@@ -132,6 +132,16 @@ class Isometry(_Frozen):
         if not self.verify():
             raise DomainError(f"{what} is not an isometry")
 
+    def require_equivariant(self, g1: "GroupAction", g2: "GroupAction", what="map"):
+        """Raise unless the map commutes with each generator pair, hence with
+        every word; an invertible map then conjugates g1 onto g2."""
+        if len(g1.generators) != len(g2.generators):
+            raise StructureError("generator lists must have equal length")
+        m = self.scaled_matrix
+        if not all(same(product(m, m1), product(m2, m))
+                   for m1, m2 in zip(g1.scaled_generators, g2.scaled_generators)):
+            raise DomainError(f"{what} is not equivariant")
+
     def compose(self, other: "Isometry") -> "Isometry":
         """self after other (other acts first)."""
         if other.target is not self.source and not same(other.target.scaled_gram,
@@ -233,18 +243,6 @@ class GroupAction:
         return all(same(product(g, sv), sv) for g in self.scaled_generators)
 
 
-def _aligned(g1: GroupAction, g2: GroupAction):
-    """:func:`aligned_elements` as canonical scaled pairs."""
-    if len(g1.generators) != len(g2.generators):
-        raise StructureError("generator lists must have equal length")
-    pairs = _closure(list(zip(g1.scaled_generators, g2.scaled_generators)),
-                     [g1.space.dim, g2.space.dim])
-    # a bijection: as many distinct second entries as pairs, and both groups whole
-    if not len({_key(m2) for _, m2 in pairs}) == len(pairs) == g1.order == g2.order:
-        raise DomainError("group actions are not aligned")
-    return pairs
-
-
 def aligned_elements(g1: GroupAction, g2: GroupAction):
     """Pair up elements of two actions generator-by-generator.
 
@@ -252,7 +250,14 @@ def aligned_elements(g1: GroupAction, g2: GroupAction):
     correspondence extends to all elements when the two actions satisfy the
     same relations, and an error is raised when they do not.
     """
-    return [(boxed(*m1), boxed(*m2)) for m1, m2 in _aligned(g1, g2)]
+    if len(g1.generators) != len(g2.generators):
+        raise StructureError("generator lists must have equal length")
+    pairs = _closure(list(zip(g1.scaled_generators, g2.scaled_generators)),
+                     [g1.space.dim, g2.space.dim])
+    # a bijection: as many distinct second entries as pairs, and both groups whole
+    if not len({_key(m2) for _, m2 in pairs}) == len(pairs) == g1.order == g2.order:
+        raise DomainError("group actions are not aligned")
+    return [(boxed(*m1), boxed(*m2)) for m1, m2 in pairs]
 
 
 def reflect_to(space: QuadSpace, x, y) -> Isometry:
@@ -335,8 +340,10 @@ def equivariant_witt(g1: GroupAction, w1_basis, g2: GroupAction, w2_basis,
     induced equivariant isometry of the orthogonal complements.
 
     ``w1_basis`` / ``w2_basis`` are ambient vectors; ``psi_w`` is an isometry
-    of the restricted spaces in those coordinates.  Degenerate W is rejected
-    ("unsupported: degenerate complement").
+    of the restricted spaces in those coordinates.  ``phi_v`` must be
+    invertible and commute with each generator pair, which makes the two
+    actions conjugate.  Degenerate W is rejected ("unsupported: degenerate
+    complement").
     """
     v1, v2 = g1.space, g2.space
     w1 = [np.asarray(w, dtype=object) for w in w1_basis]
@@ -359,9 +366,9 @@ def equivariant_witt(g1: GroupAction, w1_basis, g2: GroupAction, w2_basis,
             or not same(phi_v.target.scaled_gram, v2.scaled_gram):
         raise StructureError("phi_V must map V1 to V2")
     phi = phi_v.scaled_matrix
-    for m1, m2 in _aligned(g1, g2):
-        if not same(product(phi, m1), product(m2, phi)):
-            raise DomainError("phi_V is not equivariant")
+    if v1.dim != v2.dim or rank(phi[0]) != v1.dim:
+        raise DomainError("phi_V is not invertible")
+    phi_v.require_equivariant(g1, g2, "phi_V")
 
     # Orthogonalize W1 and carry the same combinations through psi_W.
     diag1, dcoords = _orthogonalize(v1, w1)

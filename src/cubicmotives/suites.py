@@ -433,8 +433,7 @@ def _random_witt_instance(rng: random.Random):
     else:
         w1 = [eye(n)[i].copy() for i in fixed_coords[:wdim]]
 
-    s = random_unimodular(rng, n)
-    s_inv = inverse(s)
+    s, s_inv = random_unimodular(rng, n)
     g2m = dot(s.T, g1m, s)
     v2 = QuadSpace(g2m)
     gens2 = [dot(s_inv, g, s) for g in gens1]

@@ -2,18 +2,23 @@
 fourfold realizations, the dual-route small-diagonal verification with its
 negative controls, and the fourfold-to-surface bridge."""
 
+import random
+
 import numpy as np
 import pytest
 
 from dense_oracle import dense_transport
 from cubicmotives.errors import DomainError, StructureError
 from cubicmotives.gradedring import VarietyData
-from cubicmotives.linalg import eye, inverse, mat_eq, qmat, qvec, scaled, zeros
-from cubicmotives.motiveiso import (FourfoldData, GammaCert, SurfaceData, build_gamma,
+from cubicmotives.linalg import dot, eye, inverse, mat_eq, qmat, qvec, scaled, zeros
+from cubicmotives.motiveiso import (FourfoldData, GammaCert, SurfaceData, _alg_tensor_pair,
+                                    _transcendental_bases, _transport_tensor, build_gamma,
                                     build_gamma_cubic_k3, build_refined_projectors,
                                     certify_gamma, random_cubic_k3_pair,
-                                    random_fourfold_pair, surface_ck, verify_frobenius)
-from cubicmotives.quadform import GroupAction, Isometry, QuadSpace, aligned_elements
+                                    random_fourfold_pair, random_unimodular, surface_ck,
+                                    verify_frobenius)
+from cubicmotives.quadform import (GroupAction, Isometry, QuadSpace, aligned_elements,
+                                   equivariant_witt)
 from cubicmotives.rationals import QQ
 from cubicmotives.realization import (RealizationConfig, RealizedClass, action_matrix,
                                       compose_realized, diagonal_realized, realize)
@@ -166,6 +171,74 @@ def test_build_gamma_equivariance_rejection():
     m = qmat([[QQ(1), QQ(0), QQ(0)], [QQ(0), QQ(0), QQ(1)], [QQ(0), QQ(1), QQ(0)]])
     with pytest.raises(DomainError, match="not equivariant"):
         build_gamma(d1, d1, Isometry(t1, t1, m))
+
+
+# --------------------------------------------------------------------------
+# Gamma from phi_V against the Witt route it replaced
+
+
+def _witt_route(dx, dy, iso_tr):
+    """The replaced assembly: phi_V through the inverse of the stacked source
+    bases, the equivariant Witt extension with W the algebraic span and psi_W
+    the identity, then the V-block rebuilt from the restriction to the
+    complements plus the algebraic tensor.  Returns (Gamma, phi_V, result)."""
+    primx, primy = dx.cfg.prim, dy.cfg.prim
+    t1_basis, t2_basis = _transcendental_bases(dx, dy, iso_tr, "iso_tr", "iso_tr")
+    dom = list(dx.alg_basis) + list(t1_basis)
+    img = list(dy.alg_basis) + list(dot(np.stack(t2_basis, axis=1), iso_tr.matrix).T)
+    phi_v = Isometry(primx, primy, dot(np.stack(img, axis=1), inverse(np.stack(dom, axis=1))))
+    alg_x, alg_y = list(dx.alg_basis), list(dy.alg_basis)
+    w_iso = Isometry(primx.restrict(alg_x), primy.restrict(alg_y), eye(len(alg_x)))
+    wr = equivariant_witt(dx.group_or_trivial(), alg_x, dy.group_or_trivial(), alg_y,
+                          phi_v, w_iso)
+    vv = _transport_tensor(wr.u1_basis, wr.u2_basis, wr.restriction)
+    if alg_x:
+        vv = vv + _alg_tensor_pair(primx, alg_x, alg_y)
+    comps = {(("h", 4 - i), ("h", i)): QQ(1, 3) for i in range(5)}
+    comps[("V", "V")] = vv
+    return RealizedClass((dx.space, dy.space), comps), phi_v, wr
+
+
+@pytest.mark.parametrize("rank", [6, 22])
+def test_gamma_from_phi_v_matches_witt_route(rank):
+    for seed in range(20):
+        dx, dy, iso = random_fourfold_pair(seed, rank=rank)
+        got = build_gamma(dx, dy, iso).gamma
+        want, phi_v, wr = _witt_route(dx, dy, iso)
+        # the Witt pass is a no-op: phi_V already meets the prescription
+        assert mat_eq(wr.full.matrix, phi_v.matrix)
+        assert got.comps.keys() == want.comps.keys()
+        for key, val in want.comps.items():
+            assert mat_eq(got.comps[key], val), (seed, key)
+
+
+def _non_aligned_pair():
+    """{+-I} against the rotations of order 4, conjugated into non-integral
+    entries: two fourfold data on one 2-dimensional form, no algebraic part."""
+    s = qmat([[QQ(1, 2), QQ(1, 3)], [0, QQ(2, 5)]])
+    s_inv = inverse(s)
+    cfg = RealizationConfig.with_gram(s.T.dot(s))
+    flip = s_inv.dot(-eye(2)).dot(s)
+    quarter = s_inv.dot(qmat([[0, -1], [1, 0]])).dot(s)
+    return (FourfoldData(cfg, group=GroupAction.build(cfg.prim, [flip])),
+            FourfoldData(cfg, group=GroupAction.build(cfg.prim, [quarter])))
+
+
+def test_non_aligned_groups_are_rejected_by_both_routes():
+    dx, dy = _non_aligned_pair()
+    assert (dx.group.order, dy.group.order) == (2, 4)
+    prim = dx.cfg.prim
+    _, t1 = dx.transcendental()
+    with pytest.raises(DomainError, match="not equivariant"):
+        build_gamma(dx, dy, Isometry.identity(t1))
+    with pytest.raises(DomainError):
+        _witt_route(dx, dy, Isometry.identity(t1))
+    with pytest.raises(DomainError, match="not aligned"):
+        aligned_elements(dx.group, dy.group)
+    empty = prim.restrict([])
+    with pytest.raises(DomainError, match="not equivariant"):
+        equivariant_witt(dx.group, [], dy.group, [], Isometry.identity(prim),
+                         Isometry.identity(empty))
 
 
 # --------------------------------------------------------------------------
@@ -388,3 +461,28 @@ def test_surface_ck_with_picard_classes():
     vv = pi2_tr.comps[("V", "V")]
     assert all(vv[2, j] == 0 for j in range(3))
     assert all(vv[i, 2] == 0 for i in range(3))
+
+
+# --------------------------------------------------------------------------
+# randomized instances
+
+
+def _unimodular_draws(rng, n):
+    """The product of row operations alone, as drawn before the inverse came
+    along: the same draws in the same order."""
+    m = eye(n)
+    for _ in range(2 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            m[i] = m[i] + m[j] * QQ(rng.choice((-1, 1)))
+    return m
+
+
+def test_random_unimodular_returns_its_inverse():
+    for n in range(2, 23):
+        for seed in range(20):
+            rng, ref = random.Random(seed), random.Random(seed)
+            s, s_inv = random_unimodular(rng, n)
+            assert mat_eq(dot(s, s_inv), eye(n)), (n, seed)
+            assert mat_eq(s, _unimodular_draws(ref, n))
+            assert rng.getstate() == ref.getstate()

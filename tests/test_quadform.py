@@ -300,6 +300,15 @@ def test_equivariant_witt_rejections():
     with pytest.raises(StructureError, match="equal dimension"):
         equivariant_witt(grp, [], grp, [qvec([1, 0])], ident,
                          Isometry(v.restrict([]), v.restrict([qvec([1, 0])]), zeros(1, 0)))
+    # generator-pair equivariance aligns the groups only through an invertible
+    # map: on the zero form, 0 intertwines the trivial group with {+-1}
+    v0 = QuadSpace(zeros(1, 1))
+    g1, g2 = GroupAction.build(v0, [eye(1)]), GroupAction.build(v0, [-eye(1)])
+    with pytest.raises(DomainError, match="not invertible"):
+        equivariant_witt(g1, [], g2, [], Isometry(v0, v0, zeros(1, 1)),
+                         Isometry.identity(v0.restrict([])))
+    with pytest.raises(DomainError, match="not aligned"):
+        aligned_elements(g1, g2)
 
 
 def test_cached_scaled_forms_cannot_go_stale():
