@@ -4,12 +4,15 @@ Dense matrices/vectors carry exact rationals (see :mod:`cubicmotives.rationals`)
 in ``dtype=object`` arrays.  The arithmetic follows FLINT's common-denominator
 rational matrices: a matrix is scaled once (:func:`scaled`) to Python integers
 over one denominator, multiplied (:func:`product`) and compared (:func:`same`)
-as such pairs, so a cached scaled form is never re-scaled, and boxed back once
-per entry (:func:`boxed`) only where a rational result is handed out;
-:func:`dot` is the rational front end of a chain.  The eliminations are
-fraction-free Gauss-Jordan on the numerators: at pivot p every other row
+as such pairs, so a cached scaled form is never re-scaled, and boxed back
+(:func:`boxed`) only where a rational result is handed out; :func:`dot` is
+the rational front end of a chain.  One elimination, :func:`_echelon`, is
+fraction-free Gauss-Jordan on an integer matrix: at pivot p every other row
 becomes (p row - f pivot_row) // previous_pivot, exact since every entry is a
-minor of the input (Bareiss 1968), and one final division per entry.
+minor of the input (Bareiss 1968).  :func:`solve_scaled` and
+:func:`kernel_scaled` return its results as pairs over the last pivot;
+``rref``, ``rank``, ``kernel_basis``, ``solve`` and ``inverse`` are their
+rational front ends.
 """
 
 from __future__ import annotations
@@ -58,19 +61,20 @@ def scaled(a):
     d is the lcm of the entries' denominators, so for entries in lowest terms
     gcd(d, every entry of n) = 1."""
     a = np.asarray(a, dtype=object)
-    pq = [(x.numerator, x.denominator) for x in a.flat]
-    d = math.lcm(*(q for _, q in pq))
+    pq = [x.as_integer_ratio() for x in a.flat]  # one call per entry, for int and Fraction
+    d = math.lcm(*[q for _, q in pq])
     n = np.array([p * (d // q) for p, q in pq], dtype=object)
     return (n.reshape(a.shape) if a.ndim else n[0]), d
 
 
 def boxed(n, d):
     """The rationals n / d of an integer array (or scalar) and one nonzero
-    denominator, one division per entry; a 0-d result is a scalar."""
+    denominator, one division per distinct entry; a 0-d result is a scalar."""
     n = np.asarray(n, dtype=object)
     if n.ndim == 0:
         return QQ(n[()], d)
-    return np.array([QQ(x, d) for x in n.flat], dtype=object).reshape(n.shape)
+    box = {x: QQ(x, d) for x in set(n.flat)}  # immutable, so equal entries share one
+    return np.array([box[x] for x in n.flat], dtype=object).reshape(n.shape)
 
 
 def canonical(n, d):
@@ -87,6 +91,12 @@ def product(*pairs):
     return n, d
 
 
+def stack_scaled(*pairs):
+    """Row-wise concatenation of scaled pairs (denominators of any sign)."""
+    d = math.lcm(*(e for _, e in pairs))
+    return np.concatenate([n * (d // e) for n, e in pairs]), d
+
+
 def same(a, b) -> bool:
     """Exact equality of two scaled pairs: equal shapes and n1 d2 == n2 d1."""
     (n1, d1), (n2, d2) = a, b
@@ -100,10 +110,10 @@ def dot(*operands):
     return boxed(*product(*(scaled(a) for a in operands)))
 
 
-def _echelon(a):
-    """Fraction-free Gauss-Jordan: (m, p, pivot_columns) with m / p the
-    reduced row-echelon form of the rational matrix ``a`` (p may be negative)."""
-    m = scaled(a)[0]
+def _echelon(m):
+    """Fraction-free Gauss-Jordan on an integer matrix: (r, p, pivot_columns)
+    with r / p the reduced row-echelon form of ``m`` (p may be negative)."""
+    m = np.array(m, dtype=object)  # rows are swapped in place
     rows, cols = m.shape
     pivots, prev = [], 1
     for c in range(cols):
@@ -123,53 +133,60 @@ def _echelon(a):
 
 def rref(a):
     """Reduced row-echelon form; returns (R, pivot_columns)."""
-    m, p, pivots = _echelon(a)
+    m, p, pivots = _echelon(scaled(a)[0])
     return boxed(m, p), pivots
 
 
 def rank(a) -> int:
-    return len(_echelon(a)[2])
+    return len(_echelon(scaled(a)[0])[2])
 
 
-def kernel_basis(a):
-    """Basis (list of vectors) of the right null space of ``a``."""
-    m, p, pivots = _echelon(a)
+def kernel_scaled(m):
+    """:func:`kernel_basis` of an integer matrix as a scaled pair (rows, p):
+    the basis vectors are rows / p (p may be negative)."""
+    m, p, pivots = _echelon(m)
     free = [c for c in range(m.shape[1]) if c not in pivots]
     basis = np.zeros((len(free), m.shape[1]), dtype=object)
     basis[range(len(free)), free] = p
     basis[:, pivots] = -m[:len(pivots), free].T
-    return list(boxed(basis, p))
+    return basis, p
 
 
-def solve(a, b):
-    """Solve a x = b exactly; raises ValueError when inconsistent.
+def kernel_basis(a):
+    """Basis (list of vectors) of the right null space of ``a``."""
+    return list(boxed(*kernel_scaled(scaled(a)[0])))
 
-    ``b`` may be a vector or a matrix of right-hand sides.  For singular but
-    consistent systems an arbitrary particular solution is returned.
-    """
-    a = np.asarray(a, dtype=object)
-    b = np.asarray(b, dtype=object)
-    vec = b.ndim == 1
-    rhs = b.reshape(-1, 1) if vec else b
-    m, p, pivots = _echelon(np.concatenate([a, rhs], axis=1))
-    n = a.shape[1]
+
+def solve_scaled(a, b):
+    """:func:`solve` on scaled pairs (an, ad), (bn, bd), eliminating the integer
+    system [an bd | bn ad]: (x, p) with x / p a solution (p may be negative)."""
+    (an, ad), (bn, bd) = a, b
+    vec = np.ndim(bn) == 1
+    rhs = bn.reshape(-1, 1) if vec else bn
+    m, p, pivots = _echelon(np.concatenate([an * bd, rhs * ad], axis=1))
+    n = an.shape[1]
     if any(c >= n for c in pivots):
         raise ValueError("inconsistent linear system")
     x = np.zeros((n, rhs.shape[1]), dtype=object)
     x[pivots] = m[:len(pivots), n:]
-    x = boxed(x, p)
-    return x[:, 0] if vec else x
+    return (x[:, 0] if vec else x), p
+
+
+def solve(a, b):
+    """Solve a x = b exactly (``b`` a vector or a matrix of right-hand sides;
+    for a singular but consistent system, a particular solution); raises
+    ValueError when inconsistent."""
+    return boxed(*solve_scaled(scaled(a), scaled(b)))
 
 
 def inverse(a):
-    a = np.asarray(a, dtype=object)
-    n = a.shape[0]
-    if a.shape != (n, n):
+    n, d = scaled(a)
+    if n.shape != (len(n), len(n)):
         raise ValueError("inverse needs a square matrix")
-    m, p, pivots = _echelon(np.concatenate([a, eye(n)], axis=1))
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return boxed(m[:, n:], p)
+    try:  # [n | d I] is inconsistent exactly when n is singular
+        return boxed(*solve_scaled((n, d), (np.eye(len(n), dtype=int).astype(object), 1)))
+    except ValueError:
+        raise ValueError("matrix is singular") from None
 
 
 def mat_to_json(a):

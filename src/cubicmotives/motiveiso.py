@@ -9,7 +9,8 @@ The central construction is Gamma: a two-slot realized class
 whose action carries h^i to h'^i, each algebraic class a_i to its partner,
 and the transcendental complement through the given isometry: together one
 global isometry phi_V, and Gamma's V-block is its Poincare dual
-G_X^{-1} phi_V^T.  A certificate records the exact identities: Gamma
+G_X^{-1} phi_V^T, assembled from one elimination on integers over one
+denominator and never boxed on the way.  A certificate records the exact identities: Gamma
 composed with its transpose is the diagonal on either side, the pairing is
 preserved, and (when group data is present) the map commutes with the
 group.  The Frobenius-level verification transports the diagonal and the
@@ -20,6 +21,7 @@ the defect polynomial P.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,7 +30,8 @@ import numpy as np
 
 from .errors import DomainError, StructureError
 from .gradedring import VarietyData
-from .linalg import boxed, dot, eye, product, same, scaled, solve, zeros
+from .linalg import (boxed, canonical, dot, eye, product, same, scaled, solve_scaled,
+                     stack_scaled, zeros)
 from .quadform import GroupAction, Isometry, QuadSpace
 from .rationals import QQ
 from .realization import (
@@ -63,8 +66,24 @@ def _as_vectors(prim: QuadSpace, vecs, what: str):
     return tuple(out)
 
 
+class _Transcendental:
+    """The complement of the algebraic classes in ``_lattice()``'s space."""
+
+    def transcendental_scaled(self):
+        """((rows, p), space): the canonical basis of the complement as integer
+        rows over p (p may be negative), and the form restricted to it."""
+        prim, alg = self._lattice()
+        rows = prim.complement_scaled(alg)
+        return rows, prim.restrict_scaled(rows)
+
+    def transcendental(self):
+        """:meth:`transcendental_scaled` with the basis boxed to vectors."""
+        rows, space = self.transcendental_scaled()
+        return list(boxed(*rows)), space
+
+
 @dataclass(frozen=True, eq=False)
-class FourfoldData:
+class FourfoldData(_Transcendental):
     """A fourfold realization plus its designated algebraic classes.
 
     ``alg_basis`` is an orthogonal family of anisotropic vectors in the
@@ -96,15 +115,12 @@ class FourfoldData:
     def group_or_trivial(self) -> GroupAction:
         return self.group if self.group is not None else GroupAction.trivial(self.cfg.prim)
 
-    def transcendental(self):
-        """Canonical basis of the complement of the algebraic span, and the
-        restricted quadratic space in those coordinates."""
-        basis = self.cfg.prim.orthogonal_complement(list(self.alg_basis))
-        return basis, self.cfg.prim.restrict(basis)
+    def _lattice(self):
+        return self.cfg.prim, self.alg_basis
 
 
 @dataclass(frozen=True, eq=False)
-class SurfaceData:
+class SurfaceData(_Transcendental):
     """A polarized K3 realization: h-powers plus a degree-2 quadratic space
     containing the named algebraic (Neron-Severi) classes."""
 
@@ -123,9 +139,8 @@ class SurfaceData:
     def space(self) -> Space:
         return Space(self.vd, self.prim2)
 
-    def transcendental(self):
-        basis = self.prim2.orthogonal_complement(list(self.ns_basis))
-        return basis, self.prim2.restrict(basis)
+    def _lattice(self):
+        return self.prim2, self.ns_basis
 
 
 # --- refined projectors -------------------------------------------------------
@@ -190,25 +205,20 @@ class GammaCert:
         return all(c["passed"] for c in self.checks)
 
 
-def _transport_tensor(u1_basis, u2_basis, restriction: Isometry) -> np.ndarray:
-    """Ambient V x V' tensor acting as the given isometry on span(u1)."""
-    return dot(np.stack(u1_basis, axis=1), solve(restriction.source.gram, restriction.matrix.T),
-               np.stack(u2_basis, axis=0))
-
-
 def _transcendental_bases(src, tgt, iso: Isometry, name: str, what: str):
-    """Transcendental bases of both sides, after checking that ``iso`` is an
-    isometry between their canonical coordinates (``name`` and ``what`` label
-    it in the errors)."""
-    t1_basis, t1 = src.transcendental()
-    t2_basis, t2 = tgt.transcendental()
-    if len(t1_basis) != len(t2_basis):
+    """Transcendental bases of both sides as scaled row pairs, after checking
+    that ``iso`` is an isometry between their canonical coordinates (``name``
+    and ``what`` label it in the errors)."""
+    t1, s1 = src.transcendental_scaled()
+    t2, s2 = tgt.transcendental_scaled()
+    if s1.dim != s2.dim:
         raise DomainError("not Witt-equivalent transcendental shadows")
-    if iso.matrix.shape != (t2.dim, t1.dim) or not same(iso.source.scaled_gram, t1.scaled_gram) \
-            or not same(iso.target.scaled_gram, t2.scaled_gram):
+    if iso.scaled_matrix[0].shape != (s2.dim, s1.dim) \
+            or not same(iso.source.scaled_gram, s1.scaled_gram) \
+            or not same(iso.target.scaled_gram, s2.scaled_gram):
         raise StructureError(f"{name} must map the canonical transcendental coordinates")
     iso.require_valid(what)
-    return t1_basis, t2_basis
+    return t1, t2
 
 
 def build_gamma(dx: FourfoldData, dy: FourfoldData, iso_tr: Isometry) -> GammaCert:
@@ -226,24 +236,27 @@ def build_gamma(dx: FourfoldData, dy: FourfoldData, iso_tr: Isometry) -> GammaCe
     primx, primy = dx.cfg.prim, dy.cfg.prim
     if len(dx.alg_basis) != len(dy.alg_basis):
         raise DomainError("algebraic ranks differ")
-    for a, b in zip(dx.alg_basis, dy.alg_basis):
-        if primx.q(a) != primy.q(b):
-            raise DomainError("algebraic classes do not match up isometrically")
-    t1_basis, t2_basis = _transcendental_bases(dx, dy, iso_tr, "iso_tr", "iso_tr")
+    ax, ay = (scaled(np.stack(d.alg_basis) if d.alg_basis else zeros(0, d.cfg.prim.dim))
+              for d in (dx, dy))
+    qx, qy = (d.cfg.prim.restrict_scaled(a).scaled_gram for d, a in ((dx, ax), (dy, ay)))
+    if not same((np.diagonal(qx[0]), qx[1]), (np.diagonal(qy[0]), qy[1])):  # the q-values
+        raise DomainError("algebraic classes do not match up isometrically")
+    t1, t2 = _transcendental_bases(dx, dy, iso_tr, "iso_tr", "iso_tr")
 
     # phi_V maps the rows of dom (algebraic classes, then the transcendental
     # basis) to those of img; vv = G_X^{-1} phi_V^T solves (dom G_X) vv = img
-    b2 = np.stack(t2_basis, axis=1) if t2_basis else zeros(primy.dim, 0)
-    dom = np.stack(list(dx.alg_basis) + list(t1_basis))
-    img = np.stack(list(dy.alg_basis) + list(dot(b2, iso_tr.matrix).T))
-    vv = solve(dot(dom, primx.gram), img)
-    phi_v = Isometry.from_scaled(primx, primy, product(scaled(vv.T), primx.scaled_gram))
+    mn, md = iso_tr.scaled_matrix
+    dom = stack_scaled(ax, t1)
+    img = stack_scaled(ay, product((mn.T, md), t2))
+    x, p = solve_scaled(product(dom, primx.scaled_gram), img)
+    phi_v = Isometry.from_scaled(primx, primy, product((x.T, p), primx.scaled_gram))
     phi_v.require_valid("phi_V")  # invertible as G_X is, so equivariance aligns the groups
     phi_v.require_equivariant(dx.group_or_trivial(), dy.group_or_trivial(), "phi_V")
 
-    comps = {(("h", 4 - i), ("h", i)): QQ(1, 3) for i in range(5)}
-    comps[("V", "V")] = vv
-    return certify_gamma(RealizedClass((spx, spy), comps), dx, dy)
+    den = math.lcm(3, p)  # positive; p may be negative
+    comps = {(("h", 4 - i), ("h", i)): den // 3 for i in range(5)}
+    comps[("V", "V")] = x * (den // p)
+    return certify_gamma(RealizedClass._of((spx, spy), comps, den), dx, dy)
 
 
 def certify_gamma(gamma: RealizedClass, dx: FourfoldData, dy: FourfoldData) -> GammaCert:
@@ -331,13 +344,12 @@ def build_gamma_cubic_k3(dx: FourfoldData, ds: SurfaceData, iso: Isometry) -> Ga
     """Certify an isometry between the transcendental shadows of a fourfold
     and a K3 surface: the correspondence built from ``iso`` must compose with
     its transpose to the two transcendental projectors."""
-    t1_basis, t2_basis = _transcendental_bases(dx, ds, iso, "iso", "transcendental isometry")
+    (t1, p1), t2 = _transcendental_bases(dx, ds, iso, "iso", "transcendental isometry")
 
+    mn, md = iso.scaled_matrix  # the V-block T1^T G_T1^{-1} M^T T2 acts as iso on span(T1)
+    vv = canonical(*product((t1.T, p1), solve_scaled(iso.source.scaled_gram, (mn.T, md)), t2))
     spx, sps = dx.space, ds.space
-    comps = {}
-    if t1_basis:
-        comps[("V", "V")] = _transport_tensor(t1_basis, t2_basis, iso)
-    gamma = RealizedClass((spx, sps), comps)
+    gamma = RealizedClass._of((spx, sps), {("V", "V"): vv[0]}, vv[1])
     _, pi4_tr = build_refined_projectors(dx)
     pi2_tr = surface_ck(ds)[2]
 
@@ -357,9 +369,9 @@ def build_gamma_cubic_k3(dx: FourfoldData, ds: SurfaceData, iso: Isometry) -> Ga
 
 
 def random_unimodular(rng: random.Random, n: int):
-    """(s, s^{-1}): a random product s of 2n elementary integer row operations
-    (draws two indices per operation, and a sign when they differ), and its
-    inverse built from the inverse column operations in reverse order."""
+    """(s, s^{-1}), integer arrays: a random product s of 2n elementary row
+    operations (draws two indices per operation, and a sign when they differ),
+    and its inverse built from the inverse column operations in reverse order."""
     m, m_inv = (np.eye(n, dtype=int).astype(object) for _ in range(2))
     for _ in range(2 * n):
         i, j = rng.randrange(n), rng.randrange(n)
@@ -367,7 +379,7 @@ def random_unimodular(rng: random.Random, n: int):
             c = rng.choice((-1, 1))
             m[i] = m[i] + m[j] * c
             m_inv[:, j] = m_inv[:, j] - m_inv[:, i] * c
-    return boxed(m, 1), boxed(m_inv, 1)
+    return m, m_inv
 
 
 def random_diag_gram(rng: random.Random, n: int) -> np.ndarray:
@@ -382,10 +394,9 @@ def random_diag_gram(rng: random.Random, n: int) -> np.ndarray:
 def _conjugation_iso(src, tgt, s_inv) -> Isometry:
     """The transcendental isometry that ``s_inv`` induces from ``src`` to its
     conjugate ``tgt``, in canonical transcendental coordinates."""
-    t1_basis, t1 = src.transcendental()
-    t2_basis, t2 = tgt.transcendental()
-    images = dot(s_inv, np.stack(t1_basis, axis=1))
-    return Isometry(t1, t2, solve(np.stack(t2_basis, axis=1), images))
+    (r1, p1), t1 = src.transcendental_scaled()
+    (r2, p2), t2 = tgt.transcendental_scaled()
+    return Isometry.from_scaled(t1, t2, solve_scaled((r2.T, p2), (np.dot(s_inv, r1.T), p1)))
 
 
 def random_fourfold_pair(seed: int, rank: int = 6):

@@ -4,10 +4,11 @@ Everything here is constructive and certified: each returned map is a matrix
 over Q whose defining identities (isometry, equivariance, prescribed images)
 can be — and in the test-suites are — checked exactly.
 
-Forms, maps and group elements are kept and computed on as scaled pairs
+Forms, maps and groups are kept and computed on as scaled pairs
 (:func:`cubicmotives.linalg.scaled`: ``scaled_gram``, ``scaled_matrix``,
-``scaled_generators``); ``gram``, ``matrix``, ``elements`` and the aligned
-pairs stay ``Fraction`` arrays, each boxed at most once.
+``scaled_generators``, ``scaled_elements``); ``gram``, ``matrix``,
+``generators``, ``elements`` and the aligned pairs stay ``Fraction`` arrays,
+each boxed at most once.
 
 The central algorithm extends a G-equivariant isometry so that it matches a
 prescribed isometry on a G-fixed nondegenerate subspace W, by composing with
@@ -32,8 +33,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, StructureError
-from .linalg import (boxed, canonical, eye, inverse, kernel_basis, mat_eq, product, rank,
-                     same, scaled, solve, zeros)
+from .linalg import (boxed, canonical, eye, inverse, kernel_scaled, mat_eq, product, rank,
+                     same, scaled, solve_scaled, zeros)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -91,14 +92,21 @@ class QuadSpace(_Frozen):
 
     def restrict(self, basis) -> "QuadSpace":
         """Form restricted to the span of the given (ambient) vectors."""
-        b = scaled(np.stack(basis, axis=1) if len(basis) else zeros(self.dim, 0))
-        return QuadSpace._of(scaled_gram=canonical(*product((b[0].T, b[1]), self.scaled_gram, b)))
+        return self.restrict_scaled(scaled(np.stack(basis) if len(basis) else zeros(0, self.dim)))
+
+    def restrict_scaled(self, rows) -> "QuadSpace":
+        """Form restricted to the span of the rows of a scaled pair."""
+        n, p = rows
+        return QuadSpace._of(scaled_gram=canonical(*product((n, p), self.scaled_gram, (n.T, p))))
+
+    def complement_scaled(self, vectors):
+        """:meth:`orthogonal_complement` as a scaled pair from one integer kernel."""
+        v = scaled(np.stack(vectors) if len(vectors) else zeros(0, self.dim))[0]
+        return kernel_scaled(np.dot(v, self.scaled_gram[0]))
 
     def orthogonal_complement(self, vectors):
         """Basis of the orthogonal complement of span(vectors)."""
-        if not len(vectors):
-            return [row for row in eye(self.dim)]
-        return kernel_basis(np.dot(scaled(np.stack(vectors, axis=0))[0], self.scaled_gram[0]))
+        return list(boxed(*self.complement_scaled(vectors)))
 
 
 class Isometry(_Frozen):
@@ -135,7 +143,7 @@ class Isometry(_Frozen):
     def require_equivariant(self, g1: "GroupAction", g2: "GroupAction", what="map"):
         """Raise unless the map commutes with each generator pair, hence with
         every word; an invertible map then conjugates g1 onto g2."""
-        if len(g1.generators) != len(g2.generators):
+        if len(g1.scaled_generators) != len(g2.scaled_generators):
             raise StructureError("generator lists must have equal length")
         m = self.scaled_matrix
         if not all(same(product(m, m1), product(m2, m))
@@ -201,42 +209,42 @@ def _closure(gens, dims, cap: int = 4096):
 
 
 def group_closure(space: QuadSpace, generators, cap: int = 4096):
-    """All products of the generators, as matrices; BFS with a size cap.
-
-    Every generator must be an isometry of the space.  Raises when the closure
-    exceeds ``cap``, since then the group is not verifiably finite.
-    """
-    gens = [scaled(g) for g in generators]
-    gram = space.scaled_gram
-    if not all(same(product((g[0].T, g[1]), gram, g), gram) for g in gens):
-        raise DomainError("group generator is not an isometry of the form")
-    return [boxed(*m) for m, in _closure([(g,) for g in gens], [space.dim], cap)]
+    """All products of the generators (isometries of the space), as matrices;
+    raises beyond ``cap`` elements, since then the group is not verifiably finite."""
+    return GroupAction.build(space, generators, cap).elements
 
 
 @dataclass(frozen=True, eq=False)
 class GroupAction:
-    """Finite group of isometries, closed under products."""
+    """Finite group of isometries, closed under products, kept as scaled
+    pairs; ``generators`` and ``elements`` are boxed on first read."""
 
     space: QuadSpace
-    generators: tuple
-    elements: list
+    scaled_generators: tuple
+    scaled_elements: list
 
     @classmethod
-    def build(cls, space: QuadSpace, generators) -> "GroupAction":
-        gens = tuple(_readonly(np.array(g, dtype=object)) for g in generators)
-        return cls(space, gens, group_closure(space, gens))
+    def build(cls, space: QuadSpace, generators, cap: int = 4096) -> "GroupAction":
+        gens, gram = tuple(scaled(g) for g in generators), space.scaled_gram
+        if not all(same(product((g[0].T, g[1]), gram, g), gram) for g in gens):
+            raise DomainError("group generator is not an isometry of the form")
+        return cls(space, gens, [m for m, in _closure([(g,) for g in gens], [space.dim], cap)])
 
     @classmethod
     def trivial(cls, space: QuadSpace) -> "GroupAction":
         return cls.build(space, [])
 
     @cached_property
-    def scaled_generators(self) -> tuple:
-        return tuple(scaled(g) for g in self.generators)
+    def generators(self) -> tuple:
+        return tuple(_readonly(boxed(*m)) for m in self.scaled_generators)
+
+    @cached_property
+    def elements(self) -> list:
+        return [boxed(*m) for m in self.scaled_elements]
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.scaled_elements)
 
     def fixes(self, v) -> bool:
         sv = scaled(v)
@@ -250,7 +258,7 @@ def aligned_elements(g1: GroupAction, g2: GroupAction):
     correspondence extends to all elements when the two actions satisfy the
     same relations, and an error is raised when they do not.
     """
-    if len(g1.generators) != len(g2.generators):
+    if len(g1.scaled_generators) != len(g2.scaled_generators):
         raise StructureError("generator lists must have equal length")
     pairs = _closure(list(zip(g1.scaled_generators, g2.scaled_generators)),
                      [g1.space.dim, g2.space.dim])
@@ -382,9 +390,9 @@ def equivariant_witt(g1: GroupAction, w1_basis, g2: GroupAction, w2_basis,
     full = Isometry.from_scaled(v1, v2, phi)
     full.require_valid("extended map")
 
-    u1 = v1.orthogonal_complement(w1)
-    u2 = v2.orthogonal_complement(w2)
-    coords = solve(np.stack(u2, axis=1), full(np.stack(u1, axis=1))) if u1 else zeros(0, 0)
-    restriction = Isometry(v1.restrict(u1), v2.restrict(u2), coords)
+    # complements as integer rows over one denominator; U2^T c = phi U1^T
+    u1, u2 = v1.complement_scaled(w1), v2.complement_scaled(w2)
+    coords = solve_scaled((u2[0].T, u2[1]), product(phi, (u1[0].T, u1[1])))
+    restriction = Isometry.from_scaled(v1.restrict_scaled(u1), v2.restrict_scaled(u2), coords)
     restriction.require_valid("restricted map")
-    return WittResult(full=full, restriction=restriction, u1_basis=u1, u2_basis=u2)
+    return WittResult(full, restriction, list(boxed(*u1)), list(boxed(*u2)))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, ShadowViolation, StructureError
 from .gradedring import TruncPoly, VarietyData, integrate, tangent_chern, todd_and_sqrt
-from .linalg import dot, eye, inverse, mat_eq, product, qmat, rank, same, zeros
+from .linalg import boxed, dot, eye, inverse, mat_eq, product, qmat, rank, same, zeros
 from .mukai import MukaiSpace, kuznetsov_project, lambda_basis
 from .motiveiso import (GammaCert, build_gamma, build_gamma_cubic_k3, certify_gamma,
                         random_cubic_k3_pair, random_diag_gram, random_fourfold_pair,
@@ -401,57 +401,45 @@ def _random_witt_instance(rng: random.Random):
     """One randomized equivariant extension problem: a sign-flip group on a
     diagonal form, a fixed nondegenerate subspace of dimension <= 2, a
     conjugated second copy, and a global equivariant isometry that does NOT
-    respect the subspace."""
+    respect the subspace.  Built on integers, each public array boxed once."""
     n = rng.randint(2, 6)
-    g1m = random_diag_gram(rng, n)
-    v1 = QuadSpace(g1m)
-    wdim = rng.choice((0, 1, 1, 2, 2))
-    wdim = min(wdim, n - 1)
+    v1 = QuadSpace(random_diag_gram(rng, n))
+    g1 = v1.scaled_gram[0]  # the diagonal integers, over 1
+    wdim = min(rng.choice((0, 1, 1, 2, 2)), n - 1)
 
-    gens1 = []
-    for _ in range(rng.randint(0, 3)):
-        flips = [i for i in range(wdim, n) if rng.random() < 0.5]
-        g = eye(n)
-        for i in flips:
-            g[i, i] = QQ(-1)
-        gens1.append(g)
+    gens1 = [np.diag([-1 if i >= wdim and rng.random() < 0.5 else 1 for i in range(n)])
+             .astype(object) for _ in range(rng.randint(0, 3))]
     group1 = GroupAction.build(v1, gens1)
 
-    fixed_coords = [i for i in range(n)
-                    if all(g[i, i] == 1 for g in gens1)]
-    w1 = []
+    fixed_coords = [i for i in range(n) if all(g[i, i] == 1 for g in gens1)]
     for attempt in range(20):
-        cand = []
+        w1 = np.zeros((wdim, n), dtype=object)
         for k in range(wdim):
-            v = zeros(n)
             for i in fixed_coords:
-                v[i] = QQ(rng.randint(-1, 1))
-            cand.append(v)
-        if wdim == 0 or v1.restrict(cand).is_nondegenerate():
-            w1 = cand
+                w1[k, i] = rng.randint(-1, 1)
+        if rank(np.dot(np.dot(w1, g1), w1.T)) == wdim:
             break
     else:
-        w1 = [eye(n)[i].copy() for i in fixed_coords[:wdim]]
+        w1 = np.eye(n, dtype=int).astype(object)[fixed_coords[:wdim]]
 
     s, s_inv = random_unimodular(rng, n)
-    g2m = dot(s.T, g1m, s)
-    v2 = QuadSpace(g2m)
-    gens2 = [dot(s_inv, g, s) for g in gens1]
-    group2 = GroupAction.build(v2, gens2)
-    w2 = [dot(s_inv, w) for w in w1]
+    v2 = v1.restrict_scaled((s.T, 1))  # the first form in the basis of the columns of s
+    group2 = GroupAction.build(v2, [np.dot(np.dot(s_inv, g), s) for g in gens1])
+    w2 = np.dot(w1, s_inv.T)
 
-    phi_mat = s_inv
+    phi = (s_inv, 1)
     if fixed_coords and rng.random() < 0.8:
         for attempt in range(10):
-            f = zeros(n)
+            f = np.zeros(n, dtype=object)
             for i in fixed_coords:
-                f[i] = QQ(rng.randint(-2, 2))
-            if v1.q(f) != 0:
-                phi_mat = dot(s_inv, Isometry.reflection(v1, f).matrix)
+                f[i] = rng.randint(-2, 2)
+            if np.dot(np.dot(f, g1), f) != 0:
+                phi = product((s_inv, 1), Isometry.reflection(v1, f).scaled_matrix)
                 break
-    phi_v = Isometry(v1, v2, phi_mat)
-    psi_w = Isometry(v1.restrict(w1), v2.restrict(w2), eye(wdim))
-    return group1, w1, group2, w2, phi_v, psi_w
+    phi_v = Isometry.from_scaled(v1, v2, phi)
+    psi_w = Isometry.from_scaled(v1.restrict_scaled((w1, 1)), v2.restrict_scaled((w2, 1)),
+                                 (np.eye(wdim, dtype=int).astype(object), 1))
+    return group1, list(boxed(w1, 1)), group2, list(boxed(w2, 1)), phi_v, psi_w
 
 
 WITT_PROBLEMS = 200  # randomized extension problems per witt run

@@ -14,14 +14,23 @@ pairs.  ``rref`` to ``inverse``, ``isometry_verify``, ``group_closure`` and
 Gauss-Jordan, object ``np.dot`` products, ``mat_eq`` comparisons and group
 searches keyed on the ``(numerator, denominator)`` of every entry.
 
+``build_gamma`` and ``build_gamma_cubic_k3`` assemble Gamma on scaled
+integer pairs, and the witt suite builds its random problems on integers.
+``build_gamma_assembly``, ``build_gamma_cubic_k3_assembly`` and
+``random_witt_instance`` below are the Fraction-array routes they replaced:
+the kernel on the Gauss-Jordan above, products and solves on the library's
+rational front ends ``dot`` and ``solve``.
+
 The tests compare the library against these for exact equality.
 """
 
 import numpy as np
 
 from cubicmotives.errors import DomainError, StructureError
+from cubicmotives import linalg as lin
 from cubicmotives.linalg import eye, mat_eq, zeros
 from cubicmotives.rationals import QQ
+from cubicmotives.realization import RealizedClass
 
 
 def _is_zero(val) -> bool:
@@ -273,3 +282,99 @@ def aligned_elements(gram1, gens1, gram2, gens2):
     if not len({_key(m2) for _, m2 in pairs.values()}) == len(pairs) == order1 == order2:
         raise DomainError("group actions are not aligned")
     return list(pairs.values())
+
+
+# --- motiveiso: Gamma assembled on Fraction arrays ---------------------------------
+
+
+def transcendental(prim, alg):
+    """Canonical basis of the complement of span(alg) (the Fraction kernel of
+    alg G) and the restricted Gram matrix, in those coordinates."""
+    n = prim.dim
+    basis = kernel_basis(np.dot(np.stack(alg), prim.gram)) if len(alg) else list(eye(n))
+    b = np.stack(basis, axis=1) if basis else zeros(n, 0)
+    return basis, lin.dot(b.T, prim.gram, b)
+
+
+def transport_tensor(u1_basis, u2_basis, source_gram, matrix) -> np.ndarray:
+    """Ambient V x V' tensor acting as the isometry ``matrix`` (on the
+    coordinates of ``u1_basis``, with Gram ``source_gram``) on span(u1)."""
+    return lin.dot(np.stack(u1_basis, axis=1), lin.solve(source_gram, matrix.T),
+                   np.stack(u2_basis, axis=0))
+
+
+def build_gamma_assembly(dx, dy, iso_tr) -> RealizedClass:
+    """Gamma as ``build_gamma`` assembled it on Fraction arrays: the images
+    ``dot(b2, iso_tr.matrix)``, the V-block ``solve(dot(dom, G_X), img)``, and
+    the ``RealizedClass`` constructor with the h-lines at 1/3.  ``dot`` and
+    ``solve`` are the library's rational front ends (the Gauss-Jordan above
+    is too slow at rank 22; the front ends are tested against it)."""
+    primx, primy = dx.cfg.prim, dy.cfg.prim
+    t1_basis, _ = transcendental(primx, dx.alg_basis)
+    t2_basis, _ = transcendental(primy, dy.alg_basis)
+    b2 = np.stack(t2_basis, axis=1) if t2_basis else zeros(primy.dim, 0)
+    dom = np.stack(list(dx.alg_basis) + list(t1_basis))
+    img = np.stack(list(dy.alg_basis) + list(lin.dot(b2, iso_tr.matrix).T))
+    comps = {(("h", 4 - i), ("h", i)): QQ(1, 3) for i in range(5)}
+    comps[("V", "V")] = lin.solve(lin.dot(dom, primx.gram), img)
+    return RealizedClass((dx.space, dy.space), comps)
+
+
+def build_gamma_cubic_k3_assembly(dx, ds, iso) -> RealizedClass:
+    """The fourfold-to-K3 Gamma as ``build_gamma_cubic_k3`` assembled it: the
+    transport tensor of ``iso`` between the two transcendental bases."""
+    t1_basis, t1_gram = transcendental(dx.cfg.prim, dx.alg_basis)
+    t2_basis, _ = transcendental(ds.prim2, ds.ns_basis)
+    comps = {}
+    if t1_basis:
+        comps[("V", "V")] = transport_tensor(t1_basis, t2_basis, t1_gram, iso.matrix)
+    return RealizedClass((dx.space, ds.space), comps)
+
+
+# --- suites: the witt suite's random instances on Fraction arrays -------------------
+
+
+def random_witt_instance(rng):
+    """The witt suite's random extension problem as it was built on Fraction
+    arrays: (gram1, gens1, w1, gram2, gens2, w2, phi, psi)."""
+    from cubicmotives.motiveiso import random_diag_gram, random_unimodular
+    from cubicmotives.quadform import Isometry, QuadSpace
+
+    n = rng.randint(2, 6)
+    g1m = random_diag_gram(rng, n)
+    v1 = QuadSpace(g1m)
+    wdim = min(rng.choice((0, 1, 1, 2, 2)), n - 1)
+    gens1 = []
+    for _ in range(rng.randint(0, 3)):
+        flips = [i for i in range(wdim, n) if rng.random() < 0.5]
+        g = eye(n)
+        for i in flips:
+            g[i, i] = QQ(-1)
+        gens1.append(g)
+    fixed_coords = [i for i in range(n) if all(g[i, i] == 1 for g in gens1)]
+    for attempt in range(20):
+        cand = []
+        for k in range(wdim):
+            v = zeros(n)
+            for i in fixed_coords:
+                v[i] = QQ(rng.randint(-1, 1))
+            cand.append(v)
+        if wdim == 0 or rank(np.dot(np.dot(np.stack(cand), g1m), np.stack(cand).T)) == wdim:
+            w1 = cand
+            break
+    else:
+        w1 = [eye(n)[i].copy() for i in fixed_coords[:wdim]]
+    s, s_inv = random_unimodular(rng, n)
+    g2m = lin.dot(s.T, g1m, s)
+    gens2 = [lin.dot(s_inv, g, s) for g in gens1]
+    w2 = [lin.dot(s_inv, w) for w in w1]
+    phi_mat = lin.dot(s_inv, eye(n))
+    if fixed_coords and rng.random() < 0.8:
+        for attempt in range(10):
+            f = zeros(n)
+            for i in fixed_coords:
+                f[i] = QQ(rng.randint(-2, 2))
+            if v1.q(f) != 0:
+                phi_mat = lin.dot(s_inv, Isometry.reflection(v1, f).matrix)
+                break
+    return g1m, gens1, w1, g2m, gens2, w2, phi_mat, eye(wdim)

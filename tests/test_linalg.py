@@ -4,7 +4,9 @@ products, against ``sympy.Matrix``; chained products against nested ones; and
 the fraction-free eliminations against the ``Fraction`` Gauss-Jordan they
 replaced (``fraction_oracle``), on rectangular, rank-deficient and
 zero-column matrices with fractional and beyond-int64 entries, including the
-singular and inconsistent systems that must raise the same errors.  The
+singular and inconsistent systems that must raise the same errors; the
+pair-level ``solve_scaled`` and ``kernel_scaled`` likewise, on pairs with
+denominators of either sign.  The
 tensor contractions of the realization engine are checked against the
 Fraction-array oracle in ``test_fraction_oracle.py``."""
 
@@ -16,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from cubicmotives.linalg import dot, inverse, kernel_basis, rank, rref, solve
+from cubicmotives.linalg import (boxed, dot, inverse, kernel_basis, kernel_scaled, rank, rref,
+                                 scaled, solve, solve_scaled)
 from cubicmotives.rationals import QQ
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -194,3 +197,68 @@ def test_singular_and_inconsistent_errors():
     b = np.array([QQ(1), QQ(3)], dtype=object)
     for fn in (solve, oracle.solve):
         assert _outcome(fn, a, b) == "inconsistent linear system"
+
+
+# --- the pair-level eliminations ---------------------------------------------------
+
+nonzero = st.integers(-4, 4).filter(bool)
+
+
+@ELIM
+@given(st.data())
+def test_solve_scaled_matches_oracle(data):
+    a = data.draw(elimination_matrices())
+    rows, cols = a.shape
+    if data.draw(st.booleans()):
+        x = _array(data.draw, data.draw(st.sampled_from([(cols,), (cols, 2)])))
+        b = _rational(np.dot(a, x))
+    else:
+        b = _array(data.draw, data.draw(st.sampled_from([(rows,), (rows, 2)])))
+    # the same rationals over other denominators, of either sign
+    (an, ad), (bn, bd), k, kb = scaled(a), scaled(b), data.draw(nonzero), data.draw(nonzero)
+    got = _outcome(lambda: boxed(*solve_scaled((an * k, ad * k), (bn * kb, bd * kb))))
+    _same_outcome(got, _outcome(oracle.solve, a, b))
+
+
+@ELIM
+@given(elimination_matrices())
+def test_kernel_scaled_matches_oracle(a):
+    n = scaled(a)[0]
+    before = n.copy()
+    rows, p = kernel_scaled(n)
+    assert (n == before).all()  # the elimination works on its own copy
+    want = oracle.kernel_basis(a)
+    assert rows.shape == (len(want), a.shape[1]) and p != 0
+    assert all(type(x) is int for x in rows.flat)
+    for got, w in zip(boxed(rows, p), want):
+        _same(got, w)
+    assert not np.any(np.dot(n, rows.T))
+
+
+def _ints(rows):
+    return np.array(rows, dtype=object).reshape(len(rows), -1)
+
+
+def _over(rows, d):
+    return np.array([[QQ(x, d) for x in row] for row in rows], dtype=object)
+
+
+def test_pair_eliminations_edge_cases():
+    # a negative pivot product: the solution is x / p with p < 0
+    x, p = solve_scaled((_ints([[-2]]), 1), (np.array([4], dtype=object), 1))
+    assert p < 0 and boxed(x, p)[0] == -2
+    # negative denominators in the pairs themselves
+    x, p = solve_scaled((_ints([[3, 1], [1, 1]]), -2), (_ints([[1], [2]]), 5))
+    _same(boxed(x, p), oracle.solve(_over([[3, 1], [1, 1]], -2), _over([[1], [2]], 5)))
+    # singular but consistent: 0 at the free column; inconsistent: ValueError
+    a = _ints([[1, 2], [2, 4]])
+    x, p = solve_scaled((a, 1), (np.array([3, 6], dtype=object), 1))
+    assert list(boxed(x, p)) == [3, 0]
+    assert _outcome(solve_scaled, (a, 1), (np.array([3, 7], dtype=object), 1)) \
+        == "inconsistent linear system"
+    # no constraints (zero algebraic rank): the identity over 1
+    rows, p = kernel_scaled(np.zeros((0, 3), dtype=object))
+    assert p == 1 and (rows == np.eye(3, dtype=int)).all()
+    # full column rank (an empty transcendental part): no kernel vectors
+    rows, p = kernel_scaled(_ints([[1, 2], [3, 4]]))
+    assert rows.shape == (0, 2)

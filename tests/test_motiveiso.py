@@ -7,12 +7,13 @@ import random
 import numpy as np
 import pytest
 
+import fraction_oracle as oracle
 from dense_oracle import dense_transport
 from cubicmotives.errors import DomainError, StructureError
 from cubicmotives.gradedring import VarietyData
 from cubicmotives.linalg import dot, eye, inverse, mat_eq, qmat, qvec, scaled, zeros
 from cubicmotives.motiveiso import (FourfoldData, GammaCert, SurfaceData, _alg_tensor_pair,
-                                    _transcendental_bases, _transport_tensor, build_gamma,
+                                    _transcendental_bases, build_gamma,
                                     build_gamma_cubic_k3, build_refined_projectors,
                                     certify_gamma, random_cubic_k3_pair,
                                     random_fourfold_pair, random_unimodular, surface_ck,
@@ -183,7 +184,8 @@ def _witt_route(dx, dy, iso_tr):
     the identity, then the V-block rebuilt from the restriction to the
     complements plus the algebraic tensor.  Returns (Gamma, phi_V, result)."""
     primx, primy = dx.cfg.prim, dy.cfg.prim
-    t1_basis, t2_basis = _transcendental_bases(dx, dy, iso_tr, "iso_tr", "iso_tr")
+    _transcendental_bases(dx, dy, iso_tr, "iso_tr", "iso_tr")
+    t1_basis, t2_basis = dx.transcendental()[0], dy.transcendental()[0]
     dom = list(dx.alg_basis) + list(t1_basis)
     img = list(dy.alg_basis) + list(dot(np.stack(t2_basis, axis=1), iso_tr.matrix).T)
     phi_v = Isometry(primx, primy, dot(np.stack(img, axis=1), inverse(np.stack(dom, axis=1))))
@@ -191,7 +193,8 @@ def _witt_route(dx, dy, iso_tr):
     w_iso = Isometry(primx.restrict(alg_x), primy.restrict(alg_y), eye(len(alg_x)))
     wr = equivariant_witt(dx.group_or_trivial(), alg_x, dy.group_or_trivial(), alg_y,
                           phi_v, w_iso)
-    vv = _transport_tensor(wr.u1_basis, wr.u2_basis, wr.restriction)
+    vv = oracle.transport_tensor(wr.u1_basis, wr.u2_basis, wr.restriction.source.gram,
+                                 wr.restriction.matrix)
     if alg_x:
         vv = vv + _alg_tensor_pair(primx, alg_x, alg_y)
     comps = {(("h", 4 - i), ("h", i)): QQ(1, 3) for i in range(5)}
@@ -210,6 +213,80 @@ def test_gamma_from_phi_v_matches_witt_route(rank):
         assert got.comps.keys() == want.comps.keys()
         for key, val in want.comps.items():
             assert mat_eq(got.comps[key], val), (seed, key)
+
+
+# --------------------------------------------------------------------------
+# Gamma on scaled integer pairs against the Fraction assembly it replaced
+
+
+def _same_class(got, want, tag):
+    assert got.comps.keys() == want.comps.keys(), tag
+    for key, val in want.comps.items():
+        assert mat_eq(got.comps[key], val), (tag, key)
+    assert got == want
+
+
+def _same_transcendental(d, prim, alg):
+    (rows, p), space = d.transcendental_scaled()
+    basis, restricted = d.transcendental()
+    want_basis, want_gram = oracle.transcendental(prim, alg)
+    assert rows.shape == (len(want_basis), prim.dim) and p != 0
+    assert len(basis) == len(want_basis)
+    assert all(mat_eq(b, w) and mat_eq(dot(r, 1 / QQ(p)), w)
+               for b, r, w in zip(basis, rows, want_basis))
+    assert mat_eq(space.gram, want_gram) and mat_eq(restricted.gram, want_gram)
+
+
+@pytest.mark.parametrize("rank", [6, 22])
+def test_gamma_matches_fraction_assembly(rank):
+    for seed in range(20):
+        dx, dy, iso = random_fourfold_pair(seed, rank=rank)
+        _same_class(build_gamma(dx, dy, iso).gamma, oracle.build_gamma_assembly(dx, dy, iso),
+                    seed)
+        for d in (dx, dy):
+            _same_transcendental(d, d.cfg.prim, d.alg_basis)
+
+
+def test_gamma_with_no_transcendental_part_matches_fraction_assembly():
+    # the algebraic classes span V: the kernel is empty, Gamma is all algebraic
+    d = FourfoldData(diag_cfg(2, -2, 3),
+                     alg_basis=(qvec([1, 0, 0]), qvec([0, 1, 0]), qvec([0, 0, 1])))
+    (rows, p), t = d.transcendental_scaled()
+    assert rows.shape == (0, 3) and t.dim == 0
+    cert = build_gamma(d, d, Isometry.identity(t))
+    assert cert.passed()
+    _same_class(cert.gamma, oracle.build_gamma_assembly(d, d, Isometry.identity(t)), "full")
+
+
+def test_cubic_k3_gamma_matches_fraction_assembly():
+    pairs = [random_cubic_k3_pair(seed) for seed in range(10)]
+    pairs += [random_cubic_k3_pair(seed, rank=22) for seed in range(3)]
+    # Neron-Severi and algebraic classes on both sides
+    cfg = diag_cfg(2, -2, 3, -1)
+    dx = FourfoldData(cfg, alg_basis=(qvec([1, 0, 0, 0]),))
+    ds = SurfaceData(VarietyData.k3(), cfg.prim, ns_basis=(qvec([1, 0, 0, 0]),))
+    pairs.append((dx, ds, Isometry.identity(dx.transcendental()[1])))
+    for i, (dx, ds, iso) in enumerate(pairs):
+        cert = build_gamma_cubic_k3(dx, ds, iso)
+        assert cert.passed(), i
+        _same_class(cert.gamma, oracle.build_gamma_cubic_k3_assembly(dx, ds, iso), i)
+        _same_transcendental(ds, ds.prim2, ds.ns_basis)
+
+
+def test_transcendental_bases_rejects_maps_off_the_canonical_coordinates():
+    d = FourfoldData(diag_cfg(2, -2, 3), alg_basis=(qvec([1, 0, 0]),))
+    _, t = d.transcendental()  # the form diag(-2, 3)
+    swapped = QuadSpace(qmat([[3, 0], [0, -2]]))
+    swap = qmat([[0, 1], [1, 0]])
+    ds = SurfaceData(VarietyData.k3(), d.cfg.prim, ns_basis=(qvec([1, 0, 0]),))
+    bad = [Isometry(t, t, zeros(3, 2)),  # wrong shape, right forms
+           Isometry(swapped, t, swap),   # an isometry, from the wrong form
+           Isometry(t, swapped, swap)]   # an isometry, to the wrong form
+    for iso in bad:
+        with pytest.raises(StructureError, match="iso_tr must map the canonical"):
+            build_gamma(d, d, iso)
+        with pytest.raises(StructureError, match="iso must map the canonical"):
+            build_gamma_cubic_k3(d, ds, iso)
 
 
 def _non_aligned_pair():

@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 import fraction_oracle as oracle
 
 from cubicmotives.errors import DomainError, StructureError
-from cubicmotives.linalg import eye, inverse, kernel_basis, mat_eq, qmat, qvec, zeros
+from cubicmotives.linalg import dot, eye, inverse, kernel_basis, mat_eq, qmat, qvec, zeros
 from cubicmotives.quadform import (GroupAction, Isometry, QuadSpace, WittResult,
                                    aligned_elements, equivariant_witt, group_closure,
                                    reflect_to, _orthogonalize)
 from cubicmotives.rationals import QQ
+from cubicmotives.suites import _random_witt_instance
 
 
 def diag_space(*entries) -> QuadSpace:
@@ -423,3 +424,61 @@ def test_non_aligned_conjugated_actions_are_rejected():
         aligned_elements(g1, g2)
     with pytest.raises(DomainError, match="not aligned"):
         oracle.aligned_elements(gram1, [flip], gram2, [quarter])
+
+
+# --------------------------------------------------------------------------
+# the Witt complement on scaled pairs, and the witt suite's integer instances
+
+
+def test_witt_complement_matches_fraction_route():
+    rng = random.Random(7)
+    for i in range(60):
+        group1, w1, group2, w2, phi_v, psi_w = _random_witt_instance(rng)
+        wr = equivariant_witt(group1, w1, group2, w2, phi_v, psi_w)
+        v1, v2 = group1.space, group2.space
+        u1, g1 = oracle.transcendental(v1, w1)
+        u2, g2 = oracle.transcendental(v2, w2)
+        for got, want in ((wr.u1_basis, u1), (wr.u2_basis, u2)):
+            assert len(got) == len(want) and all(mat_eq(a, b) for a, b in zip(got, want)), i
+            assert all(type(x) is QQ for v in got for x in v)
+        coords = (oracle.solve(np.stack(u2, axis=1), dot(wr.full.matrix, np.stack(u1, axis=1)))
+                  if u1 else zeros(0, 0))
+        assert mat_eq(wr.restriction.matrix, coords), i
+        assert mat_eq(wr.restriction.source.gram, g1) and mat_eq(wr.restriction.target.gram, g2)
+
+
+def test_random_witt_instance_matches_fraction_route():
+    for seed in (0, 5):  # the witt suite's stream at seed 0, and one more
+        rng, ref = random.Random(seed), random.Random(seed)
+        for i in range(200 if seed == 0 else 50):
+            group1, w1, group2, w2, phi_v, psi_w = _random_witt_instance(rng)
+            g1, gens1, want_w1, g2, gens2, want_w2, phi, psi = oracle.random_witt_instance(ref)
+            assert rng.getstate() == ref.getstate(), (seed, i)
+            assert mat_eq(group1.space.gram, g1) and mat_eq(group2.space.gram, g2)
+            assert phi_v.source is group1.space and phi_v.target is group2.space
+            assert mat_eq(phi_v.matrix, phi) and mat_eq(psi_w.matrix, psi)
+            w = np.stack(want_w1) if want_w1 else zeros(0, len(g1))
+            assert mat_eq(psi_w.source.gram, dot(w, g1, w.T))
+            for got, want in ((group1.generators, gens1), (group2.generators, gens2),
+                              (w1, want_w1), (w2, want_w2)):
+                assert len(got) == len(want), (seed, i)
+                assert all(mat_eq(a, b) for a, b in zip(got, want)), (seed, i)
+                assert all(type(x) is QQ for a in got for x in a.flat)
+            for group, gram, gens in ((group1, g1, gens1), (group2, g2, gens2)):
+                want_elements = oracle.group_closure(gram, gens)
+                assert group.order == len(want_elements)
+                assert all(mat_eq(a, b) for a, b in zip(group.elements, want_elements))
+
+
+def test_group_action_boxes_once_on_read():
+    v = diag_space(1, 2, -1)
+    flip = np.diag([1, -1, 1]).astype(object)  # integers are exact arrays too
+    grp = GroupAction.build(v, [flip])
+    assert "generators" not in grp.__dict__ and "elements" not in grp.__dict__
+    (gen,) = grp.generators
+    assert mat_eq(gen, flip) and all(type(x) is QQ for x in gen.flat)
+    with pytest.raises(ValueError):
+        gen[0, 0] = QQ(2)
+    assert grp.generators is grp.generators and grp.elements is grp.elements
+    assert grp.order == 2
+    assert all(mat_eq(a, b) for a, b in zip(grp.elements, group_closure(v, [flip])))
