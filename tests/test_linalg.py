@@ -262,3 +262,8 @@ def test_pair_eliminations_edge_cases():
     # full column rank (an empty transcendental part): no kernel vectors
     rows, p = kernel_scaled(_ints([[1, 2], [3, 4]]))
     assert rows.shape == (0, 2)
+    # the pivot search swaps rows of the elimination's own copy only
+    m = _ints([[0, 1, 1], [2, 0, 1]])
+    rows, p = kernel_scaled(m)
+    assert (m == _ints([[0, 1, 1], [2, 0, 1]])).all()
+    assert list(boxed(rows, p)[0]) == [QQ(-1, 2), -1, 1]
