@@ -10,13 +10,13 @@ whose action carries h^i to h'^i, each algebraic class a_i to its partner,
 and the transcendental complement through the given isometry: together one
 global isometry phi_V, and Gamma's V-block is its Poincare dual
 G_X^{-1} phi_V^T, assembled from one elimination on integers over one
-denominator and never boxed on the way.  A certificate records the exact identities: Gamma
-composed with its transpose is the diagonal on either side, the pairing is
-preserved, and (when group data is present) the map commutes with the
-group.  The Frobenius-level verification transports the diagonal and the
-small diagonal and checks both against the target — the small diagonal
-twice, once directly and once through the multiplicative decomposition by
-the defect polynomial P.
+denominator and never boxed on the way.  A certificate records the exact
+identities: Gamma composed with its transpose is the diagonal on either side,
+the pairing is preserved, and (when group data is present) the map commutes
+with the group.  The Frobenius-level verification transports the diagonal
+and the small diagonal and checks both against the target — the small
+diagonal twice, once directly and once through the multiplicative
+decomposition by the defect polynomial P.
 """
 
 from __future__ import annotations
