@@ -61,8 +61,8 @@ def scaled(a):
     d is the lcm of the entries' denominators, so for entries in lowest terms
     gcd(d, every entry of n) = 1."""
     a = np.asarray(a, dtype=object)
-    pq = [x.as_integer_ratio() for x in a.flat]  # one call per entry, for int and Fraction
-    d = math.lcm(*[q for _, q in pq])
+    pq = [(x.numerator, x.denominator) for x in a.flat]
+    d = math.lcm(*(q for _, q in pq))
     n = np.array([p * (d // q) for p, q in pq], dtype=object)
     return (n.reshape(a.shape) if a.ndim else n[0]), d
 
