@@ -69,12 +69,11 @@ def scaled(a):
 
 def boxed(n, d):
     """The rationals n / d of an integer array (or scalar) and one nonzero
-    denominator, one division per distinct entry; a 0-d result is a scalar."""
+    denominator, one division per entry; a 0-d result is a scalar."""
     n = np.asarray(n, dtype=object)
     if n.ndim == 0:
         return QQ(n[()], d)
-    box = {x: QQ(x, d) for x in set(n.flat)}  # immutable, so equal entries share one
-    return np.array([box[x] for x in n.flat], dtype=object).reshape(n.shape)
+    return np.array([QQ(x, d) for x in n.flat], dtype=object).reshape(n.shape)
 
 
 def canonical(n, d):

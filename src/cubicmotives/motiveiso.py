@@ -66,24 +66,15 @@ def _as_vectors(prim: QuadSpace, vecs, what: str):
     return tuple(out)
 
 
-class _Transcendental:
-    """The complement of the algebraic classes in ``_lattice()``'s space."""
-
-    def transcendental_scaled(self):
-        """((rows, p), space): the canonical basis of the complement as integer
-        rows over p (p may be negative), and the form restricted to it."""
-        prim, alg = self._lattice()
-        rows = prim.complement_scaled(alg)
-        return rows, prim.restrict_scaled(rows)
-
-    def transcendental(self):
-        """:meth:`transcendental_scaled` with the basis boxed to vectors."""
-        rows, space = self.transcendental_scaled()
-        return list(boxed(*rows)), space
+def _transcendental_scaled(prim: QuadSpace, alg):
+    """((rows, p), space): the canonical basis of the complement of ``alg`` as
+    integer rows over p (p may be negative), and the form restricted to it."""
+    rows = prim.complement_scaled(alg)
+    return rows, prim.restrict_scaled(rows)
 
 
 @dataclass(frozen=True, eq=False)
-class FourfoldData(_Transcendental):
+class FourfoldData:
     """A fourfold realization plus its designated algebraic classes.
 
     ``alg_basis`` is an orthogonal family of anisotropic vectors in the
@@ -115,12 +106,17 @@ class FourfoldData(_Transcendental):
     def group_or_trivial(self) -> GroupAction:
         return self.group if self.group is not None else GroupAction.trivial(self.cfg.prim)
 
-    def _lattice(self):
-        return self.cfg.prim, self.alg_basis
+    def transcendental_scaled(self):
+        return _transcendental_scaled(self.cfg.prim, self.alg_basis)
+
+    def transcendental(self):
+        """The transcendental basis boxed to vectors, and the restricted space."""
+        rows, space = self.transcendental_scaled()
+        return list(boxed(*rows)), space
 
 
 @dataclass(frozen=True, eq=False)
-class SurfaceData(_Transcendental):
+class SurfaceData:
     """A polarized K3 realization: h-powers plus a degree-2 quadratic space
     containing the named algebraic (Neron-Severi) classes."""
 
@@ -139,8 +135,12 @@ class SurfaceData(_Transcendental):
     def space(self) -> Space:
         return Space(self.vd, self.prim2)
 
-    def _lattice(self):
-        return self.prim2, self.ns_basis
+    def transcendental_scaled(self):
+        return _transcendental_scaled(self.prim2, self.ns_basis)
+
+    def transcendental(self):
+        rows, space = self.transcendental_scaled()
+        return list(boxed(*rows)), space
 
 
 # --- refined projectors -------------------------------------------------------

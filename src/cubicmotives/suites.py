@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, ShadowViolation, StructureError
 from .gradedring import TruncPoly, VarietyData, integrate, tangent_chern, todd_and_sqrt
-from .linalg import boxed, dot, eye, inverse, mat_eq, product, qmat, rank, same, zeros
+from .linalg import boxed, canonical, dot, eye, inverse, mat_eq, product, qmat, rank, same, zeros
 from .mukai import MukaiSpace, kuznetsov_project, lambda_basis
 from .motiveiso import (GammaCert, build_gamma, build_gamma_cubic_k3, certify_gamma,
                         random_cubic_k3_pair, random_diag_gram, random_fourfold_pair,
@@ -424,7 +424,9 @@ def _random_witt_instance(rng: random.Random):
 
     s, s_inv = random_unimodular(rng, n)
     v2 = v1.restrict_scaled((s.T, 1))  # the first form in the basis of the columns of s
-    group2 = GroupAction.build(v2, [np.dot(np.dot(s_inv, g), s) for g in gens1])
+    def conj(ms):  # s^-1 m s are isometries of s^T G s: no second check or closure
+        return [canonical(*product((s_inv, 1), m, (s, 1))) for m in ms]
+    group2 = GroupAction(v2, tuple(conj(group1.scaled_generators)), conj(group1.scaled_elements))
     w2 = np.dot(w1, s_inv.T)
 
     phi = (s_inv, 1)
