@@ -7,12 +7,12 @@ over one denominator, multiplied (:func:`product`) and compared (:func:`same`)
 as such pairs, so a cached scaled form is never re-scaled, and boxed back
 (:func:`boxed`) only where a rational result is handed out; :func:`dot` is
 the rational front end of a chain.  One elimination, :func:`_echelon`, is
-fraction-free Gauss-Jordan on an integer matrix: at pivot p every other row
-becomes (p row - f pivot_row) // previous_pivot, exact since every entry is a
-minor of the input (Bareiss 1968).  :func:`solve_scaled` and
-:func:`kernel_scaled` return its results as pairs over the last pivot;
-``rref``, ``rank``, ``kernel_basis``, ``solve`` and ``inverse`` are their
-rational front ends.
+fraction-free Gauss-Jordan on Python-int numerators (TypeError on any other
+entry): at pivot p every other row becomes (p row - f pivot_row) // previous
+pivot, exact since every entry is a minor of the input (Bareiss 1968).
+:func:`solve_scaled`, :func:`kernel_scaled` and :func:`inverse_scaled` return
+its results as pairs; ``rref``, ``rank``, ``kernel_basis``, ``solve`` and
+``inverse`` are their rational front ends.
 """
 
 from __future__ import annotations
@@ -76,6 +76,11 @@ def boxed(n, d):
     return np.array([QQ(x, d) for x in n.flat], dtype=object).reshape(n.shape)
 
 
+def readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def canonical(n, d):
     """n / d in lowest terms (d > 0, gcd(d, n) = 1), equal for equal values."""
     g = math.gcd(d, *np.asarray(n).flat) * (1 if d > 0 else -1)
@@ -113,6 +118,8 @@ def _echelon(m):
     """Fraction-free Gauss-Jordan on an integer matrix: (r, p, pivot_columns)
     with r / p the reduced row-echelon form of ``m`` (p may be negative)."""
     m = np.array(m, dtype=object)  # rows are swapped in place
+    if not set(map(type, m.flat)) <= {int}:
+        raise TypeError("elimination needs integer numerators")
     rows, cols = m.shape
     pivots, prev = [], 1
     for c in range(cols):
@@ -178,14 +185,19 @@ def solve(a, b):
     return boxed(*solve_scaled(scaled(a), scaled(b)))
 
 
-def inverse(a):
-    n, d = scaled(a)
+def inverse_scaled(a):
+    """:func:`inverse` of a scaled pair, as a canonical pair."""
+    n, d = a
     if n.shape != (len(n), len(n)):
         raise ValueError("inverse needs a square matrix")
     try:  # [n | d I] is inconsistent exactly when n is singular
-        return boxed(*solve_scaled((n, d), (np.eye(len(n), dtype=int).astype(object), 1)))
+        return canonical(*solve_scaled((n, d), (np.eye(len(n), dtype=int).astype(object), 1)))
     except ValueError:
         raise ValueError("matrix is singular") from None
+
+
+def inverse(a):
+    return boxed(*inverse_scaled(scaled(a)))
 
 
 def mat_to_json(a):

@@ -4,11 +4,11 @@ Everything here is constructive and certified: each returned map is a matrix
 over Q whose defining identities (isometry, equivariance, prescribed images)
 can be — and in the test-suites are — checked exactly.
 
-Forms, maps and groups are kept and computed on as scaled pairs
-(:func:`cubicmotives.linalg.scaled`: ``scaled_gram``, ``scaled_matrix``,
-``scaled_generators``, ``scaled_elements``); ``gram``, ``matrix``,
-``generators``, ``elements`` and the aligned pairs stay ``Fraction`` arrays,
-each boxed at most once.
+Forms and maps are kept and computed on as scaled pairs
+(:func:`cubicmotives.linalg.scaled`: ``scaled_gram``, ``scaled_matrix``), a
+group as its generators' pairs and its order, and Witt vectors as integer rows
+read against ``scaled_gram``; ``gram``, ``matrix``, ``generators`` and the
+aligned pairs stay ``Fraction`` arrays, each boxed at most once.
 
 The central algorithm extends a G-equivariant isometry so that it matches a
 prescribed isometry on a G-fixed nondegenerate subspace W, by composing with
@@ -17,9 +17,9 @@ reflections in G-fixed vectors:
 * a reflection R_u with u fixed by G commutes with every element of G;
 * for fixed anisotropic x, y with q(x) = q(y), either R_{x-y} or R_y . R_{x+y}
   maps x to y (q(x-y) + q(x+y) = 4 q(x) != 0, so one branch always applies);
-* diagonalizing W and transporting its basis vectors one at a time keeps the
-  previously placed vectors fixed, because every reflection vector used at
-  step j is orthogonal to them.
+* diagonalizing W (fraction-free Gram-Schmidt) and transporting its basis
+  vectors one at a time keeps the previously placed vectors fixed, because
+  every reflection vector used at step j is orthogonal to them.
 
 The G-equivariant isometry between the orthogonal complements falls out by
 restriction.
@@ -27,19 +27,15 @@ restriction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, StructureError
-from .linalg import (boxed, canonical, eye, inverse, kernel_scaled, mat_eq, product, rank,
+from .linalg import (boxed, canonical, inverse_scaled, kernel_scaled, product, rank, readonly,
                      same, scaled, solve_scaled, zeros)
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _identity(n: int):
@@ -71,11 +67,11 @@ class QuadSpace(_Frozen):
         n, d = scaled(g)
         if not np.array_equal(n, n.T):
             raise StructureError("Gram matrix must be symmetric")
-        self.__dict__.update(gram=_readonly(g), scaled_gram=(n, d))
+        self.__dict__.update(gram=readonly(g), scaled_gram=(n, d))
 
     @cached_property
     def gram(self) -> np.ndarray:
-        return _readonly(boxed(*self.scaled_gram))
+        return readonly(boxed(*self.scaled_gram))
 
     @property
     def dim(self) -> int:
@@ -116,7 +112,7 @@ class Isometry(_Frozen):
 
     def __init__(self, source: QuadSpace, target: QuadSpace, matrix):
         m = np.array(matrix, dtype=object)
-        self.__dict__.update(source=source, target=target, matrix=_readonly(m),
+        self.__dict__.update(source=source, target=target, matrix=readonly(m),
                              scaled_matrix=scaled(m))
 
     @classmethod
@@ -125,7 +121,7 @@ class Isometry(_Frozen):
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return _readonly(boxed(*self.scaled_matrix))
+        return readonly(boxed(*self.scaled_matrix))
 
     def __call__(self, x):
         return boxed(*product(self.scaled_matrix, scaled(x)))
@@ -159,8 +155,7 @@ class Isometry(_Frozen):
                                     product(self.scaled_matrix, other.scaled_matrix))
 
     def inverse(self) -> "Isometry":
-        n, d = self.scaled_matrix
-        return Isometry(self.target, self.source, inverse(n) * d)
+        return Isometry.from_scaled(self.target, self.source, inverse_scaled(self.scaled_matrix))
 
     @classmethod
     def identity(cls, space: QuadSpace) -> "Isometry":
@@ -208,27 +203,21 @@ def _closure(gens, dims, cap: int = 4096):
     return [ps for ps, _ in found.values()]
 
 
-def group_closure(space: QuadSpace, generators, cap: int = 4096):
-    """All products of the generators (isometries of the space), as matrices;
-    raises beyond ``cap`` elements, since then the group is not verifiably finite."""
-    return GroupAction.build(space, generators, cap).elements
-
-
 @dataclass(frozen=True, eq=False)
 class GroupAction:
-    """Finite group of isometries, closed under products, kept as scaled
-    pairs; ``generators`` and ``elements`` are boxed on first read."""
+    """Finite group of isometries, kept as its generators' scaled pairs and
+    its order; ``generators`` are boxed on first read."""
 
     space: QuadSpace
     scaled_generators: tuple
-    scaled_elements: list
+    order: int
 
     @classmethod
     def build(cls, space: QuadSpace, generators, cap: int = 4096) -> "GroupAction":
         gens, gram = tuple(scaled(g) for g in generators), space.scaled_gram
         if not all(same(product((g[0].T, g[1]), gram, g), gram) for g in gens):
             raise DomainError("group generator is not an isometry of the form")
-        return cls(space, gens, [m for m, in _closure([(g,) for g in gens], [space.dim], cap)])
+        return cls(space, gens, len(_closure([(g,) for g in gens], [space.dim], cap)))
 
     @classmethod
     def trivial(cls, space: QuadSpace) -> "GroupAction":
@@ -236,15 +225,7 @@ class GroupAction:
 
     @cached_property
     def generators(self) -> tuple:
-        return tuple(_readonly(boxed(*m)) for m in self.scaled_generators)
-
-    @cached_property
-    def elements(self) -> list:
-        return [boxed(*m) for m in self.scaled_elements]
-
-    @property
-    def order(self) -> int:
-        return len(self.scaled_elements)
+        return tuple(readonly(boxed(*m)) for m in self.scaled_generators)
 
     def fixes(self, v) -> bool:
         sv = scaled(v)
@@ -273,55 +254,60 @@ def reflect_to(space: QuadSpace, x, y) -> Isometry:
 
     Product of at most two reflections in vectors from span{x, y}; in
     particular it fixes the orthogonal complement of span{x, y} pointwise.
+    Works on the integer rows of x and y over one common denominator.
     """
-    x = np.asarray(x, dtype=object)
-    y = np.asarray(y, dtype=object)
-    qx, qy = space.q(x), space.q(y)
-    if qx != qy:
+    (xn, xd), (yn, yd) = scaled(x), scaled(y)
+    xn, yn = xn * yd, yn * xd
+    g = space.scaled_gram[0]
+    qx = np.dot(np.dot(xn, g), xn)
+    if qx != np.dot(np.dot(yn, g), yn):
         raise DomainError("vectors must have the same length")
     if qx == 0:
         raise DomainError("vectors must be anisotropic")
-    if mat_eq(x, y):
+    if np.array_equal(xn, yn):
         return Isometry.identity(space)
-    diff = x - y
-    if space.q(diff) != 0:
+    diff = xn - yn
+    if np.dot(np.dot(diff, g), diff) != 0:
         return Isometry.reflection(space, diff)
     # q(x-y) + q(x+y) = 4 q(x) != 0, so x+y is anisotropic here
-    first = Isometry.reflection(space, x + y)  # x |-> -y
-    return Isometry.reflection(space, y).compose(first)  # -y |-> y
+    first = Isometry.reflection(space, xn + yn)  # x |-> -y
+    return Isometry.reflection(space, yn).compose(first)  # -y |-> y
 
 
-def _orthogonalize(space: QuadSpace, vectors):
-    """Orthogonal basis of span(vectors) with all q-values nonzero.
+def _orthogonalize(space: QuadSpace, rows):
+    """Orthogonal basis of the span of integer rows, all q-values nonzero,
+    as integer rows.
 
-    Gram-Schmidt with anisotropic pivot selection: take the first remaining
-    vector with q != 0, otherwise some v_i + v_j with <v_i, v_j> != 0; if
-    neither exists the span is degenerate.  Returns (basis, coeffs) with
-    coeffs expressing each output in terms of the input vectors.
+    Fraction-free Gram-Schmidt with anisotropic pivot selection: take the
+    first remaining row w with q(w) != 0, otherwise some v_i + v_j with
+    <v_i, v_j> != 0; if neither exists the span is degenerate.  Each remaining
+    row v becomes q(w) v - <v, w> w over its own content, a multiple of the
+    Fraction projection with entries as small; without the division they grow
+    exponentially (Erlingsson, Kaltofen and Musser, ISSAC 1996).  A pair pivot
+    after a projection sums rows of unrelated scales, so from there the basis
+    need not be a rescaling of the Fraction route's.
     """
-    remaining = [np.asarray(v, dtype=object) for v in vectors]
-    coords = list(eye(len(remaining)))
-    out, out_coords = [], []
+    g = space.scaled_gram[0]
+    remaining, out = list(rows), []
     while remaining:
-        pivot = next((i for i, v in enumerate(remaining) if space.q(v) != 0), None)
+        pivot = next((i for i, v in enumerate(remaining) if np.dot(np.dot(v, g), v) != 0), None)
         if pivot is not None:
-            w, wc = remaining.pop(pivot), coords.pop(pivot)
+            w = remaining.pop(pivot)
         else:
             pair = next(((i, j) for i in range(len(remaining)) for j in range(i + 1, len(remaining))
-                         if space.bilinear(remaining[i], remaining[j]) != 0), None)
+                         if np.dot(np.dot(remaining[i], g), remaining[j]) != 0), None)
             if pair is None:
                 raise DomainError("unsupported: degenerate complement")
             i, j = pair
             # keep v_j: the projection below makes it orthogonal to w
-            w, wc = remaining[i] + remaining[j], coords[i] + coords[j]
-            del remaining[i], coords[i]
-        qw = space.q(w)
-        for k in range(len(remaining)):
-            t = space.bilinear(remaining[k], w) / qw
-            remaining[k], coords[k] = remaining[k] - w * t, coords[k] - wc * t
+            w = remaining[i] + remaining[j]
+            del remaining[i]
+        gw = np.dot(g, w)
+        qw = np.dot(w, gw)
+        projected = (v * qw - w * np.dot(v, gw) for v in remaining)
+        remaining = [v // (math.gcd(*v) or 1) for v in projected]
         out.append(w)
-        out_coords.append(wc)
-    return out, out_coords
+    return np.array(out, dtype=object).reshape(len(out), space.dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,8 +340,7 @@ def equivariant_witt(g1: GroupAction, w1_basis, g2: GroupAction, w2_basis,
     complement").
     """
     v1, v2 = g1.space, g2.space
-    w1 = [np.asarray(w, dtype=object) for w in w1_basis]
-    w2 = [np.asarray(w, dtype=object) for w in w2_basis]
+    w1, w2 = list(w1_basis), list(w2_basis)
     if len(w1) != len(w2):
         raise StructureError("W1 and W2 must have equal dimension")
     if not all(map(g1.fixes, w1)):
@@ -378,14 +363,16 @@ def equivariant_witt(g1: GroupAction, w1_basis, g2: GroupAction, w2_basis,
         raise DomainError("phi_V is not invertible")
     phi_v.require_equivariant(g1, g2, "phi_V")
 
-    # Orthogonalize W1 and carry the same combinations through psi_W.
-    diag1, dcoords = _orthogonalize(v1, w1)
-    w2_mat = scaled(np.stack(w2, axis=1) if w2 else zeros(v2.dim, 0))
-    for wj, cj in zip(diag1, dcoords):
-        y, tj = product(phi, scaled(wj)), product(w2_mat, psi_w.scaled_matrix, scaled(cj))
-        if not same(y, tj):
-            phi = product(reflect_to(v2, boxed(*y), boxed(*tj)).scaled_matrix, phi)
-            assert same(product(phi, scaled(wj)), tj)
+    # orthogonalize W1 on integer rows B; W1^T c = B^T, and W2 psi_W c are the targets
+    (w1n, w1d), (w2n, w2d) = (scaled(np.stack(w) if w else zeros(0, v1.dim)) for w in (w1, w2))
+    basis = _orthogonalize(v1, w1n)
+    tn, td = product((w2n.T, w2d), psi_w.scaled_matrix, solve_scaled((w1n.T, w1d), (basis.T, 1)))
+    for b, t in zip(basis, tn.T):
+        yn, yd = product(phi, (b, 1))
+        if not same((yn, yd), (t, td)):
+            phi = product(reflect_to(v2, yn * td, t * yd).scaled_matrix, phi)
+            if not same(product(phi, (b, 1)), (t, td)):
+                raise DomainError("extended map misses the prescribed image")
 
     full = Isometry.from_scaled(v1, v2, phi)
     full.require_valid("extended map")

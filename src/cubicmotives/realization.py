@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ShadowViolation, StructureError
 from .gradedring import VarietyData
-from .linalg import boxed, eye, inverse, mat_eq, same, scaled, zeros
+from .linalg import boxed, eye, inverse_scaled, mat_eq, readonly, same, scaled
 from .quadform import QuadSpace
 from .rationals import QQ, rational_str
 from .tautcorr import CorrClass, ck_projectors
@@ -45,7 +45,8 @@ from . import mukai as _mukai
 class Space:
     """Realization space of one variety slot: h-powers plus a V-block.
     ``_gram`` (``prim.scaled_gram``), ``_gram_inv`` and ``scaled_pairing`` are
-    the scaled forms of ``gram``, ``gram_inv`` and ``pairing``, made once."""
+    the canonical scaled forms of ``gram``, ``gram_inv`` and ``pairing``, made
+    once on integers; the latter two are boxed on first read, read-only."""
 
     def __init__(self, vd: VarietyData, prim: QuadSpace | None = None):
         self.vd = vd
@@ -54,20 +55,21 @@ class Space:
         self.r = prim.dim if prim is not None else 0
         self.size = self.hdim + self.r
         self.e = QQ(vd.degree)
+        self.gram, d = (prim.gram, prim.scaled_gram[1]) if prim is not None else (None, 1)
+        pairing = np.zeros((self.size, self.size), dtype=object)
+        pairing[range(self.hdim), range(vd.dim, -1, -1)] = vd.degree * d
         if prim is not None:
-            self.gram = prim.gram
-            self.gram_inv = inverse(prim.gram)
-            self._gram, self._gram_inv = prim.scaled_gram, scaled(self.gram_inv)
-        else:
-            self.gram = None
-            self.gram_inv = None
-        pairing = zeros(self.size, self.size)
-        for i in range(self.hdim):
-            pairing[i, vd.dim - i] = self.e
-        if prim is not None:
-            pairing[self.hdim:, self.hdim:] = prim.gram
-        self.pairing = pairing
-        self.scaled_pairing = scaled(pairing)
+            self._gram, self._gram_inv = prim.scaled_gram, inverse_scaled(prim.scaled_gram)
+            pairing[self.hdim:, self.hdim:] = prim.scaled_gram[0]
+        self.scaled_pairing = pairing, d
+
+    @cached_property
+    def gram_inv(self):
+        return None if self.prim is None else readonly(boxed(*self._gram_inv))
+
+    @cached_property
+    def pairing(self):
+        return readonly(boxed(*self.scaled_pairing))
 
     def __eq__(self, other):
         if not isinstance(other, Space):

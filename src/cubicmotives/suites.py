@@ -424,9 +424,8 @@ def _random_witt_instance(rng: random.Random):
 
     s, s_inv = random_unimodular(rng, n)
     v2 = v1.restrict_scaled((s.T, 1))  # the first form in the basis of the columns of s
-    def conj(ms):  # s^-1 m s are isometries of s^T G s: no second check or closure
-        return [canonical(*product((s_inv, 1), m, (s, 1))) for m in ms]
-    group2 = GroupAction(v2, tuple(conj(group1.scaled_generators)), conj(group1.scaled_elements))
+    conj = tuple(canonical(*product((s_inv, 1), g, (s, 1))) for g in group1.scaled_generators)
+    group2 = GroupAction(v2, conj, group1.order)  # s^-1 g s: no second check or closure
     w2 = np.dot(w1, s_inv.T)
 
     phi = (s_inv, 1)

@@ -12,7 +12,13 @@ numerators, and ``quadform`` checks isometries and closes groups on scaled
 pairs.  ``rref`` to ``inverse``, ``isometry_verify``, ``group_closure`` and
 ``aligned_elements`` below are the routes they replaced: plain ``Fraction``
 Gauss-Jordan, object ``np.dot`` products, ``mat_eq`` comparisons and group
-searches keyed on the ``(numerator, denominator)`` of every entry.
+searches keyed on the ``(numerator, denominator)`` of every entry.  A
+``GroupAction`` keeps only its generators and order, so ``group_closure`` is
+also the element list the tests compare against.
+
+``equivariant_witt`` orthogonalizes W and reflects on integer rows.
+``orthogonalize``, ``reflect_to`` and ``witt_extension`` below are the
+``Fraction``-vector routes they replaced.
 
 ``build_gamma`` and ``build_gamma_cubic_k3`` assemble Gamma on scaled
 integer pairs, and the witt suite builds its random problems on integers.
@@ -282,6 +288,74 @@ def aligned_elements(gram1, gens1, gram2, gens2):
     if not len({_key(m2) for _, m2 in pairs.values()}) == len(pairs) == order1 == order2:
         raise DomainError("group actions are not aligned")
     return list(pairs.values())
+
+
+# --- quadform: the Witt extension on Fraction vectors -------------------------------
+
+
+def _q(gram, x, y=None):
+    return np.dot(x, np.dot(gram, x if y is None else y))
+
+
+def orthogonalize(gram, vectors):
+    """Orthogonal basis of span(vectors) with all q-values nonzero, and the
+    coefficients of each output in the input vectors: Gram-Schmidt with the
+    anisotropic pivot (or the sum of a non-orthogonal isotropic pair)."""
+    remaining = [np.asarray(v, dtype=object) for v in vectors]
+    coords = list(eye(len(remaining)))
+    out, out_coords = [], []
+    while remaining:
+        pivot = next((i for i, v in enumerate(remaining) if _q(gram, v) != 0), None)
+        if pivot is not None:
+            w, wc = remaining.pop(pivot), coords.pop(pivot)
+        else:
+            pair = next(((i, j) for i in range(len(remaining)) for j in range(i + 1, len(remaining))
+                         if _q(gram, remaining[i], remaining[j]) != 0), None)
+            if pair is None:
+                raise DomainError("unsupported: degenerate complement")
+            i, j = pair
+            w, wc = remaining[i] + remaining[j], coords[i] + coords[j]
+            del remaining[i], coords[i]
+        qw = _q(gram, w)
+        for k in range(len(remaining)):
+            t = _q(gram, remaining[k], w) / qw
+            remaining[k], coords[k] = remaining[k] - w * t, coords[k] - wc * t
+        out.append(w)
+        out_coords.append(wc)
+    return out, out_coords
+
+
+def reflection(gram, u):
+    """z |-> z - 2 <z, u> / q(u) u as a Fraction matrix."""
+    gu = np.dot(gram, u)
+    return eye(len(u)) - np.multiply.outer(u, gu) * (QQ(2) / np.dot(u, gu))
+
+
+def reflect_to(gram, x, y):
+    """Matrix of R_{x-y}, or of R_y R_{x+y} when x - y is isotropic."""
+    x, y = np.asarray(x, dtype=object), np.asarray(y, dtype=object)
+    qx = _q(gram, x)
+    if qx != _q(gram, y):
+        raise DomainError("vectors must have the same length")
+    if qx == 0:
+        raise DomainError("vectors must be anisotropic")
+    if mat_eq(x, y):
+        return eye(len(x))
+    if _q(gram, x - y) != 0:
+        return reflection(gram, x - y)
+    return np.dot(reflection(gram, y), reflection(gram, x + y))
+
+
+def witt_extension(gram1, w1_basis, gram2, w2_basis, phi, psi):
+    """phi_V after the reflection loop of the equivariant Witt extension:
+    the orthogonalized W1 carried one vector at a time onto W2 psi_W."""
+    basis, coeffs = orthogonalize(gram1, w1_basis)
+    w2 = np.stack(w2_basis, axis=1) if len(w2_basis) else zeros(len(gram2), 0)
+    for w, c in zip(basis, coeffs):
+        y, t = np.dot(phi, w), np.dot(w2, np.dot(psi, c))
+        if not mat_eq(y, t):
+            phi = np.dot(reflect_to(gram2, y, t), phi)
+    return phi
 
 
 # --- motiveiso: Gamma assembled on Fraction arrays ---------------------------------

@@ -76,6 +76,31 @@ CATALOGUE = (
            "solve_scaled((u2[0].T, u2[1]), product(phi, (u1[0].T, u1[1])))",
            "solve_scaled((u2[0].T, 1), product(phi, (u1[0].T, u1[1])))",
            ("tests/test_quadform.py::test_witt_complement_matches_fraction_route",)),
+    Mutant("echelon-accepts-non-integers", "linalg",
+           "if not set(map(type, m.flat)) <= {int}:", "if False:",
+           ("tests/test_linalg.py::test_eliminations_reject_non_integer_numerators",)),
+    Mutant("orthogonalize-drops-content", "quadform",
+           "remaining = [v // (math.gcd(*v) or 1) for v in projected]",
+           "remaining = list(projected)",
+           ("tests/test_quadform.py::test_orthogonalize_keeps_entries_small_on_a_dense_form",)),
+    Mutant("orthogonalize-isotropic-pair-pivot", "quadform",
+           "w = remaining[i] + remaining[j]", "w = remaining[i]",
+           ("tests/test_quadform.py::test_orthogonalize_keeps_both_vectors_of_an_isotropic_pair",
+            "tests/test_quadform.py::test_equivariant_witt_prescription_on_isotropic_basis")),
+    Mutant("reflect-to-drops-common-scale", "quadform",
+           "xn, yn = xn * yd, yn * xd", "xn, yn = xn * yd, yn",
+           ("tests/test_quadform.py::test_reflect_to_brings_rows_to_one_denominator",)),
+    Mutant("group-order-off-by-one", "quadform",
+           "len(_closure([(g,) for g in gens], [space.dim], cap))",
+           "len(_closure([(g,) for g in gens], [space.dim], cap)) + 1",
+           ("tests/test_quadform.py::test_group_closure_and_order",)),
+    Mutant("aligned-elements-drops-bijection", "quadform",
+           "if not len({_key(m2) for _, m2 in pairs}) == len(pairs) == g1.order == g2.order:",
+           "if False:", ("tests/test_quadform.py::test_aligned_elements",)),
+    Mutant("witt-prescription-unchecked", "quadform",
+           "if not same(product(phi, (b, 1)), (t, td)):", "if False:",
+           ("tests/test_quadform.py::"
+            "test_equivariant_witt_raises_when_the_extension_misses_the_prescription",)),
 )
 
 

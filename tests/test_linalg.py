@@ -13,6 +13,7 @@ Fraction-array oracle in ``test_fraction_oracle.py``."""
 from fractions import Fraction
 
 import numpy as np
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -267,3 +268,16 @@ def test_pair_eliminations_edge_cases():
     rows, p = kernel_scaled(m)
     assert (m == _ints([[0, 1, 1], [2, 0, 1]])).all()
     assert list(boxed(rows, p)[0]) == [QQ(-1, 2), -1, 1]
+
+
+def test_eliminations_reject_non_integer_numerators():
+    # floor division is exact only on integers: with b = [1/2, 1/3] as a
+    # numerator the elimination would return [1/5, 0], not [7/30, 1/30]
+    a, b = _ints([[2, 1], [1, 3]]), np.array([QQ(1, 2), QQ(1, 3)], dtype=object)
+    with pytest.raises(TypeError, match="integer numerators"):
+        solve_scaled((a, 1), (b, 1))
+    _same(solve(a, b), np.array([QQ(7, 30), QQ(1, 30)], dtype=object))
+    with pytest.raises(TypeError, match="integer numerators"):
+        kernel_scaled(np.array([[QQ(1, 2), 1]], dtype=object))
+    # integers of any width or numpy dtype are numerators
+    assert rank(np.array([[1, 2], [2, 4]], dtype=np.int64)) == 1

@@ -6,12 +6,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fraction_oracle as oracle
 from dense_oracle import dense_transport
 from cubicmotives.errors import DomainError, StructureError
 from cubicmotives.gradedring import VarietyData
-from cubicmotives.linalg import dot, eye, inverse, mat_eq, qmat, qvec, scaled, zeros
+from cubicmotives.linalg import dot, eye, inverse, mat_eq, qmat, qvec, scaled, solve, zeros
 from cubicmotives.motiveiso import (FourfoldData, GammaCert, SurfaceData, _alg_tensor_pair,
                                     _transcendental_bases, build_gamma,
                                     build_gamma_cubic_k3, build_refined_projectors,
@@ -202,10 +204,15 @@ def _witt_route(dx, dy, iso_tr):
     return RealizedClass((dx.space, dy.space), comps), phi_v, wr
 
 
-@pytest.mark.parametrize("rank", [6, 22])
-def test_gamma_from_phi_v_matches_witt_route(rank):
-    for seed in range(20):
-        dx, dy, iso = random_fourfold_pair(seed, rank=rank)
+@pytest.fixture(scope="module", params=[6, 22])
+def fourfold_pairs(request):
+    """``random_fourfold_pair`` seeds 0-19 at one rank, built once for the
+    two Gamma oracles below."""
+    return [random_fourfold_pair(seed, rank=request.param) for seed in range(20)]
+
+
+def test_gamma_from_phi_v_matches_witt_route(fourfold_pairs):
+    for seed, (dx, dy, iso) in enumerate(fourfold_pairs):
         got = build_gamma(dx, dy, iso).gamma
         want, phi_v, wr = _witt_route(dx, dy, iso)
         # the Witt pass is a no-op: phi_V already meets the prescription
@@ -213,6 +220,44 @@ def test_gamma_from_phi_v_matches_witt_route(rank):
         assert got.comps.keys() == want.comps.keys()
         for key, val in want.comps.items():
             assert mat_eq(got.comps[key], val), (seed, key)
+
+
+# --------------------------------------------------------------------------
+# Gamma through the public API on Gram matrices with denominators above 1
+
+
+def _rational_conjugate(d, s):
+    """The fourfold datum d in the basis of the columns of the rational
+    matrix s: Gram s^T G s, classes and group conjugated along."""
+    s_inv = inverse(s)
+    prim = QuadSpace(dot(s.T, d.cfg.prim.gram, s))
+    group = GroupAction.build(prim, [dot(s_inv, g, s) for g in d.group.generators])
+    return FourfoldData(RealizationConfig(prim=prim), tuple(dot(s_inv, a) for a in d.alg_basis),
+                        group), s_inv
+
+
+@pytest.mark.parametrize("rank, examples", [(6, 20), (22, 10)])
+def test_gamma_on_rational_conjugates_passes_every_check(rank, examples):
+    fractional = [QQ(1, 2), QQ(-2, 3), QQ(3, 2), QQ(1, 3)]
+    scales = st.lists(st.sampled_from([1, -1, 2] + fractional), min_size=rank, max_size=rank)
+
+    @settings(max_examples=examples, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**16), basis_seed=st.integers(0, 2**16),
+           scale=scales.filter(lambda c: any(x in fractional for x in c)))
+    def check(seed, basis_seed, scale):
+        dx, dy, iso = random_fourfold_pair(seed, rank=rank)
+        u, _ = random_unimodular(random.Random(basis_seed), rank)
+        s = dot(u, np.diag([QQ(c) for c in scale]).astype(object))  # not unimodular
+        dz, s_inv = _rational_conjugate(dy, s)
+        assume(any(x.denominator > 1 for x in dz.cfg.prim.gram.flat))
+        (by, ty), (bz, tz) = dy.transcendental(), dz.transcendental()
+        yz = Isometry(ty, tz, solve(np.stack(bz, axis=1), dot(s_inv, np.stack(by, axis=1))))
+        cert = build_gamma(dx, dz, yz.compose(iso))
+        assert cert.passed(), [c["id"] for c in cert.checks if not c["passed"]]
+        fr = verify_frobenius(cert)
+        assert all(c["passed"] for c in fr), [c["id"] for c in fr if not c["passed"]]
+
+    check()
 
 
 # --------------------------------------------------------------------------
@@ -237,10 +282,8 @@ def _same_transcendental(d, prim, alg):
     assert mat_eq(space.gram, want_gram) and mat_eq(restricted.gram, want_gram)
 
 
-@pytest.mark.parametrize("rank", [6, 22])
-def test_gamma_matches_fraction_assembly(rank):
-    for seed in range(20):
-        dx, dy, iso = random_fourfold_pair(seed, rank=rank)
+def test_gamma_matches_fraction_assembly(fourfold_pairs):
+    for seed, (dx, dy, iso) in enumerate(fourfold_pairs):
         _same_class(build_gamma(dx, dy, iso).gamma, oracle.build_gamma_assembly(dx, dy, iso),
                     seed)
         for d in (dx, dy):

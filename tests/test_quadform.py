@@ -1,9 +1,11 @@
 """Quadratic spaces, isometries, finite group actions, and the equivariant
 extension theorem, including a randomized property run.  Isometry checks and
-group searches run on scaled integer pairs; they are compared with the
+group searches run on scaled integer pairs, and the Witt extension's
+Gram-Schmidt and reflections on integer rows; they are compared with the
 ``Fraction`` routes they replaced (``fraction_oracle``) on groups conjugated
-into entries with non-unit denominators."""
+into entries with non-unit denominators and on the witt suite's instances."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -14,10 +16,13 @@ from hypothesis import strategies as st
 import fraction_oracle as oracle
 
 from cubicmotives.errors import DomainError, StructureError
-from cubicmotives.linalg import dot, eye, inverse, kernel_basis, mat_eq, qmat, qvec, zeros
+from cubicmotives import quadform
+from cubicmotives.linalg import (dot, eye, inverse, kernel_basis, mat_eq, qmat, qvec, rank,
+                                 scaled, solve, zeros)
+from cubicmotives.motiveiso import random_unimodular
 from cubicmotives.quadform import (GroupAction, Isometry, QuadSpace, WittResult,
-                                   aligned_elements, equivariant_witt, group_closure,
-                                   reflect_to, _orthogonalize)
+                                   aligned_elements, equivariant_witt, reflect_to,
+                                   _orthogonalize)
 from cubicmotives.rationals import QQ
 from cubicmotives.suites import _random_witt_instance
 
@@ -130,7 +135,7 @@ def test_group_closure_cap():
     hyp = QuadSpace(qmat([[QQ(0), QQ(1)], [QQ(1), QQ(0)]]))
     boost = qmat([[QQ(2), QQ(0)], [QQ(0), QQ(1, 2)]])
     with pytest.raises(DomainError, match="not verifiably finite"):
-        group_closure(hyp, [boost], cap=64)
+        GroupAction.build(hyp, [boost], cap=64)
 
 
 def test_aligned_elements():
@@ -163,7 +168,7 @@ def test_equivariant_transport():
     iso = reflect_to(v, x, y)
     assert iso.verify()
     assert mat_eq(iso(x), y)
-    for m in grp.elements:
+    for m in oracle.group_closure(v.gram, grp.generators):
         assert mat_eq(iso.matrix.dot(m), m.dot(iso.matrix))
 
 
@@ -242,11 +247,12 @@ def test_orthogonalize_keeps_both_vectors_of_an_isotropic_pair():
     # must stay behind and be projected, not dropped with the first
     v = diag_space(1, -1)
     vecs = [qvec([1, 1]), qvec([1, -1])]
-    basis, coeffs = _orthogonalize(v, vecs)
+    basis = _orthogonalize(v, scaled(np.stack(vecs))[0])
     assert len(basis) == 2
     assert v.bilinear(basis[0], basis[1]) == 0
     assert all(v.q(b) != 0 for b in basis)
-    for b, c in zip(basis, coeffs):
+    for b in basis:
+        c = solve(np.stack(vecs, axis=1), b)  # raises unless b is in the span
         assert mat_eq(b, vecs[0] * c[0] + vecs[1] * c[1])
 
 
@@ -381,8 +387,9 @@ def test_verify_and_closure_match_oracle(data):
                                                           (s, gram, base), (s + noise, gram, base)]:
         got = Isometry(QuadSpace(src), QuadSpace(tgt), m).verify()
         assert got == oracle.isometry_verify(m, src, tgt)
-    got, want = group_closure(QuadSpace(gram), gens), oracle.group_closure(gram, gens)
-    assert len(got) == len(want)
+    group, want = GroupAction.build(QuadSpace(gram), gens), oracle.group_closure(gram, gens)
+    got = [m for m, _ in aligned_elements(group, group)]
+    assert group.order == len(got) == len(want)
     assert all(mat_eq(a, b) for a, b in zip(got, want))
 
 
@@ -464,21 +471,86 @@ def test_random_witt_instance_matches_fraction_route():
                 assert len(got) == len(want), (seed, i)
                 assert all(mat_eq(a, b) for a, b in zip(got, want)), (seed, i)
                 assert all(type(x) is QQ for a in got for x in a.flat)
-            for group, gram, gens in ((group1, g1, gens1), (group2, g2, gens2)):
+            pairs = aligned_elements(group1, group2)
+            for k, (group, gram, gens) in enumerate(((group1, g1, gens1), (group2, g2, gens2))):
                 want_elements = oracle.group_closure(gram, gens)
-                assert group.order == len(want_elements)
-                assert all(mat_eq(a, b) for a, b in zip(group.elements, want_elements))
+                assert group.order == len(pairs) == len(want_elements)
+                assert all(mat_eq(p[k], b) for p, b in zip(pairs, want_elements))
 
 
 def test_group_action_boxes_once_on_read():
     v = diag_space(1, 2, -1)
     flip = np.diag([1, -1, 1]).astype(object)  # integers are exact arrays too
     grp = GroupAction.build(v, [flip])
-    assert "generators" not in grp.__dict__ and "elements" not in grp.__dict__
+    assert [f.name for f in dataclasses.fields(grp)] == ["space", "scaled_generators", "order"]
+    assert "generators" not in grp.__dict__
     (gen,) = grp.generators
     assert mat_eq(gen, flip) and all(type(x) is QQ for x in gen.flat)
     with pytest.raises(ValueError):
         gen[0, 0] = QQ(2)
-    assert grp.generators is grp.generators and grp.elements is grp.elements
-    assert grp.order == 2
-    assert all(mat_eq(a, b) for a, b in zip(grp.elements, group_closure(v, [flip])))
+    assert grp.generators is grp.generators
+    assert grp.order == 2 == len(oracle.group_closure(v.gram, [flip]))
+
+
+# --------------------------------------------------------------------------
+# the Witt extension on integer rows against the Fraction-vector route
+
+
+def _same_line(row, vec) -> bool:
+    return rank(np.stack([row, vec])) == 1 and any(x != 0 for x in row)
+
+
+def test_witt_extension_matches_fraction_route():
+    rng = random.Random(0)  # the witt suite's 200 instances at seed 0
+    for i in range(200):
+        group1, w1, group2, w2, phi_v, psi_w = _random_witt_instance(rng)
+        v1, v2 = group1.space, group2.space
+        rows = scaled(np.stack(w1))[0] if w1 else np.zeros((0, v1.dim), dtype=object)
+        basis, (want_basis, _) = _orthogonalize(v1, rows), oracle.orthogonalize(v1.gram, w1)
+        assert len(basis) == len(want_basis), i
+        assert all(_same_line(b, w) for b, w in zip(basis, want_basis)), i
+        wr = equivariant_witt(group1, w1, group2, w2, phi_v, psi_w)
+        want = oracle.witt_extension(v1.gram, w1, v2.gram, w2, phi_v.matrix, psi_w.matrix)
+        assert mat_eq(wr.full.matrix, want), i
+
+
+def test_orthogonalize_keeps_entries_small_on_a_dense_form():
+    # dim W = 12 in a rank-14 non-diagonal form: the rows stay on the lines of
+    # the Fraction route's, and per-row content division keeps them as short
+    # (61 bits here, 60 for the Fraction route; about 690,000 bits without it)
+    rng = random.Random(12)
+    u, _ = random_unimodular(rng, 14)
+    d = np.diag([rng.choice((1, 2, 3, -1, -2, 5)) for _ in range(14)]).astype(object)
+    space = QuadSpace(qmat(np.dot(u.T, np.dot(d, u)).tolist()))
+    g = space.scaled_gram[0]
+    assert sum(g[i, j] != 0 for i in range(14) for j in range(14) if i != j) > 0
+    rows = np.array([[rng.randint(-3, 3) for _ in range(14)] for _ in range(12)], dtype=object)
+    assert rank(np.dot(np.dot(rows, g), rows.T)) == 12
+    basis = _orthogonalize(space, rows)
+    want, _ = oracle.orthogonalize(space.gram, list(qmat(rows.tolist())))
+    assert len(basis) == 12 and all(_same_line(b, w) for b, w in zip(basis, want))
+    assert max(abs(x).bit_length() for x in basis.flat) <= 128
+
+
+def test_reflect_to_brings_rows_to_one_denominator():
+    # x = (1/2, 0) and y = (0, 1) under diag(4, 1): equal lengths only over
+    # a common denominator
+    v = diag_space(4, 1)
+    x, y = qvec([QQ(1, 2), 0]), qvec([0, 1])
+    iso = reflect_to(v, x, y)
+    assert mat_eq(iso(x), y) and iso.verify()
+    assert mat_eq(iso.matrix, oracle.reflect_to(v.gram, x, y))
+    x3, y3 = qvec([QQ(1, 3), QQ(2, 3), QQ(2, 3)]), qvec([QQ(3, 5), QQ(4, 5), 0])
+    v3 = diag_space(1, 1, 1)
+    assert v3.q(x3) == v3.q(y3)
+    assert mat_eq(reflect_to(v3, x3, y3).matrix, oracle.reflect_to(v3.gram, x3, y3))
+
+
+def test_equivariant_witt_raises_when_the_extension_misses_the_prescription(monkeypatch):
+    v = diag_space(1, 1, -2)
+    grp = GroupAction.trivial(v)
+    w = [qvec([1, 0, 0])]
+    psi = Isometry(v.restrict(w), v.restrict(w), qmat([[QQ(-1)]]))
+    monkeypatch.setattr(quadform, "reflect_to", lambda space, x, y: Isometry.identity(space))
+    with pytest.raises(DomainError, match="misses the prescribed image"):
+        equivariant_witt(grp, w, grp, w, Isometry.identity(v), psi)
