@@ -18,6 +18,7 @@ its results as pairs; ``rref``, ``rank``, ``kernel_basis``, ``solve`` and
 from __future__ import annotations
 
 import math
+from numbers import Rational
 
 import numpy as np
 
@@ -59,9 +60,14 @@ def scaled(a):
     denominator with a = n / d.
 
     d is the lcm of the entries' denominators, so for entries in lowest terms
-    gcd(d, every entry of n) = 1."""
+    gcd(d, every entry of n) = 1.  An entry that is not a rational (a float, a
+    string) raises TypeError."""
     a = np.asarray(a, dtype=object)
-    pq = [(x.numerator, x.denominator) for x in a.flat]
+    try:
+        pq = [(x.numerator, x.denominator) for x in a.flat]
+    except AttributeError:
+        bad = next(x for x in a.flat if not isinstance(x, Rational))
+        raise TypeError(f"not an exact rational entry: {type(bad).__name__}") from None
     d = math.lcm(*(q for _, q in pq))
     n = np.array([p * (d // q) for p, q in pq], dtype=object)
     return (n.reshape(a.shape) if a.ndim else n[0]), d

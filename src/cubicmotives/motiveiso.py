@@ -51,18 +51,20 @@ from .tautcorr import CorrClass, ck_projectors
 
 
 def _as_vectors(prim: QuadSpace, vecs, what: str):
+    """The vectors as rationals; dimension, then anisotropy and orthogonality
+    read vector by vector off one restricted Gram."""
     out = []
     for v in vecs:
         a = np.asarray([QQ(x) for x in v], dtype=object)
         if a.shape != (prim.dim,):
             raise StructureError(f"{what} vector of the wrong dimension")
         out.append(a)
-    for i, a in enumerate(out):
-        if prim.q(a) == 0:
+    g = prim.restrict(out).scaled_gram[0]
+    for i in range(len(out)):
+        if g[i, i] == 0:
             raise StructureError(f"{what} must consist of anisotropic vectors")
-        for b in out[:i]:
-            if prim.bilinear(a, b) != 0:
-                raise StructureError(f"{what} must be orthogonal")
+        if any(g[i, :i]):
+            raise StructureError(f"{what} must be orthogonal")
     return tuple(out)
 
 
@@ -138,9 +140,7 @@ class SurfaceData:
     def transcendental_scaled(self):
         return _transcendental_scaled(self.prim2, self.ns_basis)
 
-    def transcendental(self):
-        rows, space = self.transcendental_scaled()
-        return list(boxed(*rows)), space
+    transcendental = FourfoldData.transcendental
 
 
 # --- refined projectors -------------------------------------------------------
@@ -406,38 +406,33 @@ def random_fourfold_pair(seed: int, rank: int = 6):
     The target is the source conjugated by a known unimodular change of
     basis, so every certificate identity is constructively satisfiable; the
     group is a sign-flip group on transcendental coordinates, conjugated
-    along.
+    along (:meth:`GroupAction.conjugated`).  Built on integers.
     """
     rng = random.Random(seed)
     alg_rank = rng.randrange(0, 4)
     if alg_rank > rank - 2:
         raise StructureError("algebraic rank too large for the chosen rank")
-    g1 = random_diag_gram(rng, rank)
-    prim1 = QuadSpace(g1)
-    alg1 = [eye(rank)[i].copy() for i in range(alg_rank)]
-
+    prim1 = QuadSpace(random_diag_gram(rng, rank))
+    unit = np.eye(rank, dtype=int).astype(object)
+    flips = unit.copy()
     fixed_t = list(range(alg_rank, rank))
-    flips = eye(rank)
     for i in range(alg_rank, rank):
         if rng.random() < 0.5:
-            flips[i, i] = QQ(-1)
+            flips[i, i] = -1
             fixed_t.remove(i)
     group1 = GroupAction.build(prim1, [flips])
 
     s, s_inv = random_unimodular(rng, rank)
-    prim2 = QuadSpace(dot(s.T, g1, s))
-    alg2 = [dot(s_inv, a) for a in alg1]
-    group2 = GroupAction.build(prim2, [dot(s_inv, flips, s)])
-
-    dx = FourfoldData(RealizationConfig(prim=prim1), tuple(alg1), group1)
-    dy = FourfoldData(RealizationConfig(prim=prim2), tuple(alg2), group2)
+    group2 = group1.conjugated(s, s_inv)
+    dx = FourfoldData(RealizationConfig(prim=prim1), tuple(unit[:alg_rank]), group1)
+    dy = FourfoldData(RealizationConfig(prim=group2.space), tuple(s_inv[:, :alg_rank].T), group2)
 
     iso_tr = _conjugation_iso(dx, dy, s_inv)
     # optionally precompose with a reflection in a group-fixed transcendental
     # direction, so the certified map is not bare conjugation
     if fixed_t and rng.random() < 0.7:
-        w = zeros(iso_tr.source.dim)
-        w[rng.choice(fixed_t) - alg_rank] = QQ(1)
+        w = np.zeros(iso_tr.source.dim, dtype=int).astype(object)
+        w[rng.choice(fixed_t) - alg_rank] = 1
         iso_tr = iso_tr.compose(Isometry.reflection(iso_tr.source, w))
     return dx, dy, iso_tr
 
@@ -446,8 +441,8 @@ def random_cubic_k3_pair(seed: int, rank: int = 6):
     """A fourfold datum and a K3 datum with matched transcendental shadows,
     related by a known unimodular conjugation."""
     rng = random.Random(seed)
-    g1 = random_diag_gram(rng, rank)
-    dx = FourfoldData(RealizationConfig(prim=QuadSpace(g1)))
+    prim = QuadSpace(random_diag_gram(rng, rank))
+    dx = FourfoldData(RealizationConfig(prim=prim))
     s, s_inv = random_unimodular(rng, rank)
-    ds = SurfaceData(VarietyData.k3(), QuadSpace(dot(s.T, g1, s)))
+    ds = SurfaceData(VarietyData.k3(), prim.restrict_scaled((s.T, 1)))
     return dx, ds, _conjugation_iso(dx, ds, s_inv)

@@ -15,12 +15,13 @@ h-power span and realize an A2 intersection pattern there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .errors import DomainError, StructureError
 from .gradedring import TruncPoly, VarietyData, dual, integrate, mukai_vector_line, tangent_chern
-from .linalg import qvec, zeros
+from .linalg import qvec, same, zeros
 from .quadform import QuadSpace
 from .rationals import QQ
 from .tautcorr import CorrClass, compose, intersect, pull, push
@@ -58,8 +59,11 @@ class MukaiSpace:
     def line_vector(self, i: int) -> "MSElement":
         return self.element(mukai_vector_line(self.vd, i))
 
+    def _same(self, other: "MukaiSpace") -> bool:  # the same variety data and Gram
+        return self.vd == other.vd and same(self.prim.scaled_gram, other.prim.scaled_gram)
+
     def pairing(self, a: "MSElement", b: "MSElement"):
-        if a.space is not self and a.space.vd != self.vd:
+        if not (self._same(a.space) and self._same(b.space)):
             raise StructureError("element from another space")
         return mukai_pairing(a.poly, b.poly) + self.prim.bilinear(a.prim, b.prim)
 
@@ -71,10 +75,12 @@ class MSElement:
     prim: np.ndarray
 
     def __add__(self, other):
+        if not self.space._same(other.space):
+            raise StructureError("elements of different spaces")
         return MSElement(self.space, self.poly + other.poly, self.prim + other.prim)
 
     def __sub__(self, other):
-        return MSElement(self.space, self.poly - other.poly, self.prim - other.prim)
+        return self + other.scale(-1)
 
     def scale(self, t):
         t = QQ(t)
@@ -83,6 +89,7 @@ class MSElement:
     def __eq__(self, other):
         return (
             isinstance(other, MSElement)
+            and self.space._same(other.space)
             and self.poly == other.poly
             and all(x == y for x, y in zip(self.prim, other.prim))
         )
@@ -121,11 +128,7 @@ def kuznetsov_project(space: MukaiSpace, a: MSElement) -> MSElement:
 
 def poly_to_corr(a: TruncPoly) -> CorrClass:
     """A polynomial class as a one-slot correspondence."""
-    out = CorrClass.zero(a.vd, 1)
-    for i, c in enumerate(a.coeffs):
-        if c != 0:
-            out = out + CorrClass.h_monomial(a.vd, (i,), c)
-    return out
+    return CorrClass(a.vd, 1, {("h", (i,)): c for i, c in enumerate(a.coeffs)})
 
 
 def corr_to_poly(f: CorrClass) -> TruncPoly:
@@ -152,11 +155,10 @@ def _single_kernel(vd: VarietyData, left_twist: int, right_twist: int) -> CorrCl
     """D - v(O(a)) x v(O(b)): the Mukai-vector shadow of one mutation kernel."""
     va = mukai_vector_line(vd, left_twist)
     vb = mukai_vector_line(vd, right_twist)
-    out = CorrClass.diagonal(vd)
-    for i, ci in enumerate(va.coeffs):
-        for j, cj in enumerate(vb.coeffs):
-            out = out - CorrClass.h_monomial(vd, (i, j), ci * cj)
-    return out
+    terms = {("h", (i, j)): -ci * cj
+             for i, ci in enumerate(va.coeffs) for j, cj in enumerate(vb.coeffs)}
+    terms[("D", 0, 1, 0)] = 1
+    return CorrClass(vd, 2, terms)
 
 
 def kernel_class(vd: VarietyData, side: str) -> CorrClass:
@@ -174,7 +176,4 @@ def kernel_class(vd: VarietyData, side: str) -> CorrClass:
         ks = [_single_kernel(vd, -3 - i, i) for i in (-3, -2, -1)]
     else:
         raise StructureError("side must be 'L' or 'R'")
-    out = ks[0]
-    for k in ks[1:]:
-        out = compose(out, k)
-    return out
+    return reduce(compose, ks)

@@ -4,11 +4,11 @@ Everything here is constructive and certified: each returned map is a matrix
 over Q whose defining identities (isometry, equivariance, prescribed images)
 can be — and in the test-suites are — checked exactly.
 
-Forms and maps are kept and computed on as scaled pairs
-(:func:`cubicmotives.linalg.scaled`: ``scaled_gram``, ``scaled_matrix``), a
-group as its generators' pairs and its order, and Witt vectors as integer rows
-read against ``scaled_gram``; ``gram``, ``matrix``, ``generators`` and the
-aligned pairs stay ``Fraction`` arrays, each boxed at most once.
+A form or a map stores only its canonical scaled pair (``scaled_gram``,
+``scaled_matrix``; :func:`cubicmotives.linalg.scaled`), and ``gram``/``matrix``
+are its read-only ``Fraction`` views, boxed on first read.  A group is its
+generators' pairs and its order; :meth:`GroupAction.conjugated` moves it along a
+unimodular basis change on integers.  Witt vectors are integer rows.
 
 The central algorithm extends a G-equivariant isometry so that it matches a
 prescribed isometry on a G-fixed nondegenerate subspace W, by composing with
@@ -56,18 +56,18 @@ class _Frozen:
 
 
 class QuadSpace(_Frozen):
-    """Finite-dimensional Q-vector space with a symmetric bilinear form:
-    ``gram``, a read-only copy (boxed on first read for a restricted space),
-    and its scaled form ``scaled_gram``."""
+    """Finite-dimensional Q-vector space with a symmetric bilinear form, stored
+    as its canonical scaled form ``scaled_gram``; ``gram`` is the read-only
+    ``Fraction`` view, boxed on first read."""
 
     def __init__(self, gram):
-        g = np.array(gram, dtype=object)
+        g = np.asarray(gram, dtype=object)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise StructureError("Gram matrix must be square")
         n, d = scaled(g)
         if not np.array_equal(n, n.T):
             raise StructureError("Gram matrix must be symmetric")
-        self.__dict__.update(gram=readonly(g), scaled_gram=(n, d))
+        self.__dict__.update(scaled_gram=(n, d))
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -106,14 +106,12 @@ class QuadSpace(_Frozen):
 
 
 class Isometry(_Frozen):
-    """Exact isometry source -> target, acting on coordinates by y = M x:
-    ``matrix``, a read-only copy (boxed on first read for one made by
-    :meth:`from_scaled`), and its scaled form ``scaled_matrix``."""
+    """Exact isometry source -> target, acting on coordinates by y = M x, stored
+    as its canonical scaled form ``scaled_matrix``; ``matrix`` is the read-only
+    ``Fraction`` view, boxed on first read."""
 
     def __init__(self, source: QuadSpace, target: QuadSpace, matrix):
-        m = np.array(matrix, dtype=object)
-        self.__dict__.update(source=source, target=target, matrix=readonly(m),
-                             scaled_matrix=scaled(m))
+        self.__dict__.update(source=source, target=target, scaled_matrix=scaled(matrix))
 
     @classmethod
     def from_scaled(cls, source: QuadSpace, target: QuadSpace, pair) -> "Isometry":
@@ -136,14 +134,17 @@ class Isometry(_Frozen):
         if not self.verify():
             raise DomainError(f"{what} is not an isometry")
 
-    def require_equivariant(self, g1: "GroupAction", g2: "GroupAction", what="map"):
-        """Raise unless the map commutes with each generator pair, hence with
-        every word; an invertible map then conjugates g1 onto g2."""
+    def commutes(self, g1: "GroupAction", g2: "GroupAction") -> bool:
+        """Whether the map commutes with each generator pair, hence with every
+        word (an invertible map that does conjugates g1 onto g2)."""
         if len(g1.scaled_generators) != len(g2.scaled_generators):
             raise StructureError("generator lists must have equal length")
         m = self.scaled_matrix
-        if not all(same(product(m, m1), product(m2, m))
-                   for m1, m2 in zip(g1.scaled_generators, g2.scaled_generators)):
+        return all(same(product(m, m1), product(m2, m))
+                   for m1, m2 in zip(g1.scaled_generators, g2.scaled_generators))
+
+    def require_equivariant(self, g1: "GroupAction", g2: "GroupAction", what="map"):
+        if not self.commutes(g1, g2):
             raise DomainError(f"{what} is not equivariant")
 
     def compose(self, other: "Isometry") -> "Isometry":
@@ -214,10 +215,17 @@ class GroupAction:
 
     @classmethod
     def build(cls, space: QuadSpace, generators, cap: int = 4096) -> "GroupAction":
-        gens, gram = tuple(scaled(g) for g in generators), space.scaled_gram
-        if not all(same(product((g[0].T, g[1]), gram, g), gram) for g in gens):
+        gens = tuple(scaled(g) for g in generators)
+        if not all(Isometry.from_scaled(space, space, g).verify() for g in gens):
             raise DomainError("group generator is not an isometry of the form")
         return cls(space, gens, len(_closure([(g,) for g in gens], [space.dim], cap)))
+
+    def conjugated(self, s, s_inv) -> "GroupAction":
+        """The group in the basis of the columns of a unimodular integer ``s``
+        (inverse ``s_inv``): form s^T G s, generators s^-1 g s, the same order."""
+        return GroupAction(self.space.restrict_scaled((s.T, 1)),
+                           tuple(canonical(*product((s_inv, 1), g, (s, 1)))
+                                 for g in self.scaled_generators), self.order)
 
     @classmethod
     def trivial(cls, space: QuadSpace) -> "GroupAction":

@@ -38,7 +38,7 @@ from .gradedring import VarietyData
 from .linalg import boxed, eye, inverse_scaled, mat_eq, readonly, same, scaled
 from .quadform import QuadSpace
 from .rationals import QQ, rational_str
-from .tautcorr import CorrClass, ck_projectors
+from .tautcorr import CorrClass, ck_projectors, monomial_str
 from . import mukai as _mukai
 
 
@@ -46,7 +46,7 @@ class Space:
     """Realization space of one variety slot: h-powers plus a V-block.
     ``_gram`` (``prim.scaled_gram``), ``_gram_inv`` and ``scaled_pairing`` are
     the canonical scaled forms of ``gram``, ``gram_inv`` and ``pairing``, made
-    once on integers; the latter two are boxed on first read, read-only."""
+    once on integers; those three are boxed on first read, read-only."""
 
     def __init__(self, vd: VarietyData, prim: QuadSpace | None = None):
         self.vd = vd
@@ -55,13 +55,17 @@ class Space:
         self.r = prim.dim if prim is not None else 0
         self.size = self.hdim + self.r
         self.e = QQ(vd.degree)
-        self.gram, d = (prim.gram, prim.scaled_gram[1]) if prim is not None else (None, 1)
+        d = prim.scaled_gram[1] if prim is not None else 1
         pairing = np.zeros((self.size, self.size), dtype=object)
         pairing[range(self.hdim), range(vd.dim, -1, -1)] = vd.degree * d
         if prim is not None:
             self._gram, self._gram_inv = prim.scaled_gram, inverse_scaled(prim.scaled_gram)
             pairing[self.hdim:, self.hdim:] = prim.scaled_gram[0]
         self.scaled_pairing = pairing, d
+
+    @property
+    def gram(self):
+        return None if self.prim is None else self.prim.gram
 
     @cached_property
     def gram_inv(self):
@@ -91,11 +95,8 @@ class Space:
         return ks
 
 
-def _default_gram(rank: int = 22, minus: int = 2) -> np.ndarray:
-    g = eye(rank)
-    for i in range(rank - minus, rank):
-        g[i, i] = QQ(-1)
-    return g
+# the default primitive Gram: diag(1^20, (-1)^2), rank 22
+_DEFAULT_GRAM = readonly(np.diag([1] * 20 + [-1] * 2).astype(object))
 
 
 class RealizationConfig:
@@ -108,7 +109,7 @@ class RealizationConfig:
 
     def __init__(self, vd: VarietyData | None = None, prim: QuadSpace | None = None):
         self.vd = vd if vd is not None else VarietyData.cubic_fourfold()
-        self.prim = prim if prim is not None else QuadSpace(_default_gram())
+        self.prim = prim if prim is not None else QuadSpace(_DEFAULT_GRAM)
         self.space = Space(self.vd, self.prim)
 
     @classmethod
@@ -408,21 +409,18 @@ def realize(x: CorrClass, cfg: RealizationConfig | Space) -> RealizedClass:
     if x.vd != space.vd:
         raise StructureError("correspondence and configuration disagree on the variety")
     spaces = (space,) * x.n
-    out = RealizedClass(spaces, {})
-    delta_cache = None
+    hterms = {tuple(("h", a) for a in mon[1]): c for mon, c in x.terms.items() if mon[0] == "h"}
+    out = RealizedClass(spaces, hterms)  # the h-part in one constructor call
     for mon, c in x.terms.items():
-        if mon[0] == "h":
-            sig = tuple(("h", a) for a in mon[1])
-            out = out + RealizedClass(spaces, {sig: c})
-        elif mon[0] == "D":
+        if mon[0] == "D":
             _, i, j, deco = mon
             k = (3 - i - j) if x.n == 3 else None
             term = _diagonal(space, (i, j), x.n, deco_slot=k, deco=deco)
-            out = out + (term if c == 1 else term.scale(c))
-        else:  # small diagonal
-            if delta_cache is None:
-                delta_cache = _diagonal(space, (0, 1), 3) * _diagonal(space, (0, 2), 3)
-            out = out + (delta_cache if c == 1 else delta_cache.scale(c))
+        elif mon[0] == "delta":
+            term = _diagonal(space, (0, 1), 3) * _diagonal(space, (0, 2), 3)
+        else:
+            continue
+        out = out + (term if c == 1 else term.scale(c))
     return out
 
 
@@ -490,14 +488,10 @@ def derive_P(cfg: RealizationConfig) -> CorrClass:
 
 
 def p_to_json(p: CorrClass):
-    from .tautcorr import monomial_str
-
     return {monomial_str(mon): rational_str(c) for mon, c in p.sorted_terms()}
 
 
 def p_to_text(p: CorrClass) -> str:
-    from .tautcorr import monomial_str
-
     bits = []
     for mon, c in p.sorted_terms():
         bits.append(f"({rational_str(c)}) {monomial_str(mon)}")
@@ -515,14 +509,22 @@ def check(cid: str, claim: str, passed: bool, witness=None) -> dict:
 
 
 def check_equal(cid: str, claim: str, got: RealizedClass, want: RealizedClass) -> dict:
-    """Check record of got == want, from one difference: a failure names the
-    first differing component."""
-    diff = got - want
-    if diff.is_zero():
+    """Check record of got == want, compared once on the canonical integers; a
+    failure names the first differing component (``str`` order), its first
+    differing entry and both values there: ``VxV[3,5]: got -1/2, want 1/2``."""
+    if got == want:
         return check(cid, claim, True)
-    sig = sorted(diff.comps, key=str)[0]
-    tag = "x".join("h^%d" % k[1] if k != "V" else "V" for k in sig)
-    return check(cid, claim, False, f"first differing component: {tag}")
+    (a, da), (b, db) = (got._num, got._den), (want._num, want._den)
+    for sig in sorted(a.keys() | b.keys(), key=str):
+        x, y = a.get(sig, 0), b.get(sig, 0)
+        nonzero = np.flatnonzero(x * db - y * da)  # got - want, over da * db
+        if len(nonzero):
+            at = np.unravel_index(nonzero[0], np.shape(x) or np.shape(y))
+            x, y = (v[at] if isinstance(v, np.ndarray) else v for v in (x, y))
+            tag = "x".join("h^%d" % k[1] if k != "V" else "V" for k in sig)
+            index = "[" + ",".join(map(str, at)) + "]" if at else ""
+            return check(cid, claim, False, f"{tag}{index}: got {rational_str(QQ(x, da))}, "
+                                            f"want {rational_str(QQ(y, db))}")
 
 
 # --- kernel-projector identities ---------------------------------------------

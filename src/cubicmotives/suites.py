@@ -17,11 +17,12 @@ import numpy as np
 
 from .errors import DomainError, ShadowViolation, StructureError
 from .gradedring import TruncPoly, VarietyData, integrate, tangent_chern, todd_and_sqrt
-from .linalg import boxed, canonical, dot, eye, inverse, mat_eq, product, qmat, rank, same, zeros
+from .linalg import boxed, dot, eye, inverse, mat_eq, product, qmat, rank, zeros
 from .mukai import MukaiSpace, kuznetsov_project, lambda_basis
-from .motiveiso import (GammaCert, build_gamma, build_gamma_cubic_k3, certify_gamma,
-                        random_cubic_k3_pair, random_diag_gram, random_fourfold_pair,
-                        random_unimodular, verify_frobenius)
+from .motiveiso import (FourfoldData, GammaCert, SurfaceData, build_gamma,
+                        build_gamma_cubic_k3, certify_gamma, random_cubic_k3_pair,
+                        random_diag_gram, random_fourfold_pair, random_unimodular,
+                        verify_frobenius)
 from .quadform import GroupAction, Isometry, QuadSpace, equivariant_witt
 from .rationals import QQ
 from .realization import (RealizationConfig, check, degree, derive_P, p_to_text, realize,
@@ -103,6 +104,16 @@ def reports_to_markdown(reports) -> str:
             + (f"**{total} checks, all passed.**" if bad == 0
                else f"**{bad} of {total} checks FAILED.**"))
     return "\n\n".join([head] + [r.to_markdown() for r in reports]) + "\n"
+
+
+def _rejects(cid: str, claim: str, call, error, message=None) -> dict:
+    """Check record that ``call()`` raises ``error`` (with the text
+    ``message``, when one is given)."""
+    try:
+        call()
+    except error as e:
+        return check(cid, claim, message is None or str(e) == message, str(e))
+    return check(cid, claim, False, "no error raised")
 
 
 def _timed(name, builder, extra=None) -> SuiteReport:
@@ -328,18 +339,12 @@ def derive_p_suite(cfg=None, seed: int = 0) -> SuiteReport:
     extra = {}
 
     def run():
-        checks = []
+        claim = "the small diagonal minus its hyperplane part realizes with no primitive components"
         try:
             p = derive_P(cfg)
-            checks.append(check(
-                "mult-shadow",
-                "the small diagonal minus its hyperplane part realizes with no "
-                "primitive components", True))
         except ShadowViolation as e:
-            checks.append(check("mult-shadow",
-                                "the small diagonal minus its hyperplane part realizes "
-                                "with no primitive components", False, str(e)))
-            return checks
+            return [check("mult-shadow", claim, False, str(e))]
+        checks = [check("mult-shadow", claim, True)]
         extra["correction-class"] = p_to_text(p)
         checks.append(check("p-symmetric",
                             "the correction class is invariant under all slot permutations",
@@ -423,9 +428,8 @@ def _random_witt_instance(rng: random.Random):
         w1 = np.eye(n, dtype=int).astype(object)[fixed_coords[:wdim]]
 
     s, s_inv = random_unimodular(rng, n)
-    v2 = v1.restrict_scaled((s.T, 1))  # the first form in the basis of the columns of s
-    conj = tuple(canonical(*product((s_inv, 1), g, (s, 1))) for g in group1.scaled_generators)
-    group2 = GroupAction(v2, conj, group1.order)  # s^-1 g s: no second check or closure
+    group2 = group1.conjugated(s, s_inv)
+    v2 = group2.space
     w2 = np.dot(w1, s_inv.T)
 
     phi = (s_inv, 1)
@@ -444,6 +448,13 @@ def _random_witt_instance(rng: random.Random):
 
 
 WITT_PROBLEMS = 200  # randomized extension problems per witt run
+WITT_CLAIMS = {  # check id -> what holds for every one of the WITT_PROBLEMS maps
+    "isometry": "extended maps satisfy M^T G2 M = G1",
+    "prescription": "extended maps act on the subspace exactly as prescribed",
+    "equivariance": "extended maps commute with every group element",
+    "complement": "restrictions to the orthogonal complement are isometries "
+                  "of the expected dimension",
+}
 
 
 def witt_suite(cfg=None, seed: int = 0) -> SuiteReport:
@@ -454,8 +465,7 @@ def witt_suite(cfg=None, seed: int = 0) -> SuiteReport:
 
     def run():
         rng = random.Random(seed)
-        fails = {"isometry": None, "prescription": None,
-                 "equivariance": None, "complement": None}
+        fails = dict.fromkeys(WITT_CLAIMS)
         for i in range(WITT_PROBLEMS):
             group1, w1, group2, w2, phi_v, psi_w = _random_witt_instance(rng)
             try:
@@ -464,48 +474,27 @@ def witt_suite(cfg=None, seed: int = 0) -> SuiteReport:
                 for k in fails:
                     fails[k] = fails[k] or f"instance {i}: raised {e!r}"
                 continue
-            m = wr.full.scaled_matrix
             if not wr.full.verify():
                 fails["isometry"] = fails["isometry"] or f"instance {i}"
-            w2m = [dot(np.stack(w2, axis=1), psi_w.matrix[:, k]) if w2 else None
-                   for k in range(len(w1))]
-            if any(not mat_eq(wr.full(w1[k]), w2m[k]) for k in range(len(w1))):
+            w1t, w2t = (np.stack(w, axis=1) if w else zeros(group1.space.dim, 0) for w in (w1, w2))
+            if not mat_eq(dot(wr.full.matrix, w1t), dot(w2t, psi_w.matrix)):
                 fails["prescription"] = fails["prescription"] or f"instance {i}"
-            if any(not same(product(m, m1), product(m2, m))
-                   for m1, m2 in zip(group1.scaled_generators, group2.scaled_generators)):
+            if not wr.full.commutes(group1, group2):
                 fails["equivariance"] = fails["equivariance"] or f"instance {i}"
             if (not wr.restriction.verify()
                     or len(wr.u1_basis) != group1.space.dim - len(w1)):
                 fails["complement"] = fails["complement"] or f"instance {i}"
-        checks = [
-            check("isometry",
-                  f"all {WITT_PROBLEMS} extended maps satisfy M^T G2 M = G1",
-                  fails["isometry"] is None, fails["isometry"]),
-            check("prescription",
-                  f"all {WITT_PROBLEMS} extended maps act on the subspace exactly as prescribed",
-                  fails["prescription"] is None, fails["prescription"]),
-            check("equivariance",
-                  f"all {WITT_PROBLEMS} extended maps commute with every group element",
-                  fails["equivariance"] is None, fails["equivariance"]),
-            check("complement",
-                  f"all {WITT_PROBLEMS} restrictions to the orthogonal complement are isometries "
-                  "of the expected dimension",
-                  fails["complement"] is None, fails["complement"]),
-        ]
+        checks = [check(cid, f"all {WITT_PROBLEMS} {claim}", fails[cid] is None, fails[cid])
+                  for cid, claim in WITT_CLAIMS.items()]
         v = QuadSpace(qmat([[QQ(1), QQ(0)], [QQ(0), QQ(-1)]]))
         grp = GroupAction.trivial(v)
-        iso = Isometry.identity(v)
         wdeg = [np.array([QQ(1), QQ(1)], dtype=object)]
-        try:
-            equivariant_witt(grp, wdeg, grp, wdeg,
-                             iso, Isometry(v.restrict(wdeg), v.restrict(wdeg), eye(1)))
-            checks.append(check("degenerate-rejected",
-                                "a degenerate subspace is rejected with the designated error",
-                                False, "no error raised"))
-        except DomainError as e:
-            checks.append(check("degenerate-rejected",
-                                "a degenerate subspace is rejected with the designated error",
-                                str(e) == "unsupported: degenerate complement", str(e)))
+        wv = v.restrict(wdeg)
+        checks.append(_rejects(
+            "degenerate-rejected", "a degenerate subspace is rejected with the designated error",
+            lambda: equivariant_witt(grp, wdeg, grp, wdeg, Isometry.identity(v),
+                                     Isometry(wv, wv, eye(1))),
+            DomainError, "unsupported: degenerate complement"))
         return checks
 
     return _timed("witt", run)
@@ -519,8 +508,10 @@ GAMMA_PAIRS = 20  # randomized rank-6 fourfold pairs per gamma run
 
 
 def _failed_ids(cert: GammaCert) -> list:
-    """Ids of the certificate's checks and its Frobenius checks that fail."""
-    return [c["id"] for c in cert.checks + verify_frobenius(cert) if not c["passed"]]
+    """Ids of the certificate's checks, and of a fourfold pair's Frobenius
+    checks, that fail."""
+    frobenius = verify_frobenius(cert) if cert.kind == "fourfold-pair" else []
+    return [c["id"] for c in cert.checks + frobenius if not c["passed"]]
 
 
 def _sheared_flip(cert: GammaCert, dx):
@@ -537,9 +528,7 @@ def _sheared_flip(cert: GammaCert, dx):
     flip_at = len(dx.alg_basis) + 1
     imgs[:, flip_at] = -imgs[:, flip_at]
     vv_bad = dot(inverse(prim.gram), dot(imgs, inverse(p)).T)
-    comps = dict(cert.gamma.comps)
-    comps[("V", "V")] = vv_bad
-    return type(cert.gamma)(cert.gamma.spaces, comps)
+    return type(cert.gamma)(cert.gamma.spaces, {**cert.gamma.comps, ("V", "V"): vv_bad})
 
 
 def gamma_suite(cfg=None, seed: int = 0) -> SuiteReport:
@@ -592,44 +581,26 @@ def gamma_k3_suite(cfg=None, seed: int = 0) -> SuiteReport:
     """Fourfold-to-surface bridges on matched transcendental lattices."""
 
     def run():
-        checks = []
-        from .motiveiso import FourfoldData, SurfaceData
         g = qmat([[QQ(-2), QQ(1)], [QQ(1), QQ(-2)]])
         dx = FourfoldData(RealizationConfig.with_gram(g))
         ds = SurfaceData(VarietyData.k3(), QuadSpace(g.copy()), ())
-        t1, t1q = dx.transcendental()
-        t2, t2q = ds.transcendental()
-        cert = build_gamma_cubic_k3(dx, ds, Isometry(t1q, t2q, eye(2)))
-        checks.append(check("toy-rank2",
-                            "a rank-2 matched pair produces a passing certificate",
-                            cert.passed(),
-                            f"failed: {[c['id'] for c in cert.checks if not c['passed']]}"))
-        ok, wit = True, None
-        for i in range(3):
-            dxr, dsr, isor = random_cubic_k3_pair(seed * 100 + i)
-            c = build_gamma_cubic_k3(dxr, dsr, isor)
-            if not c.passed():
-                ok, wit = False, f"pair seed {seed * 100 + i}"
-                break
+        iso = Isometry(dx.transcendental()[1], ds.transcendental()[1], eye(2))
+        failed = _failed_ids(build_gamma_cubic_k3(dx, ds, iso))
+        checks = [check("toy-rank2", "a rank-2 matched pair produces a passing certificate",
+                        not failed, f"failed: {failed}")]
+        bad = next((s for s in range(seed * 100, seed * 100 + 3)
+                    if _failed_ids(build_gamma_cubic_k3(*random_cubic_k3_pair(s)))), None)
         checks.append(check("random-pairs",
                             "three randomized matched pairs produce passing certificates",
-                            ok, wit))
+                            bad is None, f"pair seed {bad}"))
         dxr, dsr, isor = random_cubic_k3_pair(seed * 100 + 42, rank=22)
-        c = build_gamma_cubic_k3(dxr, dsr, isor)
-        checks.append(check("rank22",
-                            "a rank-22 matched pair produces a passing certificate",
-                            c.passed(),
-                            f"failed: {[x['id'] for x in c.checks if not x['passed']]}"))
+        failed = _failed_ids(build_gamma_cubic_k3(dxr, dsr, isor))
+        checks.append(check("rank22", "a rank-22 matched pair produces a passing certificate",
+                            not failed, f"failed: {failed}"))
         dxa, _, _ = random_cubic_k3_pair(seed * 100, rank=6)
         _, dsb, _ = random_cubic_k3_pair(seed * 100 + 1, rank=8)
-        try:
-            build_gamma_cubic_k3(dxa, dsb, isor)
-            checks.append(check("mismatch-rejected",
-                                "rank-mismatched inputs are rejected", False,
-                                "no error raised"))
-        except DomainError:
-            checks.append(check("mismatch-rejected",
-                                "rank-mismatched inputs are rejected", True))
+        checks.append(_rejects("mismatch-rejected", "rank-mismatched inputs are rejected",
+                               lambda: build_gamma_cubic_k3(dxa, dsb, isor), DomainError))
         return checks
 
     return _timed("gamma-k3", run)

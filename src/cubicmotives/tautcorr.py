@@ -52,12 +52,7 @@ class CorrClass:
             raise StructureError("only X, X^2, X^3 are supported")
         self.vd = vd
         self.n = n
-        clean = {}
-        for mon, coeff in (terms or {}).items():
-            c = QQ(coeff)
-            if c != 0:
-                clean[mon] = clean.get(mon, QQ(0)) + c
-        self.terms = {m: c for m, c in clean.items() if c != 0}
+        self.terms = {mon: c for mon, coeff in (terms or {}).items() if (c := QQ(coeff)) != 0}
 
     # -- constructors --------------------------------------------------
 
@@ -393,11 +388,9 @@ def ck_projectors(vd: VarietyData):
     if vd.dim != 4:
         raise StructureError("projectors are defined for fourfolds")
     inv_e = QQ(1, vd.degree)
-    mk = CorrClass.h_monomial
-    pi0 = mk(vd, (4, 0), inv_e)
-    pi2 = mk(vd, (3, 1), inv_e)
-    pi6 = mk(vd, (1, 3), inv_e)
-    pi8 = mk(vd, (0, 4), inv_e)
-    pi4 = CorrClass.diagonal(vd) - (pi0 + pi2 + pi6 + pi8)
-    pi4_prim = pi4 - mk(vd, (2, 2), inv_e)
-    return {"pi0": pi0, "pi2": pi2, "pi4": pi4, "pi6": pi6, "pi8": pi8, "pi4_prim": pi4_prim}
+    lines = {f"pi{2 * j}": ("h", (4 - j, j)) for j in range(5)}  # pi_2j's h-line, h^(4-j) x h^j
+    out = {name: CorrClass(vd, 2, {mon: inv_e}) for name, mon in lines.items()}
+    rest = {mon: -inv_e for name, mon in lines.items() if name != "pi4"}
+    out["pi4"] = CorrClass(vd, 2, {("D", 0, 1, 0): 1, **rest})
+    out["pi4_prim"] = CorrClass(vd, 2, {("D", 0, 1, 0): 1, **rest, lines["pi4"]: -inv_e})
+    return out

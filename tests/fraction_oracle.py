@@ -21,14 +21,21 @@ also the element list the tests compare against.
 ``Fraction``-vector routes they replaced.
 
 ``build_gamma`` and ``build_gamma_cubic_k3`` assemble Gamma on scaled
-integer pairs, and the witt suite builds its random problems on integers.
-``build_gamma_assembly``, ``build_gamma_cubic_k3_assembly`` and
-``random_witt_instance`` below are the Fraction-array routes they replaced:
-the kernel on the Gauss-Jordan above, products and solves on the library's
-rational front ends ``dot`` and ``solve``.
+integer pairs, and the witt suite and both random pair builders build their
+instances on integers, conjugating a group with ``GroupAction.conjugated``.
+``build_gamma_assembly``, ``build_gamma_cubic_k3_assembly``,
+``random_witt_instance``, ``random_fourfold_pair`` and ``random_cubic_k3_pair``
+below are the Fraction-array routes they replaced: the kernel on the
+Gauss-Jordan above, products and solves on the library's rational front ends
+``dot`` and ``solve``, and a second ``GroupAction.build`` for a conjugate.
+
+``realize`` builds the h-part of a class in one constructor call;
+``realize_by_terms`` below adds one class per h-monomial, as it did.
 
 The tests compare the library against these for exact equality.
 """
+
+import random
 
 import numpy as np
 
@@ -36,7 +43,11 @@ from cubicmotives.errors import DomainError, StructureError
 from cubicmotives import linalg as lin
 from cubicmotives.linalg import eye, mat_eq, zeros
 from cubicmotives.rationals import QQ
-from cubicmotives.realization import RealizedClass
+from cubicmotives.gradedring import VarietyData
+from cubicmotives.motiveiso import (FourfoldData, SurfaceData, _conjugation_iso,
+                                    random_diag_gram, random_unimodular)
+from cubicmotives.quadform import GroupAction, Isometry, QuadSpace
+from cubicmotives.realization import RealizationConfig, RealizedClass, _diagonal
 
 
 def _is_zero(val) -> bool:
@@ -411,9 +422,6 @@ def build_gamma_cubic_k3_assembly(dx, ds, iso) -> RealizedClass:
 def random_witt_instance(rng):
     """The witt suite's random extension problem as it was built on Fraction
     arrays: (gram1, gens1, w1, gram2, gens2, w2, phi, psi)."""
-    from cubicmotives.motiveiso import random_diag_gram, random_unimodular
-    from cubicmotives.quadform import Isometry, QuadSpace
-
     n = rng.randint(2, 6)
     g1m = random_diag_gram(rng, n)
     v1 = QuadSpace(g1m)
@@ -452,3 +460,68 @@ def random_witt_instance(rng):
                 phi_mat = lin.dot(s_inv, Isometry.reflection(v1, f).matrix)
                 break
     return g1m, gens1, w1, g2m, gens2, w2, phi_mat, eye(wdim)
+
+
+# --- motiveiso: the random pairs on Fraction arrays ----------------------------------
+
+
+def random_fourfold_pair(seed: int, rank: int = 6):
+    """``random_fourfold_pair`` as it was built: Grams, algebraic classes and
+    the conjugated generator through ``dot``, and the conjugated group by a
+    second ``GroupAction.build`` (isometry check and closure)."""
+    rng = random.Random(seed)
+    alg_rank = rng.randrange(0, 4)
+    if alg_rank > rank - 2:
+        raise StructureError("algebraic rank too large for the chosen rank")
+    g1 = random_diag_gram(rng, rank)
+    prim1 = QuadSpace(g1)
+    alg1 = [eye(rank)[i].copy() for i in range(alg_rank)]
+    fixed_t = list(range(alg_rank, rank))
+    flips = eye(rank)
+    for i in range(alg_rank, rank):
+        if rng.random() < 0.5:
+            flips[i, i] = QQ(-1)
+            fixed_t.remove(i)
+    group1 = GroupAction.build(prim1, [flips])
+    s, s_inv = random_unimodular(rng, rank)
+    prim2 = QuadSpace(lin.dot(s.T, g1, s))
+    alg2 = [lin.dot(s_inv, a) for a in alg1]
+    group2 = GroupAction.build(prim2, [lin.dot(s_inv, flips, s)])
+    dx = FourfoldData(RealizationConfig(prim=prim1), tuple(alg1), group1)
+    dy = FourfoldData(RealizationConfig(prim=prim2), tuple(alg2), group2)
+    iso_tr = _conjugation_iso(dx, dy, s_inv)
+    if fixed_t and rng.random() < 0.7:
+        w = zeros(iso_tr.source.dim)
+        w[rng.choice(fixed_t) - alg_rank] = QQ(1)
+        iso_tr = iso_tr.compose(Isometry.reflection(iso_tr.source, w))
+    return dx, dy, iso_tr
+
+
+def random_cubic_k3_pair(seed: int, rank: int = 6):
+    """``random_cubic_k3_pair`` as it was built: the K3 Gram through ``dot``."""
+    rng = random.Random(seed)
+    g1 = random_diag_gram(rng, rank)
+    dx = FourfoldData(RealizationConfig(prim=QuadSpace(g1)))
+    s, s_inv = random_unimodular(rng, rank)
+    ds = SurfaceData(VarietyData.k3(), QuadSpace(lin.dot(s.T, g1, s)))
+    return dx, ds, _conjugation_iso(dx, ds, s_inv)
+
+
+# --- realization: realize term by term -----------------------------------------------
+
+
+def realize_by_terms(x, space) -> RealizedClass:
+    """``realize`` as it summed its terms: one class per h-monomial, diagonal
+    and small diagonal, each added to the running sum."""
+    spaces = (space,) * x.n
+    out = RealizedClass(spaces, {})
+    for mon, c in x.terms.items():
+        if mon[0] == "h":
+            term = RealizedClass(spaces, {tuple(("h", a) for a in mon[1]): c})
+        elif mon[0] == "D":
+            _, i, j, deco = mon
+            term = _diagonal(space, (i, j), x.n, 3 - i - j if x.n == 3 else None, deco).scale(c)
+        else:
+            term = (_diagonal(space, (0, 1), 3) * _diagonal(space, (0, 2), 3)).scale(c)
+        out = out + term
+    return out

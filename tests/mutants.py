@@ -101,6 +101,31 @@ CATALOGUE = (
            "if not same(product(phi, (b, 1)), (t, td)):", "if False:",
            ("tests/test_quadform.py::"
             "test_equivariant_witt_raises_when_the_extension_misses_the_prescription",)),
+    Mutant("conjugated-uses-s-on-both-sides", "quadform",
+           "canonical(*product((s_inv, 1), g, (s, 1)))", "canonical(*product((s, 1), g, (s, 1)))",
+           ("tests/test_quadform.py::test_conjugated_matches_a_fresh_build_of_the_conjugates",
+            "tests/test_motiveiso.py::test_random_fourfold_pair_matches_fraction_route")),
+    Mutant("commutes-always-true", "quadform",
+           "return all(same(product(m, m1), product(m2, m))",
+           "return True or all(same(product(m, m1), product(m2, m))",
+           ("tests/test_quadform.py::test_commutes_on_generator_pairs",)),
+    Mutant("as-vectors-skips-orthogonality", "motiveiso", "if any(g[i, :i]):", "if False:",
+           ("tests/test_motiveiso.py::test_fourfold_data_validation",)),
+    Mutant("realize-drops-h-terms", "realization",
+           "out = RealizedClass(spaces, hterms)", "out = RealizedClass(spaces, {})",
+           ("tests/test_fraction_oracle.py::test_realize_matches_the_term_by_term_sum",)),
+    Mutant("check-equal-always-passes", "realization", "if got == want:", "if True:",
+           ("tests/test_realization.py::test_check_records",)),
+    Mutant("canonical-drops-sign", "linalg", " * (1 if d > 0 else -1)", "",
+           ("tests/test_linalg.py::test_canonical_makes_the_denominator_positive",)),
+    Mutant("same-drops-shape-check", "linalg", "np.shape(n1) == np.shape(n2) and ", "",
+           ("tests/test_linalg.py::test_same_compares_shapes_before_values",)),
+    Mutant("set-drops-gcd-division", "realization",
+           "g = den  # with no component left, den // g = 1", "g = 1",
+           ("tests/test_fraction_oracle.py::test_linear_operations_match_oracle",)),
+    Mutant("transport-v-axis-position", "realization",
+           "p = sig[:s].count(\"V\")  # position of this slot's V-axis", "p = 0",
+           ("tests/test_motiveiso.py::test_tampered_gamma_transport_matches_dense_oracle",)),
 )
 
 

@@ -1,5 +1,6 @@
 """``RealizedClass`` on integer numerators against the Fraction-array route it
-replaced (``fraction_oracle.FractionClass``), on random 1- to 3-slot classes.
+replaced (``fraction_oracle.FractionClass``), on random 1- to 3-slot classes,
+and ``realize`` against the term-by-term sum it replaced.
 
 The spaces cover primitive ranks 0, 1 and 4, a non-diagonal Gram with
 fractional entries (its denominator folds into products), and a K3 slot.
@@ -17,12 +18,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraction_oracle import FractionClass
+from fraction_oracle import FractionClass, realize_by_terms
 from cubicmotives.gradedring import VarietyData
 from cubicmotives.linalg import eye, qmat, scaled
 from cubicmotives.quadform import QuadSpace
+from cubicmotives.rationals import rational_str
 from cubicmotives.realization import (RealizedClass, Space, action_matrix, check_equal,
-                                      compose_realized)
+                                      compose_realized, realize)
+from cubicmotives.tautcorr import CorrClass
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -133,9 +136,16 @@ def test_linear_operations_match_oracle(xy, t):
     rec = check_equal("c", "claim", x, y)
     assert rec["passed"] == (x == y)
     if not rec["passed"]:
-        first = sorted((fx - fy).comps, key=str)[0]
+        diff = (fx - fy).comps
+        first = sorted(diff, key=str)[0]
         tag = "x".join("h^%d" % k[1] if k != "V" else "V" for k in first)
-        assert rec["witness"] == f"first differing component: {tag}"
+        d = np.asarray(diff[first])
+        at = next(i for i in np.ndindex(d.shape) if d[i] != 0)  # the first in row-major order
+        if at:
+            tag += "[" + ",".join(map(str, at)) + "]"
+        got, want = (c.comps.get(first, 0) for c in (fx, fy))
+        got, want = (v[at] if isinstance(v, np.ndarray) else v for v in (got, want))
+        assert rec["witness"] == f"{tag}: got {rational_str(got)}, want {rational_str(want)}"
 
 
 def _oracle_degree(o: FractionClass):
@@ -222,3 +232,29 @@ def test_two_slot_forms_match_oracle(data):
     act = np.dot(_oracle_matrix(fg).T, b.pairing)
     assert np.array_equal(action_matrix(g), act)
     _same(compose_realized(f, g), ff.transport((eye(a.size), act), (a, c)))
+
+
+def _monomials(n: int):
+    """Every normal-form monomial on X^n of the cubic fourfold."""
+    h = [("h", e) for e in np.ndindex(*(5,) * n)]
+    if n == 2:
+        return h + [("D", 0, 1, 0)]
+    if n == 3:
+        return h + [("D", i, j, c) for i, j in ((0, 1), (0, 2), (1, 2)) for c in range(5)] \
+            + [("delta",)]
+    return h
+
+
+@st.composite
+def corr_classes(draw):
+    n = draw(st.integers(1, 3))
+    mons = draw(st.lists(st.sampled_from(_monomials(n)), max_size=8))
+    return CorrClass(CUBIC, n, {m: draw(small) for m in mons})
+
+
+@SETTINGS
+@given(st.sampled_from([sp for sp in SPACES if sp.vd == CUBIC]), corr_classes())
+def test_realize_matches_the_term_by_term_sum(space, x):
+    got = realize(x, space)
+    assert got == realize_by_terms(x, space)
+    _canonical(got)

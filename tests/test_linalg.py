@@ -19,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from cubicmotives.linalg import (boxed, dot, inverse, kernel_basis, kernel_scaled, rank, rref,
-                                 scaled, solve, solve_scaled)
+from cubicmotives.linalg import (boxed, canonical, dot, inverse, kernel_basis, kernel_scaled,
+                                 rank, rref, same, scaled, solve, solve_scaled)
 from cubicmotives.rationals import QQ
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -281,3 +281,26 @@ def test_eliminations_reject_non_integer_numerators():
         kernel_scaled(np.array([[QQ(1, 2), 1]], dtype=object))
     # integers of any width or numpy dtype are numerators
     assert rank(np.array([[1, 2], [2, 4]], dtype=np.int64)) == 1
+
+
+def test_scaled_rejects_entries_that_are_not_rationals():
+    for bad, name in ((2.5, "float"), ("1/2", "str"), (None, "NoneType")):
+        a = np.array([[QQ(1, 2), 0], [bad, 1]], dtype=object)
+        with pytest.raises(TypeError, match=f"not an exact rational entry: {name}$"):
+            scaled(a)
+
+
+def test_canonical_makes_the_denominator_positive():
+    n, d = canonical(_ints([[2, -4], [6, 0]]), -4)
+    assert d == 2 and list(n.flat) == [-1, 2, -3, 0]
+    assert canonical(_ints([[3]]), -1)[1] == 1
+    n, d = canonical(_ints([[0, 0]]), -7)  # the zero matrix over 1
+    assert d == 1 and not n.any()
+
+
+def test_same_compares_shapes_before_values():
+    one = np.array([1], dtype=object)
+    assert not same((one, 1), (np.array([1, 1, 1], dtype=object), 1))
+    assert not same((_ints([[2]]), 2), (np.ones((2, 2), dtype=int).astype(object), 1))
+    assert same((_ints([[2, 4]]), 2), (_ints([[1, 2]]), 1))
+    assert same((_ints([[2, 4]]), -2), (_ints([[-1, -2]]), 1))

@@ -462,9 +462,9 @@ def test_corrupted_h_summand_fails_transport():
     failed = {c["id"] for c in fr if not c["passed"]}
     assert "small-diagonal" in failed
     assert _failed_witnesses(fr) == {
-        "diagonal": "first differing component: h^1xh^3",
-        "small-diagonal": "first differing component: h^1xh^3xh^4",
-        "small-diagonal-route": "first differing component: h^1xh^3xh^4",
+        "diagonal": "h^1xh^3: got -1/3, want 1/3",
+        "small-diagonal": "h^1xh^3xh^4: got -1/9, want 1/9",
+        "small-diagonal-route": "h^1xh^3xh^4: got -1/9, want 1/9",
     }
     assert set(_failed_witnesses(_certified(bad, dx, dy))) == {
         "leftinv", "rightinv", "hlines", "quadratic", "diagonal", "small-diagonal",
@@ -480,9 +480,9 @@ def test_sheared_transcendental_flip_is_caught():
     failed = {c["id"] for c in fr if not c["passed"]}
     assert "small-diagonal" in failed
     assert _failed_witnesses(fr) == {
-        "diagonal": "first differing component: VxV",
-        "small-diagonal": "first differing component: VxVxh^4",
-        "small-diagonal-route": "first differing component: VxVxh^4",
+        "diagonal": "VxV[2,2]: got -5/2, want -1/2",
+        "small-diagonal": "VxVxh^4[2,2]: got -5/6, want -1/6",
+        "small-diagonal-route": "VxVxh^4[2,2]: got -5/6, want -1/6",
     }
     assert set(_failed_witnesses(_certified(bad, dx, dy))) == {
         "leftinv", "rightinv", "quadratic", "diagonal", "small-diagonal",
@@ -606,3 +606,50 @@ def test_random_unimodular_returns_its_inverse():
             assert mat_eq(dot(s, s_inv), eye(n)), (n, seed)
             assert mat_eq(s, _unimodular_draws(ref, n))
             assert rng.getstate() == ref.getstate()
+
+
+# --------------------------------------------------------------------------
+# random pairs built on integers against the Fraction-dot builders they replaced
+
+
+def _same_pair(got, want, tag):
+    """Field by field: the Grams (as stored), the algebraic bases, the group's
+    generators (as stored) and order, and the transcendental isometry."""
+    for a, b in zip(got[:2], want[:2]):
+        pa, pb = (d.cfg.prim if isinstance(d, FourfoldData) else d.prim2 for d in (a, b))
+        assert np.array_equal(pa.scaled_gram[0], pb.scaled_gram[0]), tag
+        assert pa.scaled_gram[1] == pb.scaled_gram[1] and mat_eq(pa.gram, pb.gram), tag
+        if isinstance(a, FourfoldData):
+            assert len(a.alg_basis) == len(b.alg_basis), tag
+            assert all(mat_eq(u, v) and all(type(x) is QQ for x in u)
+                       for u, v in zip(a.alg_basis, b.alg_basis)), tag
+            assert (a.group is None) == (b.group is None), tag
+            if a.group is None:
+                continue
+            assert a.group.order == b.group.order, tag
+            assert len(a.group.scaled_generators) == len(b.group.scaled_generators) == 1, tag
+            for (m, d), (n, e) in zip(a.group.scaled_generators, b.group.scaled_generators):
+                assert np.array_equal(m, n) and d == e, tag
+            assert all(mat_eq(m, n) for m, n in zip(a.group.generators, b.group.generators))
+    (ia, ib) = got[2], want[2]
+    assert mat_eq(ia.matrix, ib.matrix), tag
+    assert mat_eq(ia.source.gram, ib.source.gram) and mat_eq(ia.target.gram, ib.target.gram)
+
+
+def test_random_fourfold_pair_matches_fraction_route():
+    for seed in range(200):
+        _same_pair(random_fourfold_pair(seed), oracle.random_fourfold_pair(seed), seed)
+
+
+def test_random_fourfold_pair_matches_fraction_route_on_the_shared_pairs(fourfold_pairs):
+    for seed, got in enumerate(fourfold_pairs):
+        rank = got[0].cfg.prim.dim
+        _same_pair(got, oracle.random_fourfold_pair(seed, rank=rank), (rank, seed))
+
+
+def test_random_cubic_k3_pair_matches_fraction_route():
+    for seed in range(200):
+        _same_pair(random_cubic_k3_pair(seed), oracle.random_cubic_k3_pair(seed), seed)
+    for seed in range(3):
+        _same_pair(random_cubic_k3_pair(seed, rank=22),
+                   oracle.random_cubic_k3_pair(seed, rank=22), (22, seed))

@@ -176,3 +176,26 @@ def test_pairing_includes_primitive_block():
     b = sp.element(TruncPoly.one(CUBIC), prim=qvec([1, -1]))
     base = mukai_pairing(a.poly, b.poly)
     assert sp.pairing(a, b) == base + QQ(4)  # (1,1) G (1,-1) = 2 + 2
+
+
+def test_elements_of_different_spaces_do_not_mix():
+    p = TruncPoly.one(CUBIC)
+    s0 = polyspace()
+    s1 = MukaiSpace.cubic(QuadSpace(qmat([[QQ(2)]])))
+    s3 = MukaiSpace.cubic(QuadSpace(qmat([[1, 0, 0], [0, 1, 0], [0, 0, -1]])))
+    c, d = s1.element(p, [5]), s3.element(p, [1, 2, 3])
+    with pytest.raises(StructureError):
+        c + d
+    with pytest.raises(StructureError):
+        d - c
+    assert s0.element(p) != s3.element(p, [1, 2, 3])
+    assert not s0.element(p) == s3.element(p, [0, 0, 0])
+    with pytest.raises(StructureError):
+        s3.pairing(c, d)
+    with pytest.raises(StructureError):
+        s3.pairing(d, c)
+    # the same vd and the same Gram make the same space
+    twin = MukaiSpace.cubic(QuadSpace(qmat([[1, 0, 0], [0, 1, 0], [0, 0, -1]])))
+    e = twin.element(p, [0, 1, 1])
+    assert (d + e).prim.tolist() == [1, 3, 4] and s3.pairing(d, e) == s3.pairing(d, d - d + e)
+    assert twin.element(p, [1, 2, 3]) == d

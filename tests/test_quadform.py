@@ -554,3 +554,71 @@ def test_equivariant_witt_raises_when_the_extension_misses_the_prescription(monk
     monkeypatch.setattr(quadform, "reflect_to", lambda space, x, y: Isometry.identity(space))
     with pytest.raises(DomainError, match="misses the prescribed image"):
         equivariant_witt(grp, w, grp, w, Isometry.identity(v), psi)
+
+
+# --------------------------------------------------------------------------
+# one stored form, one isometry test, one equivariance test, one conjugation
+
+
+def test_forms_and_maps_read_back_as_fractions_whatever_they_were_made_from():
+    v = QuadSpace(np.array([[2, 1], [1, 3]]))
+    iso = Isometry(v, v, np.eye(2, dtype=int))
+    for arr in (v.gram, iso.matrix, iso.inverse().matrix, v.restrict([qvec([1, 0])]).gram):
+        assert all(type(x) is QQ for x in arr.flat)
+        with pytest.raises(ValueError):
+            arr.flat[0] = QQ(2)
+    assert set(v.__dict__) == {"scaled_gram", "gram"}  # the view is cached once read
+    assert set(iso.__dict__) == {"source", "target", "scaled_matrix", "matrix"}
+    assert mat_eq(v.gram, qmat([[2, 1], [1, 3]])) and mat_eq(iso.matrix, eye(2))
+
+
+def test_quadspace_rejects_entries_that_are_not_rationals():
+    with pytest.raises(TypeError, match="float"):
+        QuadSpace(np.array([[2.5, 0], [0, 1]], dtype=object))
+    with pytest.raises(TypeError, match="str"):
+        QuadSpace(np.array([["1", "0"], ["0", "1"]], dtype=object))
+
+
+def test_group_build_checks_generators_with_isometry_verify(monkeypatch):
+    v = diag_space(1, -1)
+    calls = []
+    verify = Isometry.verify
+    monkeypatch.setattr(Isometry, "verify", lambda self: calls.append(self) or verify(self))
+    GroupAction.build(v, [qmat([[-1, 0], [0, 1]]), qmat([[1, 0], [0, -1]])])
+    assert len(calls) == 2
+    with pytest.raises(DomainError, match="not an isometry"):
+        GroupAction.build(v, [qmat([[0, 1], [1, 0]])])
+
+
+def test_commutes_on_generator_pairs():
+    v = diag_space(2, -2, -2)
+    flip1, flip2 = (np.diag(d).astype(object) for d in ([1, -1, 1], [1, 1, -1]))
+    g1, g2 = GroupAction.build(v, [flip1]), GroupAction.build(v, [flip2])
+    swap = Isometry(v, v, qmat([[1, 0, 0], [0, 0, 1], [0, 1, 0]]))
+    assert swap.commutes(g1, g2) and swap.commutes(g2, g1)
+    assert not swap.commutes(g1, g1) and not Isometry.identity(v).commutes(g1, g2)
+    assert Isometry.identity(v).commutes(g1, g1)
+    with pytest.raises(DomainError, match="swap is not equivariant"):
+        swap.require_equivariant(g1, g1, "swap")
+    with pytest.raises(StructureError, match="equal length"):
+        swap.commutes(g1, GroupAction.trivial(v))
+
+
+def test_conjugated_matches_a_fresh_build_of_the_conjugates():
+    rng = random.Random(3)
+    for n in range(2, 7):
+        v = diag_space(*[rng.choice((1, 2, -1, 3)) for _ in range(n)])
+        gens = [np.diag([rng.choice((1, -1)) for _ in range(n)]).astype(object) for _ in range(2)]
+        group = GroupAction.build(v, gens)
+        s, s_inv = random_unimodular(rng, n)
+        got = group.conjugated(s, s_inv)
+        want = GroupAction.build(QuadSpace(dot(s.T, v.gram, s)),
+                                 [dot(s_inv, g, s) for g in gens])
+        assert got.order == want.order == group.order
+        assert np.array_equal(got.space.scaled_gram[0], want.space.scaled_gram[0])
+        assert got.space.scaled_gram[1] == want.space.scaled_gram[1]
+        for (m, d), (w, e) in zip(got.scaled_generators, want.scaled_generators, strict=True):
+            assert np.array_equal(m, w) and d == e
+        # s maps the new coordinates to the old: each conjugate acts as its original
+        for (m, _), g in zip(got.scaled_generators, gens):
+            assert (np.dot(s, m) == np.dot(g, s)).all()

@@ -326,7 +326,7 @@ def test_check_records():
     assert check_equal("d", "claim", d, d)["witness"] is None
     got = check_equal("d", "claim", d, d.scale(2))
     assert not got["passed"]
-    assert got["witness"] == "first differing component: VxV"
+    assert got["witness"] == "VxV[0,0]: got -1/1, want -2/1"
 
 
 def test_realized_projectors_match_calculus():
