@@ -4,10 +4,20 @@ Each suite runs a bundle of exact checks (tolerance is identically zero
 everywhere) and returns a :class:`SuiteReport`.  Check ids are unique within
 a suite and each id carries a one-line ``claim`` stating the verified
 identity.  Randomized suites are deterministic for a fixed seed.
+
+A suite is a generator ``(cfg, seed, extra)`` under ``@_suite(name)``.  It
+does each check's work just before it yields ``(id, claim, passed[,
+witness])``, so a crash propagates unchanged; it calls ``_config(cfg)`` only
+if it reads the configuration, and puts any payload for the report into
+``extra``.  The decorator times the generator as a whole, builds every
+record with :func:`realization.check` and returns the report from
+``suite(cfg=None, seed=0)``.  An oracle compared over many cases names its
+first failing case through :func:`first_failure`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -106,20 +116,36 @@ def reports_to_markdown(reports) -> str:
     return "\n\n".join([head] + [r.to_markdown() for r in reports]) + "\n"
 
 
-def _rejects(cid: str, claim: str, call, error, message=None) -> dict:
-    """Check record that ``call()`` raises ``error`` (with the text
-    ``message``, when one is given)."""
+def _suite(name: str):
+    """Decorator: the suite ``name`` of a check generator ``(cfg, seed,
+    extra)`` (see the module docstring)."""
+    def wrap(checks):
+        @functools.wraps(checks)
+        def suite(cfg=None, seed: int = 0) -> SuiteReport:
+            extra = {}
+            t0 = time.perf_counter()
+            records = [check(*c) for c in checks(cfg, seed, extra)]
+            return SuiteReport(name, records, time.perf_counter() - t0, extra)
+        del suite.__wrapped__  # introspection shows (cfg=None, seed=0), not the generator's
+        return suite
+    return wrap
+
+
+def first_failure(cases, witness):
+    """The first ``witness(case)`` over ``cases`` that is not None (a failure
+    is described, a pass gives None), or None when every case passes.  No
+    case after the first failure is evaluated."""
+    return next((w for w in map(witness, cases) if w is not None), None)
+
+
+def _rejects(cid: str, claim: str, call, error, message=None) -> tuple:
+    """Check that ``call()`` raises ``error`` (with the text ``message``,
+    when one is given)."""
     try:
         call()
     except error as e:
-        return check(cid, claim, message is None or str(e) == message, str(e))
-    return check(cid, claim, False, "no error raised")
-
-
-def _timed(name, builder, extra=None) -> SuiteReport:
-    t0 = time.perf_counter()
-    checks = builder()
-    return SuiteReport(name, checks, time.perf_counter() - t0, extra or {})
+        return cid, claim, message is None or str(e) == message, str(e)
+    return cid, claim, False, "no error raised"
 
 
 def random_gram(seed: int, rank: int = 22) -> np.ndarray:
@@ -143,39 +169,28 @@ def _alt_config(cfg: RealizationConfig) -> RealizationConfig:
 # chern
 
 
-def chern_suite(cfg=None, seed: int = 0) -> SuiteReport:
+@_suite("chern")
+def chern_suite(cfg, seed, extra):
     """Characteristic-class pipeline on the cubic fourfold and a K3 surface."""
-
-    def run():
-        vd = VarietyData.cubic_fourfold()
-        c = tangent_chern(vd)
-        td, rt = todd_and_sqrt(c)
-        want = TruncPoly.from_coeffs(vd, [1, 3, 6, 2, 9])
-        checks = [
-            check("tangent-chern",
-                  "c(T) = 1 + 3h + 6h^2 + 2h^3 + 9h^4 on the cubic fourfold",
-                  c == want, f"got {c.coeffs}"),
-            check("todd-degree", "integral of td(T) equals 1",
-                  integrate(td) == QQ(1), f"got {integrate(td)}"),
-            check("euler-number", "integral of c_4(T) equals 27",
-                  integrate(c) == QQ(27), f"got {integrate(c)}"),
-            check("sqrt-todd", "the square of the Todd square root equals td(T)",
-                  rt * rt == td),
-        ]
-        vk = VarietyData.k3()
-        ck = tangent_chern(vk)
-        tdk, rtk = todd_and_sqrt(ck)
-        checks += [
-            check("k3-euler-number", "integral of c_2(T) equals 24 on a K3 surface",
-                  integrate(ck) == QQ(24), f"got {integrate(ck)}"),
-            check("k3-todd-degree", "integral of td(T) equals 2 on a K3 surface",
-                  integrate(tdk) == QQ(2), f"got {integrate(tdk)}"),
-            check("k3-sqrt-todd", "Todd square root squares back on a K3 surface",
-                  rtk * rtk == tdk),
-        ]
-        return checks
-
-    return _timed("chern", run)
+    vd = VarietyData.cubic_fourfold()
+    c = tangent_chern(vd)
+    td, rt = todd_and_sqrt(c)
+    want = TruncPoly.from_coeffs(vd, [1, 3, 6, 2, 9])
+    yield ("tangent-chern", "c(T) = 1 + 3h + 6h^2 + 2h^3 + 9h^4 on the cubic fourfold",
+           c == want, f"got {c.coeffs}")
+    yield ("todd-degree", "integral of td(T) equals 1",
+           integrate(td) == QQ(1), f"got {integrate(td)}")
+    yield ("euler-number", "integral of c_4(T) equals 27",
+           integrate(c) == QQ(27), f"got {integrate(c)}")
+    yield "sqrt-todd", "the square of the Todd square root equals td(T)", rt * rt == td
+    vk = VarietyData.k3()
+    ck = tangent_chern(vk)
+    tdk, rtk = todd_and_sqrt(ck)
+    yield ("k3-euler-number", "integral of c_2(T) equals 24 on a K3 surface",
+           integrate(ck) == QQ(24), f"got {integrate(ck)}")
+    yield ("k3-todd-degree", "integral of td(T) equals 2 on a K3 surface",
+           integrate(tdk) == QQ(2), f"got {integrate(tdk)}")
+    yield "k3-sqrt-todd", "Todd square root squares back on a K3 surface", rtk * rtk == tdk
 
 
 # --------------------------------------------------------------------------
@@ -190,117 +205,90 @@ def _hilbert_chi(t: int):
     return c5(t + 1) - c5(t - 2)
 
 
-def mukai_table_suite(cfg=None, seed: int = 0) -> SuiteReport:
+@_suite("mukai-table")
+def mukai_table_suite(cfg, seed, extra):
     """Line-bundle pairing table and the two orthogonal classes.
 
     The pairing table of the line-bundle vectors is checked against the
     Hilbert-polynomial oracle, then the two classes spanning their
     right-orthogonal complement."""
+    vd = VarietyData.cubic_fourfold()
+    sp = MukaiSpace.cubic(QuadSpace(zeros(0, 0)))
+    v = [sp.line_vector(i) for i in range(3)]
+    table = [[sp.pairing(v[i], v[j]) for j in range(3)] for i in range(3)]
+    want = [[QQ(1), QQ(6), QQ(21)], [QQ(0), QQ(1), QQ(6)], [QQ(0), QQ(0), QQ(1)]]
+    yield ("gram-table",
+           "pairing table of (v(O), v(O(1)), v(O(2))) is [[1,6,21],[0,1,6],[0,0,1]]",
+           table == want, f"got {table}")
 
-    def run():
-        vd = VarietyData.cubic_fourfold()
-        sp = MukaiSpace.cubic(QuadSpace(zeros(0, 0)))
-        v = [sp.line_vector(i) for i in range(3)]
-        table = [[sp.pairing(v[i], v[j]) for j in range(3)] for i in range(3)]
-        want = [[QQ(1), QQ(6), QQ(21)], [QQ(0), QQ(1), QQ(6)], [QQ(0), QQ(0), QQ(1)]]
-        checks = [
-            check("gram-table",
-                  "pairing table of (v(O), v(O(1)), v(O(2))) is [[1,6,21],[0,1,6],[0,0,1]]",
-                  table == want, f"got {table}"),
-        ]
-        oracle_ok, wit = True, None
-        for a in range(-2, 3):
-            for b in range(-2, 3):
-                got = sp.pairing(sp.line_vector(a), sp.line_vector(b))
-                exp = _hilbert_chi(b - a)
-                if got != exp:
-                    oracle_ok, wit = False, f"<v(O({a})), v(O({b}))> = {got}, chi = {exp}"
-                    break
-        checks.append(check(
-            "hilbert-oracle",
-            "<v(O(a)), v(O(b))> equals chi(O(b-a)) from the Hilbert polynomial, "
-            "for all a, b in [-2, 2]", oracle_ok, wit))
+    def off_oracle(ab):
+        a, b = ab
+        got, exp = sp.pairing(sp.line_vector(a), sp.line_vector(b)), _hilbert_chi(b - a)
+        return None if got == exp else f"<v(O({a})), v(O({b}))> = {got}, chi = {exp}"
+    bad = first_failure(itertools.product(range(-2, 3), repeat=2), off_oracle)
+    yield ("hilbert-oracle",
+           "<v(O(a)), v(O(b))> equals chi(O(b-a)) from the Hilbert polynomial, "
+           "for all a, b in [-2, 2]", bad is None, bad)
 
-        l1p, l2p = lambda_basis(vd)
-        l1, l2 = sp.element(l1p), sp.element(l2p)
-        checks += [
-            check("lambda-norms", "<l1, l1> = <l2, l2> = -2",
-                  sp.pairing(l1, l1) == QQ(-2) and sp.pairing(l2, l2) == QQ(-2),
-                  f"got {sp.pairing(l1, l1)}, {sp.pairing(l2, l2)}"),
-            check("lambda-cross", "<l1, l2> = <l2, l1> = 1 (an A2 form up to sign)",
-                  sp.pairing(l1, l2) == QQ(1) and sp.pairing(l2, l1) == QQ(1),
-                  f"got {sp.pairing(l1, l2)}, {sp.pairing(l2, l1)}"),
-            check("lambda-orthogonal",
-                  "l1, l2 pair to zero on the right of every v(O(i)), i = 0, 1, 2",
-                  all(sp.pairing(v[i], l) == 0 for i in range(3) for l in (l1, l2))),
-        ]
-        span = qmat([list(p.coeffs) for p in
-                     [v[0].poly, v[1].poly, v[2].poly, l1p, l2p]])
-        checks.append(check(
-            "span-rank", "v(O), v(O(1)), v(O(2)), l1, l2 span all five h-powers",
-            rank(span) == 5, f"rank {rank(span)}"))
-        checks.append(check(
-            "projection-fixes-lambda",
-            "mutation past v(O(2)), v(O(1)), v(O) fixes l1 and l2",
-            kuznetsov_project(sp, l1) == l1 and kuznetsov_project(sp, l2) == l2))
-        proj = [kuznetsov_project(sp, sp.element(TruncPoly.h_power(vd, k))) for k in range(5)]
-        img = qmat([list(p.poly.coeffs) for p in proj])
-        lam = qmat([list(l1p.coeffs), list(l2p.coeffs)])
-        both = qmat([list(p.poly.coeffs) for p in proj] + [list(l1p.coeffs), list(l2p.coeffs)])
-        checks.append(check(
-            "projection-image",
-            "the projection of the h-power span has rank 2 and lies in span(l1, l2)",
-            rank(img) == 2 and rank(both) == rank(lam) == 2,
-            f"rank(img) = {rank(img)}, rank(img + lambdas) = {rank(both)}"))
-        return checks
-
-    return _timed("mukai-table", run)
+    l1p, l2p = lambda_basis(vd)
+    l1, l2 = sp.element(l1p), sp.element(l2p)
+    yield ("lambda-norms", "<l1, l1> = <l2, l2> = -2",
+           sp.pairing(l1, l1) == QQ(-2) and sp.pairing(l2, l2) == QQ(-2),
+           f"got {sp.pairing(l1, l1)}, {sp.pairing(l2, l2)}")
+    yield ("lambda-cross", "<l1, l2> = <l2, l1> = 1 (an A2 form up to sign)",
+           sp.pairing(l1, l2) == QQ(1) and sp.pairing(l2, l1) == QQ(1),
+           f"got {sp.pairing(l1, l2)}, {sp.pairing(l2, l1)}")
+    yield ("lambda-orthogonal",
+           "l1, l2 pair to zero on the right of every v(O(i)), i = 0, 1, 2",
+           all(sp.pairing(v[i], l) == 0 for i in range(3) for l in (l1, l2)))
+    span = qmat([list(p.coeffs) for p in [v[0].poly, v[1].poly, v[2].poly, l1p, l2p]])
+    yield ("span-rank", "v(O), v(O(1)), v(O(2)), l1, l2 span all five h-powers",
+           rank(span) == 5, f"rank {rank(span)}")
+    yield ("projection-fixes-lambda",
+           "mutation past v(O(2)), v(O(1)), v(O) fixes l1 and l2",
+           kuznetsov_project(sp, l1) == l1 and kuznetsov_project(sp, l2) == l2)
+    proj = [kuznetsov_project(sp, sp.element(TruncPoly.h_power(vd, k))) for k in range(5)]
+    img = qmat([list(p.poly.coeffs) for p in proj])
+    lam = qmat([list(l1p.coeffs), list(l2p.coeffs)])
+    both = qmat([list(p.poly.coeffs) for p in proj] + [list(l1p.coeffs), list(l2p.coeffs)])
+    yield ("projection-image",
+           "the projection of the h-power span has rank 2 and lies in span(l1, l2)",
+           rank(img) == 2 and rank(both) == rank(lam) == 2,
+           f"rank(img) = {rank(img)}, rank(img + lambdas) = {rank(both)}")
 
 
 # --------------------------------------------------------------------------
 # projectors
 
 
-def projector_suite(cfg=None, seed: int = 0) -> SuiteReport:
+@_suite("projectors")
+def projector_suite(cfg, seed, extra):
     """Diagonal decomposition and the primitive refinement on the fourfold.
 
     Idempotence, orthogonality, completeness, the primitive refinement, and
     hyperplane-section kill."""
-
-    def run():
-        vd = VarietyData.cubic_fourfold()
-        pis = ck_projectors(vd)
-        names = ["pi0", "pi2", "pi4", "pi6", "pi8"]
-        checks = []
-        bad = [n for n in names + ["pi4_prim"] if compose(pis[n], pis[n]) != pis[n]]
-        checks.append(check("idempotent", "each projector composes to itself",
-                            not bad, f"not idempotent: {bad}"))
-        bad = [(a, b) for a in names for b in names
-               if a != b and not compose(pis[a], pis[b]).is_zero()]
-        checks.append(check("orthogonal", "distinct projectors compose to zero",
-                            not bad, f"nonzero products: {bad}"))
-        total = pis["pi0"] + pis["pi2"] + pis["pi4"] + pis["pi6"] + pis["pi8"]
-        checks.append(check("complete", "the five projectors sum to the diagonal",
-                            total == CorrClass.diagonal(vd)))
-        p4p = pis["pi4_prim"]
-        checks.append(check("prim-self-transpose",
-                            "the primitive middle projector equals its transpose",
-                            transpose(p4p) == p4p))
-        checks.append(check("prim-absorbed",
-                            "pi4 absorbs the primitive projector on both sides",
-                            compose(pis["pi4"], p4p) == p4p and compose(p4p, pis["pi4"]) == p4p))
-        bad = []
-        for a in range(4):
-            z = CorrClass.h_monomial(vd, (a, 3 - a))
-            if not compose(compose(p4p, z), p4p).is_zero():
-                bad.append((a, 3 - a))
-        checks.append(check(
-            "hkill",
-            "every codimension-3 product of hyperplane powers is killed between "
-            "two primitive projectors", not bad, f"survivors: {bad}"))
-        return checks
-
-    return _timed("projectors", run)
+    vd = VarietyData.cubic_fourfold()
+    pis = ck_projectors(vd)
+    names = ["pi0", "pi2", "pi4", "pi6", "pi8"]
+    bad = [n for n in names + ["pi4_prim"] if compose(pis[n], pis[n]) != pis[n]]
+    yield "idempotent", "each projector composes to itself", not bad, f"not idempotent: {bad}"
+    bad = [(a, b) for a in names for b in names
+           if a != b and not compose(pis[a], pis[b]).is_zero()]
+    yield ("orthogonal", "distinct projectors compose to zero",
+           not bad, f"nonzero products: {bad}")
+    total = pis["pi0"] + pis["pi2"] + pis["pi4"] + pis["pi6"] + pis["pi8"]
+    yield ("complete", "the five projectors sum to the diagonal",
+           total == CorrClass.diagonal(vd))
+    p4p = pis["pi4_prim"]
+    yield ("prim-self-transpose", "the primitive middle projector equals its transpose",
+           transpose(p4p) == p4p)
+    yield ("prim-absorbed", "pi4 absorbs the primitive projector on both sides",
+           compose(pis["pi4"], p4p) == p4p and compose(p4p, pis["pi4"]) == p4p)
+    bad = [(a, 3 - a) for a in range(4) if not compose(
+        compose(p4p, CorrClass.h_monomial(vd, (a, 3 - a))), p4p).is_zero()]
+    yield ("hkill",
+           "every codimension-3 product of hyperplane powers is killed between "
+           "two primitive projectors", not bad, f"survivors: {bad}")
 
 
 # --------------------------------------------------------------------------
@@ -328,7 +316,8 @@ def _monomial_degree_oracle(a: int, b: int, c: int):
     return QQ(val)
 
 
-def derive_p_suite(cfg=None, seed: int = 0) -> SuiteReport:
+@_suite("derive-p")
+def derive_p_suite(cfg, seed, extra):
     """Small-diagonal correction class and Euler consistency.
 
     Solves for the polynomial correction class, checks its symmetry,
@@ -336,66 +325,47 @@ def derive_p_suite(cfg=None, seed: int = 0) -> SuiteReport:
     configured primitive rank (kept last: it is the only check here that
     depends on the rank)."""
     cfg = _config(cfg)
-    extra = {}
+    claim = "the small diagonal minus its hyperplane part realizes with no primitive components"
+    try:
+        p = derive_P(cfg)
+    except ShadowViolation as e:
+        yield "mult-shadow", claim, False, str(e)
+        return
+    yield "mult-shadow", claim, True
+    extra["correction-class"] = p_to_text(p)
+    yield ("p-symmetric", "the correction class is invariant under all slot permutations",
+           _p_is_symmetric(p))
+    yield ("p-gram-independent",
+           "the correction class is identical for two distinct primitive Gram matrices",
+           derive_P(_alt_config(cfg)) == p)
+    rp = realize(p, cfg)
 
-    def run():
-        claim = "the small diagonal minus its hyperplane part realizes with no primitive components"
-        try:
-            p = derive_P(cfg)
-        except ShadowViolation as e:
-            return [check("mult-shadow", claim, False, str(e))]
-        checks = [check("mult-shadow", claim, True)]
-        extra["correction-class"] = p_to_text(p)
-        checks.append(check("p-symmetric",
-                            "the correction class is invariant under all slot permutations",
-                            _p_is_symmetric(p)))
-        alt = _alt_config(cfg)
-        checks.append(check("p-gram-independent",
-                            "the correction class is identical for two distinct "
-                            "primitive Gram matrices",
-                            derive_P(alt) == p))
-        rp = realize(p, cfg)
-        bad = None
-        for a in range(5):
-            for b in range(5):
-                for c in range(5):
-                    m = realize(CorrClass.h_monomial(cfg.space.vd, (a, b, c)), cfg)
-                    got = degree(rp * m)
-                    if got != _monomial_degree_oracle(a, b, c):
-                        bad = f"(a,b,c)=({a},{b},{c}): degree {got}"
-                        break
-        checks.append(check(
-            "monomial-degrees",
-            "degrees of the correction class against all 125 hyperplane monomials "
-            "match the closed-form count", bad is None, bad))
-        dd = realize(CorrClass.diagonal(cfg.space.vd), cfg)
-        got = degree(dd * dd)
-        checks.append(check("euler-27",
-                            "the realized diagonal squares to degree 27",
-                            got == QQ(27), f"got {got} (primitive rank {cfg.space.r})"))
-        return checks
-
-    return _timed("derive-p", run, extra)
+    def off_oracle(abc):
+        got = degree(rp * realize(CorrClass.h_monomial(cfg.space.vd, abc), cfg))
+        want = _monomial_degree_oracle(*abc)
+        return None if got == want else "(a,b,c)=({},{},{}): degree {}".format(*abc, got)
+    bad = first_failure(itertools.product(range(5), repeat=3), off_oracle)
+    yield ("monomial-degrees",
+           "degrees of the correction class against all 125 hyperplane monomials "
+           "match the closed-form count", bad is None, bad)
+    dd = realize(CorrClass.diagonal(cfg.space.vd), cfg)
+    got = degree(dd * dd)
+    yield ("euler-27", "the realized diagonal squares to degree 27",
+           got == QQ(27), f"got {got} (primitive rank {cfg.space.r})")
 
 
 # --------------------------------------------------------------------------
 # kernels
 
 
-def kernel_suite(cfg=None, seed: int = 0) -> SuiteReport:
+@_suite("kernels")
+def kernel_suite(cfg, seed, extra):
     """Projection-kernel composition identities over two distinct Gram matrices."""
     cfg = _config(cfg)
-
-    def run():
-        checks = []
-        for label, c in (("g1", cfg), ("g2", _alt_config(cfg))):
-            for res in verify_kernel_identities(c):
-                checks.append(check(f"{res['id']}-{label}",
-                                    res["claim"] + f" [{label}]",
-                                    res["passed"], res.get("witness")))
-        return checks
-
-    return _timed("kernels", run)
+    for label, c in (("g1", cfg), ("g2", _alt_config(cfg))):
+        for res in verify_kernel_identities(c):
+            yield (f"{res['id']}-{label}", f"{res['claim']} [{label}]",
+                   res["passed"], res["witness"])
 
 
 # --------------------------------------------------------------------------
@@ -457,47 +427,44 @@ WITT_CLAIMS = {  # check id -> what holds for every one of the WITT_PROBLEMS map
 }
 
 
-def witt_suite(cfg=None, seed: int = 0) -> SuiteReport:
+@_suite("witt")
+def witt_suite(cfg, seed, extra):
     """Randomized equivariant isometry extensions.
 
     Each returned map must be a global isometry, prescribed on the subspace,
     equivariant, and restrict to an isometry of the orthogonal complements."""
-
-    def run():
-        rng = random.Random(seed)
-        fails = dict.fromkeys(WITT_CLAIMS)
-        for i in range(WITT_PROBLEMS):
-            group1, w1, group2, w2, phi_v, psi_w = _random_witt_instance(rng)
-            try:
-                wr = equivariant_witt(group1, w1, group2, w2, phi_v, psi_w)
-            except Exception as e:  # any failure counts against every aspect
-                for k in fails:
-                    fails[k] = fails[k] or f"instance {i}: raised {e!r}"
-                continue
-            if not wr.full.verify():
-                fails["isometry"] = fails["isometry"] or f"instance {i}"
-            w1t, w2t = (np.stack(w, axis=1) if w else zeros(group1.space.dim, 0) for w in (w1, w2))
-            if not mat_eq(dot(wr.full.matrix, w1t), dot(w2t, psi_w.matrix)):
-                fails["prescription"] = fails["prescription"] or f"instance {i}"
-            if not wr.full.commutes(group1, group2):
-                fails["equivariance"] = fails["equivariance"] or f"instance {i}"
-            if (not wr.restriction.verify()
-                    or len(wr.u1_basis) != group1.space.dim - len(w1)):
-                fails["complement"] = fails["complement"] or f"instance {i}"
-        checks = [check(cid, f"all {WITT_PROBLEMS} {claim}", fails[cid] is None, fails[cid])
-                  for cid, claim in WITT_CLAIMS.items()]
-        v = QuadSpace(qmat([[QQ(1), QQ(0)], [QQ(0), QQ(-1)]]))
-        grp = GroupAction.trivial(v)
-        wdeg = [np.array([QQ(1), QQ(1)], dtype=object)]
-        wv = v.restrict(wdeg)
-        checks.append(_rejects(
-            "degenerate-rejected", "a degenerate subspace is rejected with the designated error",
-            lambda: equivariant_witt(grp, wdeg, grp, wdeg, Isometry.identity(v),
-                                     Isometry(wv, wv, eye(1))),
-            DomainError, "unsupported: degenerate complement"))
-        return checks
-
-    return _timed("witt", run)
+    rng = random.Random(seed)
+    fails = dict.fromkeys(WITT_CLAIMS)
+    for i in range(WITT_PROBLEMS):
+        group1, w1, group2, w2, phi_v, psi_w = _random_witt_instance(rng)
+        why = f"instance {i}"
+        try:
+            wr = equivariant_witt(group1, w1, group2, w2, phi_v, psi_w)
+        except Exception as e:  # any failure counts against every aspect
+            holds, why = dict.fromkeys(WITT_CLAIMS, False), f"{why}: raised {e!r}"
+        else:
+            w1t, w2t = (np.stack(w, axis=1) if w else zeros(group1.space.dim, 0)
+                        for w in (w1, w2))
+            holds = {
+                "isometry": wr.full.verify(),
+                "prescription": mat_eq(dot(wr.full.matrix, w1t), dot(w2t, psi_w.matrix)),
+                "equivariance": wr.full.commutes(group1, group2),
+                "complement": (wr.restriction.verify()
+                               and len(wr.u1_basis) == group1.space.dim - len(w1)),
+            }
+        for cid, ok in holds.items():
+            fails[cid] = fails[cid] or (None if ok else why)
+    for cid, claim in WITT_CLAIMS.items():
+        yield cid, f"all {WITT_PROBLEMS} {claim}", fails[cid] is None, fails[cid]
+    v = QuadSpace(qmat([[QQ(1), QQ(0)], [QQ(0), QQ(-1)]]))
+    grp = GroupAction.trivial(v)
+    wdeg = [np.array([QQ(1), QQ(1)], dtype=object)]
+    wv = v.restrict(wdeg)
+    yield _rejects(
+        "degenerate-rejected", "a degenerate subspace is rejected with the designated error",
+        lambda: equivariant_witt(grp, wdeg, grp, wdeg, Isometry.identity(v),
+                                 Isometry(wv, wv, eye(1))),
+        DomainError, "unsupported: degenerate complement")
 
 
 # --------------------------------------------------------------------------
@@ -531,79 +498,61 @@ def _sheared_flip(cert: GammaCert, dx):
     return type(cert.gamma)(cert.gamma.spaces, {**cert.gamma.comps, ("V", "V"): vv_bad})
 
 
-def gamma_suite(cfg=None, seed: int = 0) -> SuiteReport:
+@_suite("gamma")
+def gamma_suite(cfg, seed, extra):
     """Randomized fourfold-pair isomorphism certificates plus negative controls.
 
     Builds the isomorphism candidate, verifies all certified identities, and
     confirms that tampered candidates are caught."""
+    for i in range(GAMMA_PAIRS):
+        failed = _failed_ids(build_gamma(*random_fourfold_pair(seed * 1000 + i)))
+        yield (f"pair-{i:02d}",
+               "both inverses, h-lines, quadratic form, equivariance, diagonal "
+               "and small-diagonal transport hold", not failed, f"failed: {failed}")
+    failed = _failed_ids(build_gamma(*random_fourfold_pair(seed * 1000 + GAMMA_PAIRS, rank=22)))
+    yield ("pair-rank22", "a full rank-22 primitive pair passes every identity",
+           not failed, f"failed: {failed}")
 
-    def run():
-        checks = []
-        for i in range(GAMMA_PAIRS):
-            failed = _failed_ids(build_gamma(*random_fourfold_pair(seed * 1000 + i)))
-            checks.append(check(
-                f"pair-{i:02d}",
-                "both inverses, h-lines, quadratic form, equivariance, diagonal "
-                "and small-diagonal transport hold",
-                not failed, f"failed: {failed}"))
-        failed = _failed_ids(build_gamma(*random_fourfold_pair(seed * 1000 + GAMMA_PAIRS,
-                                                               rank=22)))
-        checks.append(check("pair-rank22",
-                            "a full rank-22 primitive pair passes every identity",
-                            not failed, f"failed: {failed}"))
-
-        dx, dy, iso = random_fourfold_pair(seed * 1000 + GAMMA_PAIRS + 1)
-        cert = build_gamma(dx, dy, iso)
-        comps = dict(cert.gamma.comps)
-        comps[(("h", 1), ("h", 3))] = comps[(("h", 1), ("h", 3))] * QQ(-1)
-        bad = type(cert.gamma)(cert.gamma.spaces, comps)
-        failed = _failed_ids(certify_gamma(bad, dx, dy))
-        checks.append(check("negative-hflip",
-                            "negating one h-line summand is detected by at least one check",
-                            bool(failed), "corruption passed every check"))
-        failed = _failed_ids(certify_gamma(_sheared_flip(cert, dx), dx, dy))
-        checks.append(check(
-            "negative-shear",
-            "negating one summand of the transcendental block in a sheared basis "
-            "is detected, in particular by the small-diagonal transport",
-            bool(failed) and "small-diagonal" in failed,
-            f"failed checks: {failed}"))
-        return checks
-
-    return _timed("gamma", run)
+    dx, dy, iso = random_fourfold_pair(seed * 1000 + GAMMA_PAIRS + 1)
+    cert = build_gamma(dx, dy, iso)
+    comps = dict(cert.gamma.comps)
+    comps[(("h", 1), ("h", 3))] = comps[(("h", 1), ("h", 3))] * QQ(-1)
+    failed = _failed_ids(certify_gamma(type(cert.gamma)(cert.gamma.spaces, comps), dx, dy))
+    yield ("negative-hflip", "negating one h-line summand is detected by at least one check",
+           bool(failed), "corruption passed every check")
+    failed = _failed_ids(certify_gamma(_sheared_flip(cert, dx), dx, dy))
+    yield ("negative-shear",
+           "negating one summand of the transcendental block in a sheared basis "
+           "is detected, in particular by the small-diagonal transport",
+           bool(failed) and "small-diagonal" in failed, f"failed checks: {failed}")
 
 
 # --------------------------------------------------------------------------
 # gamma-k3
 
 
-def gamma_k3_suite(cfg=None, seed: int = 0) -> SuiteReport:
+@_suite("gamma-k3")
+def gamma_k3_suite(cfg, seed, extra):
     """Fourfold-to-surface bridges on matched transcendental lattices."""
-
-    def run():
-        g = qmat([[QQ(-2), QQ(1)], [QQ(1), QQ(-2)]])
-        dx = FourfoldData(RealizationConfig.with_gram(g))
-        ds = SurfaceData(VarietyData.k3(), QuadSpace(g.copy()), ())
-        iso = Isometry(dx.transcendental()[1], ds.transcendental()[1], eye(2))
-        failed = _failed_ids(build_gamma_cubic_k3(dx, ds, iso))
-        checks = [check("toy-rank2", "a rank-2 matched pair produces a passing certificate",
-                        not failed, f"failed: {failed}")]
-        bad = next((s for s in range(seed * 100, seed * 100 + 3)
-                    if _failed_ids(build_gamma_cubic_k3(*random_cubic_k3_pair(s)))), None)
-        checks.append(check("random-pairs",
-                            "three randomized matched pairs produce passing certificates",
-                            bad is None, f"pair seed {bad}"))
-        dxr, dsr, isor = random_cubic_k3_pair(seed * 100 + 42, rank=22)
-        failed = _failed_ids(build_gamma_cubic_k3(dxr, dsr, isor))
-        checks.append(check("rank22", "a rank-22 matched pair produces a passing certificate",
-                            not failed, f"failed: {failed}"))
-        dxa, _, _ = random_cubic_k3_pair(seed * 100, rank=6)
-        _, dsb, _ = random_cubic_k3_pair(seed * 100 + 1, rank=8)
-        checks.append(_rejects("mismatch-rejected", "rank-mismatched inputs are rejected",
-                               lambda: build_gamma_cubic_k3(dxa, dsb, isor), DomainError))
-        return checks
-
-    return _timed("gamma-k3", run)
+    g = qmat([[QQ(-2), QQ(1)], [QQ(1), QQ(-2)]])
+    dx = FourfoldData(RealizationConfig.with_gram(g))
+    ds = SurfaceData(VarietyData.k3(), QuadSpace(g.copy()), ())
+    iso = Isometry(dx.transcendental()[1], ds.transcendental()[1], eye(2))
+    failed = _failed_ids(build_gamma_cubic_k3(dx, ds, iso))
+    yield ("toy-rank2", "a rank-2 matched pair produces a passing certificate",
+           not failed, f"failed: {failed}")
+    bad = first_failure(range(seed * 100, seed * 100 + 3), lambda s: (
+        f"pair seed {s}" if _failed_ids(build_gamma_cubic_k3(*random_cubic_k3_pair(s))) else None))
+    yield ("random-pairs", "three randomized matched pairs produce passing certificates",
+           bad is None, bad)
+    dxr, dsr, isor = random_cubic_k3_pair(seed * 100 + 42, rank=22)
+    failed = _failed_ids(build_gamma_cubic_k3(dxr, dsr, isor))
+    yield ("rank22", "a rank-22 matched pair produces a passing certificate",
+           not failed, f"failed: {failed}")
+    dxa, _, _ = random_cubic_k3_pair(seed * 100, rank=6)
+    _, dsb, _ = random_cubic_k3_pair(seed * 100 + 1, rank=8)
+    yield _rejects("mismatch-rejected", "rank-mismatched inputs are rejected",
+                   lambda: build_gamma_cubic_k3(dxa, dsb, isor), DomainError)
 
 
 # --------------------------------------------------------------------------

@@ -6,12 +6,14 @@ which must occur there exactly once (``test_mutants.py`` checks that in
 tier 1, so the catalogue cannot rot silently), its replacement, and the tests
 that must fail once it is applied.  The runner copies ``src/`` to a temporary
 directory, applies one replacement to the copy, and runs the target tests
-against it in a subprocess; the tree itself is never changed.  A surviving
-mutant is a missing test: add the test, never remove the mutant.
+against it in a subprocess, with a fixed hypothesis seed and a time limit;
+the tree itself is never changed.  A surviving mutant is a missing test: add
+the test, never remove the mutant.  A run that exceeds the limit reports
+``timeout``, which fails the catalogue like a survivor does.
 
 Run from the repository root (standard library only):
 
-    python tests/mutants.py             # every mutant; exits 1 if any survives
+    python tests/mutants.py             # every mutant; exits 1 unless all are killed
     python tests/mutants.py solve       # only mutants whose name contains "solve"
 """
 
@@ -28,6 +30,8 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cubicmotives"
+TIMEOUT = 300  # seconds for one run of the target tests
+HYPOTHESIS_SEED = 0  # the same examples on every run, whatever .hypothesis/ holds
 
 
 class Mutant(NamedTuple):
@@ -43,6 +47,8 @@ GAMMA = ("tests/test_motiveiso.py::test_gamma_matches_fraction_assembly",
          "tests/test_motiveiso.py::test_cubic_k3_gamma_matches_fraction_assembly")
 CANONICAL = ("tests/test_motiveiso.py::"
              "test_transcendental_bases_rejects_maps_off_the_canonical_coordinates",)
+SUITES = ("tests/test_suites.py",)
+MIXED = ("tests/test_motiveiso.py::test_mixed_blocks_follow_all_element_equivariance",)
 
 CATALOGUE = (
     Mutant("solve-inconsistent-pivot", "linalg",
@@ -126,25 +132,53 @@ CATALOGUE = (
     Mutant("transport-v-axis-position", "realization",
            "p = sig[:s].count(\"V\")  # position of this slot's V-axis", "p = 0",
            ("tests/test_motiveiso.py::test_tampered_gamma_transport_matches_dense_oracle",)),
+    Mutant("first-failure-returns-the-last", "suites",
+           "next((w for w in map(witness, cases) if w is not None), None)",
+           "([None] + [w for w in map(witness, cases) if w is not None])[-1]", SUITES),
+    Mutant("suite-drops-the-witness", "suites", "check(*c)", "check(*c[:3])", SUITES),
+    Mutant("scaled-drops-the-lcm-factor", "linalg", "p * (d // q)", "p", LINALG),
+    Mutant("product-drops-the-denominator-product", "linalg",
+           "n, d = np.dot(n, m), d * e", "n, d = np.dot(n, m), d", LINALG),
+    Mutant("equivariance-skips-the-h-v-block", "motiveiso",
+           "same(product(a_hv, m1), a_hv)", "True", MIXED),
+    Mutant("equivariance-skips-the-v-h-block", "motiveiso",
+           "same(product(m2, a_vh), a_vh)", "True", MIXED),
+    Mutant("equivariance-skips-the-v-v-block", "motiveiso",
+           "same(product(a_vv, m1), product(m2, a_vv))", "True",
+           ("tests/test_motiveiso.py::test_reflected_candidate_fails_equivariance_only",)),
+    Mutant("isometry-verify-drops-the-transpose", "quadform",
+           "product((m[0].T, m[1]), self.target.scaled_gram, m)",
+           "product((m[0], m[1]), self.target.scaled_gram, m)",
+           ("tests/test_quadform.py::test_verify_and_closure_match_oracle",)),
+    Mutant("diagonal-ignores-the-inverse-gram-denominator", "realization",
+           "den = math.lcm(e, space._gram_inv[1]) if space.r else e", "den = e",
+           ("tests/test_realization.py::test_compose_realized_unital",
+            "tests/test_realization.py::test_action_matrix_shape_and_diagonal")),
 )
 
 
-def _pytest(src_parent: Path, targets) -> tuple[int, str]:
+def _pytest(src_parent: Path, targets) -> tuple[int | None, str]:
     """(exit code, last line of the summary) of the targets run against the
-    package under ``src_parent``."""
+    package under ``src_parent``; the exit code is None when the run took
+    longer than ``TIMEOUT`` seconds and was killed."""
     env = dict(os.environ, PYTHONPATH=str(src_parent), PYTHONDONTWRITEBYTECODE="1")
     probe = subprocess.run([sys.executable, "-c", "import cubicmotives; print(cubicmotives.__file__)"],
                            cwd=ROOT, env=env, capture_output=True, text=True, check=True)
     if not probe.stdout.startswith(str(src_parent)):
         raise RuntimeError(f"the copy is not what the tests import: {probe.stdout.strip()}")
-    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                          *targets], cwd=ROOT, env=env, capture_output=True, text=True)
+    try:
+        run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                              f"--hypothesis-seed={HYPOTHESIS_SEED}", *targets],
+                             cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return None, f"no result after {TIMEOUT} s"
     lines = [ln for ln in run.stdout.splitlines() if ln.strip()]
     return run.returncode, lines[-1] if lines else run.stderr.strip()[-200:]
 
 
 def run(mutants) -> bool:
-    """Print one kill-table row per mutant; True when every one is killed."""
+    """Print one kill-table row per mutant; True when every one is killed
+    (a survivor or a timeout makes it False)."""
     all_killed = True
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "src"
@@ -165,9 +199,9 @@ def run(mutants) -> bool:
                 code, summary = _pytest(copy, m.targets)
             finally:
                 target[m.module].write_text(original)
-            killed = code != 0
-            all_killed &= killed
-            print(f"| {m.name} | {m.module} | {'killed' if killed else 'SURVIVED'} "
+            verdict = "timeout" if code is None else "killed" if code else "SURVIVED"
+            all_killed &= verdict == "killed"
+            print(f"| {m.name} | {m.module} | {verdict} "
                   f"| {summary} | {time.perf_counter() - t0:.1f} |", flush=True)
     return all_killed
 

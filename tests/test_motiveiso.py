@@ -413,6 +413,23 @@ def test_reflected_candidate_fails_equivariance_only():
         assert failed == ["equivariant"]
 
 
+@pytest.mark.parametrize("sig", [(("h", 2), "V"), ("V", ("h", 2))])
+def test_mixed_blocks_follow_all_element_equivariance(sig):
+    # a summand between an h-line and V makes only the V-h (first signature)
+    # or only the h-V (second) block of the action nonzero, so that block's
+    # own generator condition must decide the verdict
+    dx, dy, iso = random_fourfold_pair(1)
+    gamma = build_gamma(dx, dy, iso).gamma
+    verdicts = []
+    for k in range(dx.space.r):
+        bad = RealizedClass(gamma.spaces, {**gamma.comps, sig: eye(dx.space.r)[k]})
+        verdict = next(c["passed"] for c in certify_gamma(bad, dx, dy).checks
+                       if c["id"] == "equivariant")
+        assert verdict is _all_elements_equivariant(bad, dx, dy), k
+        verdicts.append(verdict)
+    assert not all(verdicts)
+
+
 def test_certify_gamma_rejects_unequal_generator_lists():
     dx, dy, iso = random_fourfold_pair(1)
     gamma = build_gamma(dx, dy, iso).gamma

@@ -454,13 +454,26 @@ def test_witt_complement_matches_fraction_route():
         assert mat_eq(wr.restriction.source.gram, g1) and mat_eq(wr.restriction.target.gram, g2)
 
 
-def test_random_witt_instance_matches_fraction_route():
-    for seed in (0, 5):  # the witt suite's stream at seed 0, and one more
-        rng, ref = random.Random(seed), random.Random(seed)
-        for i in range(200 if seed == 0 else 50):
-            group1, w1, group2, w2, phi_v, psi_w = _random_witt_instance(rng)
+def _witt_stream(seed: int, count: int) -> list:
+    """``count`` instances of ``_random_witt_instance`` drawn from one
+    ``random.Random(seed)``, each with the generator's state right after it."""
+    rng = random.Random(seed)
+    return [(_random_witt_instance(rng), rng.getstate()) for _ in range(count)]
+
+
+@pytest.fixture(scope="module")
+def witt_instances():
+    """The witt suite's 200 instances at seed 0, built once for this module."""
+    return _witt_stream(0, 200)
+
+
+def test_random_witt_instance_matches_fraction_route(witt_instances):
+    # the witt suite's stream at seed 0, and one more
+    for seed, stream in ((0, witt_instances), (5, _witt_stream(5, 50))):
+        ref = random.Random(seed)
+        for i, ((group1, w1, group2, w2, phi_v, psi_w), state) in enumerate(stream):
             g1, gens1, want_w1, g2, gens2, want_w2, phi, psi = oracle.random_witt_instance(ref)
-            assert rng.getstate() == ref.getstate(), (seed, i)
+            assert state == ref.getstate(), (seed, i)
             assert mat_eq(group1.space.gram, g1) and mat_eq(group2.space.gram, g2)
             assert phi_v.source is group1.space and phi_v.target is group2.space
             assert mat_eq(phi_v.matrix, phi) and mat_eq(psi_w.matrix, psi)
@@ -500,10 +513,8 @@ def _same_line(row, vec) -> bool:
     return rank(np.stack([row, vec])) == 1 and any(x != 0 for x in row)
 
 
-def test_witt_extension_matches_fraction_route():
-    rng = random.Random(0)  # the witt suite's 200 instances at seed 0
-    for i in range(200):
-        group1, w1, group2, w2, phi_v, psi_w = _random_witt_instance(rng)
+def test_witt_extension_matches_fraction_route(witt_instances):
+    for i, ((group1, w1, group2, w2, phi_v, psi_w), _) in enumerate(witt_instances):
         v1, v2 = group1.space, group2.space
         rows = scaled(np.stack(w1))[0] if w1 else np.zeros((0, v1.dim), dtype=object)
         basis, (want_basis, _) = _orthogonalize(v1, rows), oracle.orthogonalize(v1.gram, w1)
