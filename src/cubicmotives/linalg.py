@@ -6,7 +6,12 @@ rational matrices: a matrix is scaled once (:func:`scaled`) to Python integers
 over one denominator, multiplied (:func:`product`) and compared (:func:`same`)
 as such pairs, so a cached scaled form is never re-scaled, and boxed back
 (:func:`boxed`) only where a rational result is handed out; :func:`dot` is
-the rational front end of a chain.  One elimination, :func:`_echelon`, is
+the rational front end of a chain.  Storage stays object; :func:`contract`,
+the integer ``np.dot``/``np.tensordot`` under :func:`product` and the
+realization engine, runs on int64 only under two conditions: the work is at
+least ``CONTRACT_MIN_WORK`` multiply-adds, and k max|a| max|b| <
+``INT64_BOUND`` (k the product of the contracted dimensions), which proves
+every partial sum exact.  One elimination, :func:`_echelon`, is
 fraction-free Gauss-Jordan on Python-int numerators (TypeError on any other
 entry): at pivot p every other row becomes (p row - f pivot_row) // previous
 pivot, exact since every entry is a minor of the input (Bareiss 1968).
@@ -93,11 +98,51 @@ def canonical(n, d):
     return (n // g, d // g) if g != 1 else (n, d)
 
 
+# below CONTRACT_MIN_WORK multiply-adds the two int64 conversions cost more
+# than they save; k max|a| max|b| bounds every partial sum of one entry, so
+# below INT64_BOUND no int64 sum can wrap
+CONTRACT_MIN_WORK = 2048
+INT64_BOUND = 2**62
+
+
+def _height(w) -> int:
+    """max |entry| of a nonempty int64 array, as a Python int (np.abs would
+    wrap at -2**63)."""
+    return max(int(w.max()), -int(w.min()))
+
+
+def contract(a, b, axes=None):
+    """``np.dot(a, b)``, or ``np.tensordot(a, b, axes)`` when ``axes`` (a pair
+    of axis lists) is given, of integer arrays or scalars, exactly, with
+    Python ``int`` entries.
+
+    The operands are contracted on int64 when both conditions hold: the work,
+    size(a) size(b) / k multiply-adds with k the product of the contracted
+    dimensions, is at least ``CONTRACT_MIN_WORK``, and k max|a| max|b| <
+    ``INT64_BOUND``.  Otherwise, or when an entry does not convert to int64,
+    the contraction runs on the objects themselves.  Entries must be integers:
+    the conversion would truncate any other rational."""
+    if axes is None:
+        k = 1 if np.ndim(a) == 0 or np.ndim(b) == 0 else np.shape(a)[-1]
+    else:
+        k = math.prod(np.shape(a)[i] for i in axes[0])
+    if k and np.size(a) * np.size(b) >= CONTRACT_MIN_WORK * k:
+        try:
+            wa, wb = np.asarray(a).astype(np.int64), np.asarray(b).astype(np.int64)
+        except (OverflowError, TypeError):
+            pass
+        else:
+            if k * _height(wa) * _height(wb) < INT64_BOUND:
+                got = np.dot(wa, wb) if axes is None else np.tensordot(wa, wb, axes)
+                return got.astype(object)
+    return np.dot(a, b) if axes is None else np.tensordot(a, b, axes)
+
+
 def product(*pairs):
     """Scaled pair of the left-to-right (``np.dot``) product of scaled pairs."""
     n, d = pairs[0]
     for m, e in pairs[1:]:
-        n, d = np.dot(n, m), d * e
+        n, d = contract(n, m), d * e
     return n, d
 
 
@@ -115,8 +160,8 @@ def same(a, b) -> bool:
 
 def dot(*operands):
     """Exact product of a left-to-right chain of 1- and 2-d arrays (``np.dot``
-    shapes): each operand scaled once, ``np.dot`` on the integers, the result
-    boxed once; a scalar result comes back as a rational."""
+    shapes): each operand scaled once, :func:`contract` on the integers, the
+    result boxed once; a scalar result comes back as a rational."""
     return boxed(*product(*(scaled(a) for a in operands)))
 
 

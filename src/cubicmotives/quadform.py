@@ -325,13 +325,24 @@ class WittResult:
     ``full``          G-equivariant isometry V1 -> V2 mapping span W1 onto
                       span W2 compatibly with psi_W,
     ``restriction``   the induced isometry between the orthogonal complements,
-                      in the coordinates of ``u1_basis`` / ``u2_basis``.
+                      in the coordinates of ``u1_basis`` / ``u2_basis``,
+    ``u1_scaled``     the complement bases as scaled pairs (integer rows, one
+    ``u2_scaled``     denominator); ``u1_basis`` / ``u2_basis`` are their
+                      lists of rational vectors, boxed on first read.
     """
 
     full: Isometry
     restriction: Isometry
-    u1_basis: list
-    u2_basis: list
+    u1_scaled: tuple
+    u2_scaled: tuple
+
+    @cached_property
+    def u1_basis(self) -> list:
+        return list(boxed(*self.u1_scaled))
+
+    @cached_property
+    def u2_basis(self) -> list:
+        return list(boxed(*self.u2_scaled))
 
 
 def equivariant_witt(g1: GroupAction, w1_basis, g2: GroupAction, w2_basis,
@@ -390,4 +401,4 @@ def equivariant_witt(g1: GroupAction, w1_basis, g2: GroupAction, w2_basis,
     coords = solve_scaled((u2[0].T, u2[1]), product(phi, (u1[0].T, u1[1])))
     restriction = Isometry.from_scaled(v1.restrict_scaled(u1), v2.restrict_scaled(u2), coords)
     restriction.require_valid("restricted map")
-    return WittResult(full, restriction, list(boxed(*u1)), list(boxed(*u2)))
+    return WittResult(full, restriction, u1, u2)

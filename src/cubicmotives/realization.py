@@ -19,8 +19,9 @@ A realized class stores its components as Python integers (an ``int`` per
 h-only signature, an ``int`` object array per V-carrying one) over one
 positive class denominator, in the common-denominator form of
 :func:`cubicmotives.linalg.scaled`.  Sums, products, transport (by slot
-maps given as scaled pairs) and equality run on those integers; rationals
-appear only at the two boundary conversions: the constructor scales rational
+maps given as scaled pairs) and equality run on those integers, products and
+transport through :func:`cubicmotives.linalg.contract`; rationals appear
+only at the two boundary conversions: the constructor scales rational
 components once, and ``comps`` (with ``to_matrix`` and ``action_matrix``)
 boxes them back with :func:`cubicmotives.linalg.boxed`.
 """
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import ShadowViolation, StructureError
 from .gradedring import VarietyData
-from .linalg import boxed, eye, inverse_scaled, mat_eq, readonly, same, scaled
+from .linalg import boxed, contract, eye, inverse_scaled, mat_eq, readonly, same, scaled
 from .quadform import QuadSpace
 from .rationals import QQ, rational_str
 from .tautcorr import CorrClass, ck_projectors, monomial_str
@@ -126,7 +127,7 @@ def _nonzero(val) -> bool:
 
 
 def _tensordot(a, b, axes):
-    val = np.tensordot(a, b, axes=axes)
+    val = contract(a, b, axes)
     return val[()] if val.ndim == 0 else val
 
 
@@ -275,19 +276,24 @@ class RealizedClass:
         ``m[kt, ks]`` — a scalar for h -> h, an outer product placed at the
         slot's V-axis for h -> V, a contraction of that axis for V -> h, and a
         contraction with the new axis put back in place for V -> V.  All-zero
-        blocks are skipped.
+        blocks are skipped; the table of the other blocks is built once per
+        distinct (map, source, target) of the call.
         """
         if len(mats) != self.n or len(targets) != self.n:
             raise StructureError("need one transport matrix per slot")
         num, den = self._num, self._den
-        for s, (m, src, tgt) in enumerate(zip(mats, self.spaces, targets)):
-            if m is None:
+        tables = {}
+        for s, (pair, src, tgt) in enumerate(zip(mats, self.spaces, targets)):
+            if pair is None:
                 continue
-            m, d = m
-            blocks = {}
-            for ks in src.kinds():
-                cells = ((kt, m[tgt.index(kt), src.index(ks)]) for kt in tgt.kinds())
-                blocks[ks] = [(kt, b) for kt, b in cells if _nonzero(b)]
+            m, d = pair
+            table = (id(pair), id(src), id(tgt))  # all three outlive the call
+            if table not in tables:
+                tables[table] = {}
+                for ks in src.kinds():
+                    cells = ((kt, m[tgt.index(kt), src.index(ks)]) for kt in tgt.kinds())
+                    tables[table][ks] = [(kt, b) for kt, b in cells if _nonzero(b)]
+            blocks = tables[table]
             out = {}
             for sig, val in num.items():
                 p = sig[:s].count("V")  # position of this slot's V-axis
@@ -358,7 +364,7 @@ def _component_product(spaces, sig_a, val_a, sig_b, val_b):
     # then contract a with b over those slots, one pairwise tensordot each
     for s in contracted:
         i = a_axes.index(s)
-        val_a = np.moveaxis(np.tensordot(val_a, spaces[s]._gram[0], axes=([i], [0])), -1, i)
+        val_a = np.moveaxis(contract(val_a, spaces[s]._gram[0], ([i], [0])), -1, i)
     val = _tensordot(val_a, val_b, ([a_axes.index(s) for s in contracted],
                                     [b_axes.index(s) for s in contracted]))
     # the free axes come out as a's then b's; put them back in slot order
@@ -443,7 +449,7 @@ def action_matrix(f: RealizedClass) -> np.ndarray:
 def scaled_action(f: RealizedClass):
     """:func:`action_matrix` as a scaled pair (integers, denominator)."""
     pn, pd = f.spaces[0].scaled_pairing
-    return np.dot(f._matrix().T, pn), f._den * pd
+    return contract(f._matrix().T, pn), f._den * pd
 
 
 def degree(x: RealizedClass):

@@ -450,7 +450,7 @@ def witt_suite(cfg, seed, extra):
                 "prescription": mat_eq(dot(wr.full.matrix, w1t), dot(w2t, psi_w.matrix)),
                 "equivariance": wr.full.commutes(group1, group2),
                 "complement": (wr.restriction.verify()
-                               and len(wr.u1_basis) == group1.space.dim - len(w1)),
+                               and len(wr.u1_scaled[0]) == group1.space.dim - len(w1)),
             }
         for cid, ok in holds.items():
             fails[cid] = fails[cid] or (None if ok else why)

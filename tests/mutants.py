@@ -49,6 +49,10 @@ CANONICAL = ("tests/test_motiveiso.py::"
              "test_transcendental_bases_rejects_maps_off_the_canonical_coordinates",)
 SUITES = ("tests/test_suites.py",)
 MIXED = ("tests/test_motiveiso.py::test_mixed_blocks_follow_all_element_equivariance",)
+# the fixed cases first: with -x a kill there skips the property test's shrinking
+CONTRACT = ("tests/test_linalg.py::test_contract_at_the_edges_of_int64",
+            "tests/test_linalg.py::test_contract_takes_int64_exactly_from_the_threshold_on",
+            "tests/test_linalg.py::test_contract_matches_object_contraction")
 
 CATALOGUE = (
     Mutant("solve-inconsistent-pivot", "linalg",
@@ -138,7 +142,21 @@ CATALOGUE = (
     Mutant("suite-drops-the-witness", "suites", "check(*c)", "check(*c[:3])", SUITES),
     Mutant("scaled-drops-the-lcm-factor", "linalg", "p * (d // q)", "p", LINALG),
     Mutant("product-drops-the-denominator-product", "linalg",
-           "n, d = np.dot(n, m), d * e", "n, d = np.dot(n, m), d", LINALG),
+           "n, d = contract(n, m), d * e", "n, d = contract(n, m), d", LINALG),
+    Mutant("contract-bound-drops-k", "linalg",
+           "k * _height(wa) * _height(wb) < INT64_BOUND", "_height(wa) * _height(wb) < INT64_BOUND",
+           CONTRACT),
+    Mutant("contract-bound-is-two-to-the-64", "linalg",
+           "INT64_BOUND = 2**62", "INT64_BOUND = 2**64", CONTRACT),
+    Mutant("contract-height-by-np-abs", "linalg",
+           "max(int(w.max()), -int(w.min()))", "int(np.abs(w).max())", CONTRACT),
+    Mutant("contract-threshold-inverted", "linalg",
+           "np.size(a) * np.size(b) >= CONTRACT_MIN_WORK * k",
+           "np.size(a) * np.size(b) < CONTRACT_MIN_WORK * k", CONTRACT),
+    Mutant("contract-lets-overflow-escape", "linalg",
+           "except (OverflowError, TypeError):", "except TypeError:", CONTRACT),
+    Mutant("contract-keeps-int64-entries", "linalg",
+           "return got.astype(object)", "return got", CONTRACT),
     Mutant("equivariance-skips-the-h-v-block", "motiveiso",
            "same(product(a_hv, m1), a_hv)", "True", MIXED),
     Mutant("equivariance-skips-the-v-h-block", "motiveiso",

@@ -8,8 +8,13 @@ singular and inconsistent systems that must raise the same errors; the
 pair-level ``solve_scaled`` and ``kernel_scaled`` likewise, on pairs with
 denominators of either sign.  The
 tensor contractions of the realization engine are checked against the
-Fraction-array oracle in ``test_fraction_oracle.py``."""
+Fraction-array oracle in ``test_fraction_oracle.py``.  ``contract``, the
+integer contraction under ``product`` and the realization engine, is checked
+against object ``np.dot``/``np.tensordot`` (the route it replaced) on both sides
+of its int64 bound and its size threshold."""
 
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -19,8 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from cubicmotives.linalg import (boxed, canonical, dot, inverse, kernel_basis, kernel_scaled,
-                                 rank, rref, same, scaled, solve, solve_scaled)
+from cubicmotives.linalg import (CONTRACT_MIN_WORK, INT64_BOUND, boxed, canonical, contract, dot,
+                                 inverse, kernel_basis, kernel_scaled, rank, rref, same, scaled,
+                                 solve, solve_scaled)
 from cubicmotives.rationals import QQ
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -304,3 +310,140 @@ def test_same_compares_shapes_before_values():
     assert not same((_ints([[2]]), 2), (np.ones((2, 2), dtype=int).astype(object), 1))
     assert same((_ints([[2, 4]]), 2), (_ints([[1, 2]]), 1))
     assert same((_ints([[2, 4]]), -2), (_ints([[-1, -2]]), 1))
+
+
+# --- contract against object np.dot / np.tensordot ------------------------------------
+
+
+def _ints_of(rng, shape, bits):
+    """Random integers of up to ``bits`` bits, either sign, in an object array
+    (a Python int for shape ())."""
+    flat = [rng.randint(-2**bits, 2**bits) for _ in range(math.prod(shape))]
+    return flat[0] if shape == () else np.array(flat, dtype=object).reshape(shape)
+
+
+def _same_ints(got, want):
+    """Equal values and shapes, and every entry a Python int, as the object
+    route gives (an np.int64 would make ``_echelon`` raise TypeError)."""
+    if not isinstance(want, np.ndarray):
+        assert type(got) is int and got == want
+        return
+    assert isinstance(got, np.ndarray) and got.dtype == object and got.shape == want.shape
+    assert all(type(x) is int for x in got.flat)
+    assert all(x == y for x, y in zip(got.flat, want.flat))
+
+
+def _oracle(a, b, axes=None):
+    return np.dot(a, b) if axes is None else np.tensordot(a, b, axes)
+
+
+# (shape of a, shape of b, axes) as functions of the dimensions n, k, m, with
+# n k m multiply-adds or more: the
+# np.dot shapes of ``product`` and ``scaled_action``, the slot contractions of
+# ``transport`` (V -> V and V -> h) and the Gram and pair contractions of
+# ``_component_product``
+LAYOUTS = (
+    lambda n, k, m: ((n, k), (k, m), None),
+    lambda n, k, m: ((k,), (k, n * m), None),
+    lambda n, k, m: ((n * m, k), (k,), None),
+    lambda n, k, m: ((n * k * m,), (n * k * m,), None),
+    lambda n, k, m: ((), (n * k, m), None),
+    lambda n, k, m: ((n, k, m), (n, k), ([1], [1])),
+    lambda n, k, m: ((k, n, m), (k,), ([0], [0])),
+    lambda n, k, m: ((n, m, k), (k, k), ([2], [0])),
+    lambda n, k, m: ((k, n, m), (m, k, n), ([0, 2], [1, 0])),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(LAYOUTS), st.sampled_from((22, 13, 6, 1)),
+       st.sampled_from((24, 22, 6, 1, 0)), st.sampled_from((40, 22, 5)),
+       st.sampled_from((1, 8, 20, 26, 31, 32, 40, 62, 63, 64, 70)),
+       st.sampled_from((1, 8, 20, 26, 31, 32, 40, 62, 63, 64, 70)), st.integers(0, 2**32))
+def test_contract_matches_object_contraction(layout, n, k, m, bits_a, bits_b, seed):
+    # small and large operands, entries of 1 to 70 bits: both routes, both
+    # sides of the bound, and entries that do not convert to int64
+    rng = random.Random(seed)
+    shape_a, shape_b, axes = layout(n, k, m)
+    a, b = _ints_of(rng, shape_a, bits_a), _ints_of(rng, shape_b, bits_b)
+    _same_ints(contract(a, b, axes), _oracle(a, b, axes))
+
+
+def _full(shape, value):
+    return np.full(shape, value, dtype=object)
+
+
+def test_contract_at_the_edges_of_int64():
+    cases = []
+    # 64 x k times k x 32 reaches the threshold for every k: 2048 entries out
+    for k, x, y in ((4, 2**31 - 1, 2**31 - 1),  # entries near 2**31; 4 x y ~ 2**64
+                    (4, 2**30, 2**30 - 1),      # k max|a| max|b| just below 2**62
+                    (4, 2**30, 2**30),          # exactly 2**62: above the bound
+                    (2, 2**31, 2**31),          # sums of 2**63: int64 wraps
+                    (4, 2**31, 2**31 - 1),      # 2**64 - 2**33 wraps, max|a| max|b| < 2**62
+                    (2, -2**31, 2**31)):        # -2**63 exactly: fits, both routes agree
+        cases.append((_full((64, k), x), _full((k, 32), y), None))
+    # an entry of -2**63 converts, but its absolute value does not fit (np.abs
+    # wraps it to -2**63); -2**63 - 1 wraps on int64
+    a = _full((64, 2), 1)
+    a[0] = [-2**63, -1]
+    cases.append((a, _full((2, 32), 1), None))
+    # an entry of 2**63 or more does not convert at all
+    for big in (2**63, 2**64 + 5, -2**63 - 1):
+        a = _full((64, 2), 1)
+        a[3, 1] = big
+        cases.append((a, _full((2, 32), 1), None))
+        cases.append((_full((32, 2), 1), a.T.copy(), None))
+    # a vector times a vector, as ``product`` of two rows: a scalar
+    cases.append((_full(4096, 3), _full(4096, -5), None))
+    cases.append((_full(4096, 2**31), _full(4096, 2**31), None))
+    # a Python-int scalar times an array
+    cases.append((7, _full((64, 40), 2**20), None))
+    cases.append((2**70, _full((64, 40), 2), None))
+    # the list-axes layouts of transport and of _component_product at rank 22
+    rng = random.Random(0)
+    val, blk = _ints_of(rng, (22, 22, 22), 20), _ints_of(rng, (22, 22), 20)
+    for axes in (([1], [1]), ([0], [0]), ([2], [1]), ([0, 2], [1, 0])):
+        cases.append((val, blk if len(axes[0]) == 1 else val, axes))
+    for a, b, axes in cases:
+        _same_ints(contract(a, b, axes), _oracle(a, b, axes))
+    # no multiply-adds at all: empty operands give Python-int zeros
+    for shape_a, shape_b in (((3, 0), (0, 2)), ((0, 5), (5, 3)), ((0,), (0,))):
+        a, b = np.empty(shape_a, dtype=object), np.empty(shape_b, dtype=object)
+        _same_ints(contract(a, b), _oracle(a, b))
+    assert INT64_BOUND == 2**62
+
+
+def test_contract_takes_int64_exactly_from_the_threshold_on():
+    # the object route multiplies the entries themselves, the int64 route
+    # converts them first, so an int that counts its products tells them apart
+    products = []
+
+    class Tally(int):
+        def __mul__(self, other):
+            products.append(1)
+            return int(self) * other
+
+        __rmul__ = __mul__
+
+    def tallies(shape):
+        a = np.empty(shape, dtype=object)
+        a.flat = [Tally(3)] * a.size  # np.full would store plain ints
+        return a
+
+    def route(shape_a, shape_b, axes=None):
+        a, b = tallies(shape_a), tallies(shape_b)
+        products.clear()
+        _same_ints(contract(a, b, axes), _oracle(np.full(shape_a, 3, dtype=object),
+                                                 np.full(shape_b, 3, dtype=object), axes))
+        return "object" if products else "int64"
+
+    assert CONTRACT_MIN_WORK == 2048
+    assert route((32, 4), (4, 16)) == "int64"    # 2048 multiply-adds
+    assert route((23, 1), (1, 89)) == "object"   # 2047
+    assert route((2048,), (2048,)) == "int64"    # one entry of 2048 products
+    assert route((2047,), (2047,)) == "object"
+    assert route((64, 64), (64, 64)) == "int64"
+    assert route((22, 22, 22), (22, 22), ([2], [1])) == "int64"
+    assert route((6, 6, 6), (6, 6), ([2], [1])) == "object"  # rank 6 stays on objects
+    assert route((2, 2), (2, 2)) == "object"
