@@ -7,11 +7,12 @@ over one denominator, multiplied (:func:`product`) and compared (:func:`same`)
 as such pairs, so a cached scaled form is never re-scaled, and boxed back
 (:func:`boxed`) only where a rational result is handed out; :func:`dot` is
 the rational front end of a chain.  Storage stays object; :func:`contract`,
-the integer ``np.dot``/``np.tensordot`` under :func:`product` and the
-realization engine, runs on int64 only under two conditions: the work is at
-least ``CONTRACT_MIN_WORK`` multiply-adds, and k max|a| max|b| <
-``INT64_BOUND`` (k the product of the contracted dimensions), which proves
-every partial sum exact.  One elimination, :func:`_echelon`, is
+the integer ``np.dot`` under :func:`product` and the realization engine (a
+list-axes contraction is a transpose and a reshape to one ``np.dot``), runs
+on int64 only under two conditions: the work is at least
+``CONTRACT_MIN_WORK`` multiply-adds, and k max|a| max|b| < ``INT64_BOUND``
+(k the product of the contracted dimensions), which proves every partial
+sum exact.  One elimination, :func:`_echelon`, is
 fraction-free Gauss-Jordan on Python-int numerators (TypeError on any other
 entry): at pivot p every other row becomes (p row - f pivot_row) // previous
 pivot, exact since every entry is a minor of the input (Bareiss 1968).
@@ -112,9 +113,10 @@ def _height(w) -> int:
 
 
 def contract(a, b, axes=None):
-    """``np.dot(a, b)``, or ``np.tensordot(a, b, axes)`` when ``axes`` (a pair
-    of axis lists) is given, of integer arrays or scalars, exactly, with
-    Python ``int`` entries.
+    """``np.dot(a, b)`` of integer arrays or scalars, or ``np.tensordot(a, b,
+    axes)`` of arrays when ``axes`` (two lists of non-negative axes) is given,
+    exactly, with Python ``int`` entries.  The latter is one ``np.dot`` of a
+    as (free axes) x (contracted axes) and b as (contracted) x (free).
 
     The operands are contracted on int64 when both conditions hold: the work,
     size(a) size(b) / k multiply-adds with k the product of the contracted
@@ -122,20 +124,23 @@ def contract(a, b, axes=None):
     ``INT64_BOUND``.  Otherwise, or when an entry does not convert to int64,
     the contraction runs on the objects themselves.  Entries must be integers:
     the conversion would truncate any other rational."""
-    if axes is None:
-        k = 1 if np.ndim(a) == 0 or np.ndim(b) == 0 else np.shape(a)[-1]
-    else:
-        k = math.prod(np.shape(a)[i] for i in axes[0])
-    if k and np.size(a) * np.size(b) >= CONTRACT_MIN_WORK * k:
+    if axes is not None:
+        (ia, ib), sa, sb = axes, a.shape, b.shape
+        fa = [i for i in range(a.ndim) if i not in ia]
+        fb = [i for i in range(b.ndim) if i not in ib]
+        k, free = math.prod(sa[i] for i in ia), [sa[i] for i in fa] + [sb[i] for i in fb]
+        return contract(a.transpose(fa + ia).reshape(math.prod(free[:len(fa)]), k),
+                        b.transpose(ib + fb).reshape(k, math.prod(free[len(fa):]))).reshape(free)
+    k = a.shape[-1] if getattr(a, "ndim", 0) and getattr(b, "ndim", 0) else 1
+    if k and getattr(a, "size", 1) * getattr(b, "size", 1) >= CONTRACT_MIN_WORK * k:
         try:
             wa, wb = np.asarray(a).astype(np.int64), np.asarray(b).astype(np.int64)
         except (OverflowError, TypeError):
             pass
         else:
             if k * _height(wa) * _height(wb) < INT64_BOUND:
-                got = np.dot(wa, wb) if axes is None else np.tensordot(wa, wb, axes)
-                return got.astype(object)
-    return np.dot(a, b) if axes is None else np.tensordot(a, b, axes)
+                return np.dot(wa, wb).astype(object)
+    return np.dot(a, b)
 
 
 def product(*pairs):

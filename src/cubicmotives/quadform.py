@@ -166,13 +166,16 @@ class Isometry(_Frozen):
     def reflection(cls, space: QuadSpace, u) -> "Isometry":
         """Reflection z |-> z - 2<z,u>/q(u) u; needs q(u) != 0.  For u = n / d
         and Gram matrix g / e it is (Q - 2 n (g n)^T) / Q with Q = n^T g n."""
-        n = scaled(u)[0]
-        gn = np.dot(space.scaled_gram[0], n)
-        qn = np.dot(n, gn)
-        if qn == 0:
-            raise DomainError("cannot reflect in an isotropic vector")
-        return cls.from_scaled(space, space,
-                               (_identity(space.dim)[0] * qn - 2 * np.multiply.outer(n, gn), qn))
+        return cls.from_scaled(space, space, _reflection(space, scaled(u)[0]))
+
+
+def _reflection(space: QuadSpace, n):
+    """:meth:`Isometry.reflection` in an integer row ``n``, as a scaled pair."""
+    gn = np.dot(space.scaled_gram[0], n)
+    qn = np.dot(n, gn)
+    if qn == 0:
+        raise DomainError("cannot reflect in an isotropic vector")
+    return _identity(space.dim)[0] * qn - 2 * np.multiply.outer(n, gn), qn
 
 
 def _key(pair) -> tuple:
@@ -276,10 +279,10 @@ def reflect_to(space: QuadSpace, x, y) -> Isometry:
         return Isometry.identity(space)
     diff = xn - yn
     if np.dot(np.dot(diff, g), diff) != 0:
-        return Isometry.reflection(space, diff)
-    # q(x-y) + q(x+y) = 4 q(x) != 0, so x+y is anisotropic here
-    first = Isometry.reflection(space, xn + yn)  # x |-> -y
-    return Isometry.reflection(space, yn).compose(first)  # -y |-> y
+        pair = _reflection(space, diff)
+    else:  # q(x-y) + q(x+y) = 4 q(x) != 0, so x+y is anisotropic: x |-> -y |-> y
+        pair = product(_reflection(space, yn), _reflection(space, xn + yn))
+    return Isometry.from_scaled(space, space, pair)
 
 
 def _orthogonalize(space: QuadSpace, rows):

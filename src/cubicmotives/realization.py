@@ -23,7 +23,9 @@ maps given as scaled pairs) and equality run on those integers, products and
 transport through :func:`cubicmotives.linalg.contract`; rationals appear
 only at the two boundary conversions: the constructor scales rational
 components once, and ``comps`` (with ``to_matrix`` and ``action_matrix``)
-boxes them back with :func:`cubicmotives.linalg.boxed`.
+boxes them back with :func:`cubicmotives.linalg.boxed`.  Each result is put
+in canonical form once, by one gcd pass per component that is also its zero
+test; ``realize`` sums all its terms over one lcm before that pass.
 """
 
 from __future__ import annotations
@@ -63,6 +65,10 @@ class Space:
             self._gram, self._gram_inv = prim.scaled_gram, inverse_scaled(prim.scaled_gram)
             pairing[self.hdim:, self.hdim:] = prim.scaled_gram[0]
         self.scaled_pairing = pairing, d
+        # (kind, basis position) of every block: the h^k rows, then the V-block
+        self.blocks = [(("h", k), k) for k in range(self.hdim)]
+        if self.r:
+            self.blocks.append(("V", slice(self.hdim, self.size)))
 
     @property
     def gram(self):
@@ -90,10 +96,7 @@ class Space:
         return kind[1] if kind != "V" else slice(self.hdim, self.size)
 
     def kinds(self):
-        ks = [("h", k) for k in range(self.hdim)]
-        if self.r:
-            ks.append("V")
-        return ks
+        return [kind for kind, _ in self.blocks]
 
 
 # the default primitive Gram: diag(1^20, (-1)^2), rank 22
@@ -122,11 +125,19 @@ class RealizationConfig:
         return cls(prim=QuadSpace(np.asarray(gram, dtype=object)))
 
 
-def _nonzero(val) -> bool:
-    return bool(val.any()) if isinstance(val, np.ndarray) else val != 0
+def _content(val) -> int:
+    """gcd of the entries of an integer component: 0 exactly when it is all
+    zero, so one pass is both the zero test and the content."""
+    return math.gcd(*val.flat) if isinstance(val, np.ndarray) else abs(val)
 
 
-def _tensordot(a, b, axes):
+def _last_to(p, ndim):
+    """Axis order that moves the last of ``ndim`` axes to position ``p``."""
+    return [*range(p), ndim - 1, *range(p, ndim - 1)]
+
+
+def _contract(a, b, axes):
+    """:func:`contract` over list axes, a 0-d result as a scalar."""
     val = contract(a, b, axes)
     return val[()] if val.ndim == 0 else val
 
@@ -163,11 +174,11 @@ class RealizedClass:
     def _set(self, spaces, num, den):
         self.spaces = tuple(spaces)
         self.n = len(self.spaces)
-        num = {sig: val for sig, val in num.items() if _nonzero(val)}
-        g = den  # with no component left, den // g = 1
-        for val in num.values():
-            g = math.gcd(g, *val.flat) if isinstance(val, np.ndarray) else math.gcd(g, val)
-        self._num = {sig: val // g for sig, val in num.items()} if g != 1 else num
+        g, kept = den, {}  # with no component left, den // g = 1
+        for sig, val in num.items():
+            if c := _content(val):
+                kept[sig], g = val, math.gcd(g, c)
+        self._num = {sig: val // g for sig, val in kept.items()} if g != 1 else kept
         self._den = den // g
 
     @cached_property
@@ -290,22 +301,22 @@ class RealizedClass:
             table = (id(pair), id(src), id(tgt))  # all three outlive the call
             if table not in tables:
                 tables[table] = {}
-                for ks in src.kinds():
-                    cells = ((kt, m[tgt.index(kt), src.index(ks)]) for kt in tgt.kinds())
-                    tables[table][ks] = [(kt, b) for kt, b in cells if _nonzero(b)]
+                for ks, i in src.blocks:
+                    cells = ((kt, m[j, i]) for kt, j in tgt.blocks)
+                    tables[table][ks] = [(kt, b) for kt, b in cells if _content(b)]
             blocks = tables[table]
             out = {}
             for sig, val in num.items():
                 p = sig[:s].count("V")  # position of this slot's V-axis
                 for kt, b in blocks[sig[s]]:
                     if sig[s] == "V":
-                        new = _tensordot(val, b, ([p], [b.ndim - 1]))
+                        new = _contract(val, b, ([p], [b.ndim - 1]))
                     elif isinstance(val, np.ndarray) and isinstance(b, np.ndarray):
                         new = np.multiply.outer(val, b)
                     else:  # a scalar: no Python int passes through a fixed-width dtype
                         new = val * b
                     if kt == "V":
-                        new = np.moveaxis(new, -1, p)
+                        new = new.transpose(_last_to(p, new.ndim))
                     key = sig[:s] + (kt,) + sig[s + 1:]
                     out[key] = out[key] + new if key in out else new
             num, den = out, den * d
@@ -361,12 +372,12 @@ def _component_product(spaces, sig_a, val_a, sig_b, val_b):
     if not a_axes or not b_axes:
         return tuple(out_sig), val_a * val_b, d
     # general case: contract each paired V-slot of a through the Gram matrix,
-    # then contract a with b over those slots, one pairwise tensordot each
+    # then contract a with b over those slots in one contraction
     for s in contracted:
         i = a_axes.index(s)
-        val_a = np.moveaxis(contract(val_a, spaces[s]._gram[0], ([i], [0])), -1, i)
-    val = _tensordot(val_a, val_b, ([a_axes.index(s) for s in contracted],
-                                    [b_axes.index(s) for s in contracted]))
+        val_a = contract(val_a, spaces[s]._gram[0], ([i], [0])).transpose(_last_to(i, val_a.ndim))
+    val = _contract(val_a, val_b, ([a_axes.index(s) for s in contracted],
+                                  [b_axes.index(s) for s in contracted]))
     # the free axes come out as a's then b's; put them back in slot order
     free = [s for s in a_axes + b_axes if s not in contracted]
     if free:
@@ -414,20 +425,25 @@ def realize(x: CorrClass, cfg: RealizationConfig | Space) -> RealizedClass:
     space = cfg.space if isinstance(cfg, RealizationConfig) else cfg
     if x.vd != space.vd:
         raise StructureError("correspondence and configuration disagree on the variety")
-    spaces = (space,) * x.n
-    hterms = {tuple(("h", a) for a in mon[1]): c for mon, c in x.terms.items() if mon[0] == "h"}
-    out = RealizedClass(spaces, hterms)  # the h-part in one constructor call
+    terms = []  # (integer components, denominator, coefficient): all over one lcm below
     for mon, c in x.terms.items():
+        if mon[0] == "h":
+            terms.append(({tuple(("h", a) for a in mon[1]): 1}, 1, c))
+            continue
         if mon[0] == "D":
             _, i, j, deco = mon
             k = (3 - i - j) if x.n == 3 else None
             term = _diagonal(space, (i, j), x.n, deco_slot=k, deco=deco)
-        elif mon[0] == "delta":
+        else:  # "delta"
             term = _diagonal(space, (0, 1), 3) * _diagonal(space, (0, 2), 3)
-        else:
-            continue
-        out = out + (term if c == 1 else term.scale(c))
-    return out
+        terms.append((term._num, term._den, c))
+    den = math.lcm(*(d * c.denominator for _, d, c in terms))
+    out = {}
+    for num, d, c in terms:
+        f = den // (d * c.denominator) * c.numerator
+        for sig, val in num.items():
+            out[sig] = out[sig] + val * f if sig in out else val * f
+    return RealizedClass._of((space,) * x.n, out, den)
 
 
 def compose_realized(f: RealizedClass, g: RealizedClass) -> RealizedClass:

@@ -9,8 +9,9 @@ A suite is a generator ``(cfg, seed, extra)`` under ``@_suite(name)``.  It
 does each check's work just before it yields ``(id, claim, passed[,
 witness])``, so a crash propagates unchanged; it calls ``_config(cfg)`` only
 if it reads the configuration, and puts any payload for the report into
-``extra``.  The decorator times the generator as a whole, builds every
-record with :func:`realization.check` and returns the report from
+``extra``.  The decorator times the generator as a whole and each check
+(the work between one yield and the next, as the record's ``seconds``),
+builds every record with :func:`realization.check` and returns the report from
 ``suite(cfg=None, seed=0)``.  An oracle compared over many cases names its
 first failing case through :func:`first_failure`.
 """
@@ -48,10 +49,10 @@ from .tautcorr import CorrClass, ck_projectors, compose, transpose
 class SuiteReport:
     """Outcome of one verification suite.
 
-    ``checks`` is a list of ``{"id", "claim", "passed", "witness"}`` dicts;
-    ``witness`` is ``None`` on success and a short diff/description on
-    failure.  ``extra`` carries suite-specific payload (for example the
-    coefficient table emitted by the ``derive-p`` suite).
+    ``checks`` is a list of ``{"id", "claim", "passed", "witness",
+    "seconds"}`` dicts; ``witness`` is ``None`` on success and a short
+    diff/description on failure.  ``extra`` carries suite-specific payload
+    (for example the coefficient table emitted by the ``derive-p`` suite).
     """
 
     suite: str
@@ -122,9 +123,12 @@ def _suite(name: str):
     def wrap(checks):
         @functools.wraps(checks)
         def suite(cfg=None, seed: int = 0) -> SuiteReport:
-            extra = {}
-            t0 = time.perf_counter()
-            records = [check(*c) for c in checks(cfg, seed, extra)]
+            extra, records = {}, []
+            t0 = t = time.perf_counter()
+            for c in checks(cfg, seed, extra):  # a check's seconds: its work before the yield
+                now = time.perf_counter()
+                records.append({**check(*c), "seconds": round(now - t, 4)})
+                t = now
             return SuiteReport(name, records, time.perf_counter() - t0, extra)
         del suite.__wrapped__  # introspection shows (cfg=None, seed=0), not the generator's
         return suite

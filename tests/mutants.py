@@ -122,7 +122,7 @@ CATALOGUE = (
     Mutant("as-vectors-skips-orthogonality", "motiveiso", "if any(g[i, :i]):", "if False:",
            ("tests/test_motiveiso.py::test_fourfold_data_validation",)),
     Mutant("realize-drops-h-terms", "realization",
-           "out = RealizedClass(spaces, hterms)", "out = RealizedClass(spaces, {})",
+           'terms.append(({tuple(("h", a) for a in mon[1]): 1}, 1, c))', "pass",
            ("tests/test_fraction_oracle.py::test_realize_matches_the_term_by_term_sum",)),
     Mutant("check-equal-always-passes", "realization", "if got == want:", "if True:",
            ("tests/test_realization.py::test_check_records",)),
@@ -131,7 +131,7 @@ CATALOGUE = (
     Mutant("same-drops-shape-check", "linalg", "np.shape(n1) == np.shape(n2) and ", "",
            ("tests/test_linalg.py::test_same_compares_shapes_before_values",)),
     Mutant("set-drops-gcd-division", "realization",
-           "g = den  # with no component left, den // g = 1", "g = 1",
+           "g, kept = den, {}  # with no component left, den // g = 1", "g, kept = 1, {}",
            ("tests/test_fraction_oracle.py::test_linear_operations_match_oracle",)),
     Mutant("transport-v-axis-position", "realization",
            "p = sig[:s].count(\"V\")  # position of this slot's V-axis", "p = 0",
@@ -151,12 +151,12 @@ CATALOGUE = (
     Mutant("contract-height-by-np-abs", "linalg",
            "max(int(w.max()), -int(w.min()))", "int(np.abs(w).max())", CONTRACT),
     Mutant("contract-threshold-inverted", "linalg",
-           "np.size(a) * np.size(b) >= CONTRACT_MIN_WORK * k",
-           "np.size(a) * np.size(b) < CONTRACT_MIN_WORK * k", CONTRACT),
+           'getattr(a, "size", 1) * getattr(b, "size", 1) >= CONTRACT_MIN_WORK * k',
+           'getattr(a, "size", 1) * getattr(b, "size", 1) < CONTRACT_MIN_WORK * k', CONTRACT),
     Mutant("contract-lets-overflow-escape", "linalg",
            "except (OverflowError, TypeError):", "except TypeError:", CONTRACT),
     Mutant("contract-keeps-int64-entries", "linalg",
-           "return got.astype(object)", "return got", CONTRACT),
+           "return np.dot(wa, wb).astype(object)", "return np.dot(wa, wb)", CONTRACT),
     Mutant("equivariance-skips-the-h-v-block", "motiveiso",
            "same(product(a_hv, m1), a_hv)", "True", MIXED),
     Mutant("equivariance-skips-the-v-h-block", "motiveiso",
@@ -168,6 +168,18 @@ CATALOGUE = (
            "product((m[0].T, m[1]), self.target.scaled_gram, m)",
            "product((m[0], m[1]), self.target.scaled_gram, m)",
            ("tests/test_quadform.py::test_verify_and_closure_match_oracle",)),
+    Mutant("set-keeps-all-zero-components", "realization",
+           "if c := _content(val):", "if (c := _content(val)) or True:",
+           ("tests/test_fraction_oracle.py::test_linear_operations_match_oracle",)),
+    Mutant("axis-order-inserts-after-p", "realization",
+           "[*range(p), ndim - 1, *range(p, ndim - 1)]",
+           "[*range(p + 1), ndim - 1, *range(p + 1, ndim - 1)]",
+           ("tests/test_fraction_oracle.py::test_three_axis_contraction_matches_oracle",
+            "tests/test_motiveiso.py::test_tampered_gamma_transport_matches_dense_oracle")),
+    Mutant("contract-swaps-the-free-shapes", "linalg",
+           "[sa[i] for i in fa] + [sb[i] for i in fb]", "[sb[i] for i in fb] + [sa[i] for i in fa]",
+           ("tests/test_linalg.py::test_contract_list_axes_at_the_edges",
+            "tests/test_linalg.py::test_contract_list_axes_match_object_tensordot")),
     Mutant("diagonal-ignores-the-inverse-gram-denominator", "realization",
            "den = math.lcm(e, space._gram_inv[1]) if space.r else e", "den = e",
            ("tests/test_realization.py::test_compose_realized_unital",

@@ -19,7 +19,8 @@ from cubicmotives.suites import SUITES, random_gram
 
 def _strip_timing(payload):
     return [
-        {k: v for k, v in suite.items() if k != "seconds"}
+        {k: [{f: x for f, x in c.items() if f != "seconds"} for c in v] if k == "checks" else v
+         for k, v in suite.items() if k != "seconds"}
         for suite in payload["suites"]
     ]
 
@@ -48,7 +49,7 @@ def test_out_files_and_shape(tmp_path, capsys):
     (suite,) = payload["suites"]
     assert suite["suite"] == "projectors"
     for check in suite["checks"]:
-        assert set(check) == {"id", "claim", "passed", "witness"}
+        assert set(check) == {"id", "claim", "passed", "witness", "seconds"}
         assert check["passed"] is True and check["witness"] is None
     md = (tmp_path / "report.md").read_text()
     assert md.startswith("# verification report")

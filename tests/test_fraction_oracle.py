@@ -2,7 +2,7 @@
 replaced (``fraction_oracle.FractionClass``), on random 1- to 3-slot classes,
 and ``realize`` against the term-by-term sum it replaced.
 
-The spaces cover primitive ranks 0, 1 and 4, a non-diagonal Gram with
+The spaces cover primitive ranks 0, 1 and 4 (one test keeps to rank 0), a non-diagonal Gram with
 fractional entries (its denominator folds into products), and a K3 slot.
 Entries mix small rationals, zeros and numerators and denominators beyond
 2^63.  Signatures are drawn slot by slot with V often present, so V-axes sit
@@ -206,6 +206,30 @@ def test_transport_matches_oracle(data):
     mats = [by_pair[(id(a), id(b))] for a, b in zip(spaces, targets)]
     _same(x.transport([scaled(m) for m in mats], targets),
           FractionClass.of(x).transport(mats, targets))
+
+
+@SETTINGS
+@given(st.data())
+def test_h_only_blocks_match_oracle(data):
+    """On the h-only space (r = 0) every component is a scalar and every block
+    a scalar: products, and transport to and from it, on 1 to 3 slots."""
+    n = data.draw(st.integers(1, 3))
+    spaces = (H_ONLY,) * n
+    x, y = (RealizedClass(spaces, _comps(data.draw, spaces, 6)) for _ in range(2))
+    fx, fy = FractionClass.of(x), FractionClass.of(y)
+    _same(x * y, fx * fy)
+    _same(x * x, fx * fx)
+    # into the h-only space, and from it into V-carrying spaces (h -> V blocks)
+    targets = tuple(data.draw(st.sampled_from(SPACES)) for _ in spaces)
+    for tgt in ((H_ONLY,) * n, targets):
+        mats = {id(b): _matrix(data.draw, H_ONLY, b) for b in tgt}
+        _same(x.transport([scaled(mats[id(b)]) for b in tgt], tgt),
+              fx.transport([mats[id(b)] for b in tgt], tgt))
+    # and back from V-carrying spaces onto it (V -> h blocks)
+    source = RealizedClass(targets, _comps(data.draw, targets, 6))
+    mats = {id(a): _matrix(data.draw, a, H_ONLY) for a in targets}
+    _same(source.transport([scaled(mats[id(a)]) for a in targets], spaces),
+          FractionClass.of(source).transport([mats[id(a)] for a in targets], spaces))
 
 
 def _oracle_matrix(o: FractionClass) -> np.ndarray:

@@ -447,3 +447,78 @@ def test_contract_takes_int64_exactly_from_the_threshold_on():
     assert route((22, 22, 22), (22, 22), ([2], [1])) == "int64"
     assert route((6, 6, 6), (6, 6), ([2], [1])) == "object"  # rank 6 stays on objects
     assert route((2, 2), (2, 2)) == "object"
+
+
+# --- contract's list-axes route against object np.tensordot ----------------------------
+
+
+def _object_ints(rng, shape, bits):
+    """Random integers of up to ``bits`` bits in an object array of any shape,
+    0-d included."""
+    flat = [rng.randint(-2**bits, 2**bits) for _ in range(math.prod(shape))]
+    return np.array(flat, dtype=object).reshape(shape)
+
+
+@st.composite
+def tensordot_cases(draw):
+    """Operands and list axes of a tensordot: up to three contracted and two
+    free axes a side, dimensions 0 to 4 (so 0-d operands and zero-length
+    contracted and free axes occur), the contracted axes paired in any order,
+    and each operand transposed, so mostly not contiguous."""
+    dims = st.integers(0, 4)
+    k = draw(st.lists(dims, max_size=3))
+    free_a, free_b = draw(st.lists(dims, max_size=2)), draw(st.lists(dims, max_size=2))
+    pair = draw(st.permutations(range(len(k))))  # b's contracted axes, in a's order
+    rng, bits = random.Random(draw(st.integers(0, 2**32))), draw(st.sampled_from((1, 20, 40, 70)))
+    a = _object_ints(rng, tuple(free_a + k), bits)
+    b = _object_ints(rng, tuple([k[j] for j in pair] + free_b), bits)
+    pa, pb = draw(st.permutations(range(a.ndim))), draw(st.permutations(range(b.ndim)))
+    axes = ([pa.index(len(free_a) + j) for j in range(len(k))],
+            [pb.index(pair.index(j)) for j in range(len(k))])
+    return a.transpose(pa), b.transpose(pb), axes
+
+
+@settings(max_examples=150, deadline=None)
+@given(tensordot_cases())
+def test_contract_list_axes_match_object_tensordot(case):
+    a, b, axes = case
+    _same_ints(contract(a, b, axes), np.tensordot(a, b, axes))
+
+
+def test_contract_list_axes_at_the_edges():
+    rng = random.Random(1)
+    cases = [
+        # zero-length contracted axes, and zero-length free axes on either side
+        ((3, 0), (0, 4), ([1], [0])),
+        ((2, 0, 3), (3, 0), ([1, 2], [1, 0])),
+        ((0, 5), (5,), ([1], [0])),
+        ((5, 2), (0, 5), ([0], [1])),
+        # 0-d operands: an outer product with no contracted axis
+        ((), (2, 3), ([], [])),
+        ((3,), (), ([], [])),
+        ((), (), ([], [])),
+        # every axis contracted: a 0-d result
+        ((6,), (6,), ([0], [0])),
+        # _component_product at rank 6: the Gram contraction of each V-axis,
+        # then the pair contraction over one, two or three V-slots
+        ((6, 6, 6), (6, 6), ([0], [0])),
+        ((6, 6, 6), (6, 6), ([2], [0])),
+        ((6, 6, 6), (6, 6, 6), ([0, 2], [1, 0])),
+        ((6, 6, 6), (6, 6, 6), ([0, 1, 2], [0, 1, 2])),
+        ((6, 6), (6, 6, 6), ([1, 0], [2, 0])),
+        # transport's V -> h and V -> V slots
+        ((6, 6), (6,), ([1], [0])),
+        ((6, 6, 6), (6, 6), ([1], [1])),
+    ]
+    for shape_a, shape_b, axes in cases:
+        a, b = _object_ints(rng, shape_a, 40), _object_ints(rng, shape_b, 40)
+        _same_ints(contract(a, b, axes), np.tensordot(a, b, axes))
+        if a.ndim > 1 and a.size:  # the same operand, not contiguous
+            at = a.T.copy().T
+            assert not at.flags.c_contiguous
+            _same_ints(contract(at, b, axes), np.tensordot(at, b, axes))
+    # the int64 route on transposed operands
+    a, b = _object_ints(rng, (22, 22, 22), 20), _object_ints(rng, (22, 22), 20)
+    for axes in (([1], [0]), ([0], [1]), ([2], [1])):
+        _same_ints(contract(a.transpose(2, 0, 1), b.T, axes),
+                   np.tensordot(a.transpose(2, 0, 1), b.T, axes))

@@ -18,7 +18,7 @@ import fraction_oracle as oracle
 from cubicmotives.errors import DomainError, StructureError
 from cubicmotives import quadform
 from cubicmotives.linalg import (dot, eye, inverse, kernel_basis, mat_eq, qmat, qvec, rank,
-                                 scaled, solve, zeros)
+                                 same, scaled, solve, zeros)
 from cubicmotives.motiveiso import random_unimodular
 from cubicmotives.quadform import (GroupAction, Isometry, QuadSpace, WittResult,
                                    aligned_elements, equivariant_witt, reflect_to,
@@ -114,6 +114,50 @@ def test_reflect_to_errors():
         reflect_to(v, qvec([1, 1]), qvec([1, 1]))  # isotropic endpoints
     with pytest.raises(DomainError, match="same length"):
         reflect_to(diag_space(1, 1), qvec([1, 0]), qvec([0, 2]))  # norms 1 vs 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.sampled_from(("reflect", "isotropic", "equal")),
+       st.integers(0, 2**32))
+def test_row_level_reflections_match_fraction_oracle(dim, branch, seed):
+    """``reflect_to``, ``Isometry.reflection`` and the integer-row reflection
+    ``_reflection`` under both against the Fraction oracle, on
+    diag(1, -1, ...) times a rational, conjugated off the diagonal, with
+    rational vectors: one reflection, two reflections (x - y isotropic), and
+    the identity."""
+    rng = random.Random(seed)
+
+    def frac():
+        return QQ(rng.randint(-9, 9), rng.randint(1, 6))
+
+    d = [QQ(1), QQ(-1)] + [QQ(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+                           for _ in range(dim - 2)]
+    s, s_inv = random_unimodular(rng, dim)
+    gram = dot(s.T, np.diag(d).astype(object), s) * QQ(rng.randint(1, 5), rng.randint(1, 4))
+    space = QuadSpace(gram)
+    t = frac()
+    x_diag = qvec([t, t] + [frac() for _ in range(dim - 2)])  # orthogonal to e0 + e1
+    x = dot(s_inv, x_diag)
+    if branch == "isotropic":  # y = x + w, w = s^-1 (e0 + e1) isotropic and orthogonal to x
+        y = dot(s_inv, x_diag + qvec([1, 1] + [0] * (dim - 2)))
+    elif branch == "reflect":
+        u = qvec([frac() for _ in range(dim)])
+        y = x if oracle._q(gram, u) == 0 else dot(oracle.reflection(gram, u), x)
+    else:
+        y = x.copy()
+    try:
+        want = oracle.reflect_to(gram, x, y)
+    except DomainError as e:
+        with pytest.raises(DomainError, match=str(e)):
+            reflect_to(space, x, y)
+        return
+    assert mat_eq(reflect_to(space, x, y).matrix, want)
+    for u in (x, y, x - y, x + y):
+        if oracle._q(gram, u) != 0:
+            assert mat_eq(Isometry.reflection(space, u).matrix, oracle.reflection(gram, u))
+            # the row-level entry takes u's integer row; a row times c gives the same map
+            n = scaled(u)[0] * rng.randint(1, 4)
+            assert same(quadform._reflection(space, n), scaled(oracle.reflection(gram, u)))
 
 
 def test_group_closure_and_order():
