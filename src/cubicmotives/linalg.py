@@ -14,11 +14,15 @@ on int64 only under two conditions: the work is at least
 (k the product of the contracted dimensions), which proves every partial
 sum exact.  One elimination, :func:`_echelon`, is
 fraction-free Gauss-Jordan on Python-int numerators (TypeError on any other
-entry): at pivot p every other row becomes (p row - f pivot_row) // previous
-pivot, exact since every entry is a minor of the input (Bareiss 1968).
-:func:`solve_scaled`, :func:`kernel_scaled` and :func:`inverse_scaled` return
-its results as pairs; ``rref``, ``rank``, ``kernel_basis``, ``solve`` and
-``inverse`` are their rational front ends.
+entry) that returns Bareiss' integers (1968): at pivot p a row with a
+nonzero f in the pivot column becomes (p row - f pivot_row) // its level, the
+pivot it was last updated at, exact since every Bareiss entry is a minor of
+the input.  Rows that a pivot leaves untouched keep their level, so they do
+not grow to the size of a determinant; each is brought to the current pivot
+when it becomes the pivot row or at the end.  :func:`solve_scaled`,
+:func:`kernel_scaled` and :func:`inverse_scaled` return its results as pairs;
+``rref``, ``rank``, ``kernel_basis``, ``solve`` and ``inverse`` are their
+rational front ends.
 """
 
 from __future__ import annotations
@@ -158,9 +162,10 @@ def stack_scaled(*pairs):
 
 
 def same(a, b) -> bool:
-    """Exact equality of two scaled pairs: equal shapes and n1 d2 == n2 d1."""
+    """Exact equality of two scaled pairs: equal shapes and n1 d2 == n2 d1
+    (n1 == n2 when d1 == d2)."""
     (n1, d1), (n2, d2) = a, b
-    return np.shape(n1) == np.shape(n2) and bool(np.all(n1 * d2 == n2 * d1))
+    return np.shape(n1) == np.shape(n2) and bool(np.all(n1 == n2 if d1 == d2 else n1 * d2 == n2 * d1))
 
 
 def dot(*operands):
@@ -172,24 +177,39 @@ def dot(*operands):
 
 def _echelon(m):
     """Fraction-free Gauss-Jordan on an integer matrix: (r, p, pivot_columns)
-    with r / p the reduced row-echelon form of ``m`` (p may be negative)."""
+    with r / p the reduced row-echelon form of ``m`` (p may be negative).
+
+    The integers are Bareiss', but a pivot leaves alone the rows with a zero
+    in its column: each row keeps the pivot it was last updated at (its
+    level), and a row at level l stands for the Bareiss row times l / prev.
+    A row is brought up, exactly, when it becomes the pivot row, when it is
+    next updated ((s p - s_c pivot_row) // l), and once at the end.  A pivot
+    that touches every row while every row is current is Bareiss' step."""
     m = np.array(m, dtype=object)  # rows are swapped in place
     if not set(map(type, m.flat)) <= {int}:
         raise TypeError("elimination needs integer numerators")
     rows, cols = m.shape
+    level = np.ones(rows, dtype=object)
     pivots, prev = [], 1
     for c in range(cols):
         r = len(pivots)
         if r == rows:
             break
-        nz = np.flatnonzero(m[r:, c])
-        if not len(nz):
+        live = m[:, c].nonzero()[0]  # the rows this pivot touches
+        k = live.searchsorted(r)
+        if k == len(live):
             continue
-        m[[r, r + nz[0]]] = m[[r + nz[0], r]]
-        p, row = m[r, c], m[r]
-        m = (m * p - np.multiply.outer(m[:, c], row)) // prev  # row r becomes 0 here
-        m[r], prev = row, p
+        if (i := live[k]) != r:
+            m[r], m[i] = m[i], m[r].copy()
+            level[r], level[i], live[k] = level[i], level[r], r
+        row = m[r].copy() if level[r] == prev else m[r] * prev // level[r]
+        p, touched = row[c], m.take(live, axis=0)
+        m[live] = (touched * p - np.multiply.outer(touched[:, c], row)) // level.take(live)[:, None]
+        m[r], level[live], prev = row, p, p
         pivots.append(c)
+    old = (level != prev).nonzero()[0]  # the rows the last pivots skipped
+    if len(old):
+        m[old] = m.take(old, axis=0) * prev // level.take(old)[:, None]
     return m, prev, pivots
 
 

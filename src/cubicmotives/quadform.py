@@ -269,6 +269,11 @@ def reflect_to(space: QuadSpace, x, y) -> Isometry:
     """
     (xn, xd), (yn, yd) = scaled(x), scaled(y)
     xn, yn = xn * yd, yn * xd
+    return Isometry.from_scaled(space, space, _reflect_rows(space, xn, yn))
+
+
+def _reflect_rows(space: QuadSpace, xn, yn):
+    """:func:`reflect_to` on integer rows xn, yn, as a scaled pair."""
     g = space.scaled_gram[0]
     qx = np.dot(np.dot(xn, g), xn)
     if qx != np.dot(np.dot(yn, g), yn):
@@ -276,13 +281,12 @@ def reflect_to(space: QuadSpace, x, y) -> Isometry:
     if qx == 0:
         raise DomainError("vectors must be anisotropic")
     if np.array_equal(xn, yn):
-        return Isometry.identity(space)
+        return _identity(space.dim)
     diff = xn - yn
     if np.dot(np.dot(diff, g), diff) != 0:
-        pair = _reflection(space, diff)
-    else:  # q(x-y) + q(x+y) = 4 q(x) != 0, so x+y is anisotropic: x |-> -y |-> y
-        pair = product(_reflection(space, yn), _reflection(space, xn + yn))
-    return Isometry.from_scaled(space, space, pair)
+        return _reflection(space, diff)
+    # q(x-y) + q(x+y) = 4 q(x) != 0, so x+y is anisotropic: x |-> -y |-> y
+    return product(_reflection(space, yn), _reflection(space, xn + yn))
 
 
 def _orthogonalize(space: QuadSpace, rows):
@@ -392,7 +396,7 @@ def equivariant_witt(g1: GroupAction, w1_basis, g2: GroupAction, w2_basis,
     for b, t in zip(basis, tn.T):
         yn, yd = product(phi, (b, 1))
         if not same((yn, yd), (t, td)):
-            phi = product(reflect_to(v2, yn * td, t * yd).scaled_matrix, phi)
+            phi = product(canonical(*_reflect_rows(v2, yn * td, t * yd)), phi)
             if not same(product(phi, (b, 1)), (t, td)):
                 raise DomainError("extended map misses the prescribed image")
 

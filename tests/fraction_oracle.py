@@ -8,13 +8,16 @@ contracted by object ``np.tensordot`` (exact over ``Fraction``), and all-zero
 components dropped.
 
 ``linalg``'s eliminations are fraction-free Gauss-Jordan on scaled integer
-numerators, and ``quadform`` checks isometries and closes groups on scaled
-pairs.  ``rref`` to ``inverse``, ``isometry_verify``, ``group_closure`` and
-``aligned_elements`` below are the routes they replaced: plain ``Fraction``
-Gauss-Jordan, object ``np.dot`` products, ``mat_eq`` comparisons and group
-searches keyed on the ``(numerator, denominator)`` of every entry.  A
-``GroupAction`` keeps only its generators and order, so ``group_closure`` is
-also the element list the tests compare against.
+numerators.  ``echelon`` below is the Bareiss elimination it was, which
+updates every row at every pivot; ``linalg._echelon`` leaves alone the rows a
+pivot does not touch and must return the same integers.  ``quadform`` checks
+isometries and closes groups on scaled pairs.  ``rref`` to ``inverse``,
+``isometry_verify``, ``group_closure`` and ``aligned_elements`` below are the
+routes they replaced: plain ``Fraction`` Gauss-Jordan, object ``np.dot``
+products, ``mat_eq`` comparisons and group searches keyed on the
+``(numerator, denominator)`` of every entry.  A ``GroupAction`` keeps only
+its generators and order, so ``group_closure`` is also the element list the
+tests compare against.
 
 ``equivariant_witt`` orthogonalizes W and reflects on integer rows.
 ``orthogonalize``, ``reflect_to`` and ``witt_extension`` below are the
@@ -166,6 +169,32 @@ def component_product(spaces, sig_a, val_a, sig_b, val_b):
     if free:
         val = np.transpose(val, np.argsort(free))
     return tuple(out_sig), val * factor
+
+
+# --- linalg: Bareiss elimination, every row updated at every pivot ---------------
+
+
+def echelon(m):
+    """Fraction-free Gauss-Jordan on an integer matrix: (r, p, pivot_columns)
+    with r / p the reduced row-echelon form of ``m`` (p may be negative)."""
+    m = np.array(m, dtype=object)  # rows are swapped in place
+    if not set(map(type, m.flat)) <= {int}:
+        raise TypeError("elimination needs integer numerators")
+    rows, cols = m.shape
+    pivots, prev = [], 1
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        nz = np.flatnonzero(m[r:, c])
+        if not len(nz):
+            continue
+        m[[r, r + nz[0]]] = m[[r + nz[0], r]]
+        p, row = m[r, c], m[r]
+        m = (m * p - np.multiply.outer(m[:, c], row)) // prev  # row r becomes 0 here
+        m[r], prev = row, p
+        pivots.append(c)
+    return m, prev, pivots
 
 
 # --- linalg: Fraction Gauss-Jordan -----------------------------------------------

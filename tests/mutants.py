@@ -50,6 +50,9 @@ CANONICAL = ("tests/test_motiveiso.py::"
 SUITES = ("tests/test_suites.py",)
 MIXED = ("tests/test_motiveiso.py::test_mixed_blocks_follow_all_element_equivariance",)
 # the fixed cases first: with -x a kill there skips the property test's shrinking
+ECHELON = ("tests/test_linalg.py::test_echelon_brings_stale_rows_up_exactly",
+           "tests/test_linalg.py::test_primitive_lattice_eliminations_match_the_references",
+           "tests/test_linalg.py::test_echelon_matches_bareiss")
 CONTRACT = ("tests/test_linalg.py::test_contract_at_the_edges_of_int64",
             "tests/test_linalg.py::test_contract_takes_int64_exactly_from_the_threshold_on",
             "tests/test_linalg.py::test_contract_matches_object_contraction")
@@ -180,6 +183,18 @@ CATALOGUE = (
            "[sa[i] for i in fa] + [sb[i] for i in fb]", "[sb[i] for i in fb] + [sa[i] for i in fa]",
            ("tests/test_linalg.py::test_contract_list_axes_at_the_edges",
             "tests/test_linalg.py::test_contract_list_axes_match_object_tensordot")),
+    Mutant("echelon-stale-pivot-row", "linalg",
+           "row = m[r].copy() if level[r] == prev else m[r] * prev // level[r]", "row = m[r].copy()",
+           ECHELON),
+    Mutant("echelon-update-divides-by-prev", "linalg",
+           "// level.take(live)[:, None]", "// prev", ECHELON),
+    Mutant("echelon-drops-the-final-rescale", "linalg",
+           "m[old] = m.take(old, axis=0) * prev // level.take(old)[:, None]", "pass", ECHELON),
+    Mutant("echelon-treats-skipped-rows-as-current", "linalg",
+           "m[r], level[live], prev = row, p, p", "m[r], level[:], prev = row, p, p", ECHELON),
+    Mutant("same-ignores-unequal-denominators", "linalg",
+           "n1 == n2 if d1 == d2 else", "n1 == n2 if True else",
+           ("tests/test_linalg.py::test_same_over_equal_opposite_and_unequal_denominators",)),
     Mutant("diagonal-ignores-the-inverse-gram-denominator", "realization",
            "den = math.lcm(e, space._gram_inv[1]) if space.r else e", "den = e",
            ("tests/test_realization.py::test_compose_realized_unital",

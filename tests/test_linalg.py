@@ -11,7 +11,10 @@ tensor contractions of the realization engine are checked against the
 Fraction-array oracle in ``test_fraction_oracle.py``.  ``contract``, the
 integer contraction under ``product`` and the realization engine, is checked
 against object ``np.dot``/``np.tensordot`` (the route it replaced) on both sides
-of its int64 bound and its size threshold."""
+of its int64 bound and its size threshold.  ``_echelon`` is checked against the
+Bareiss elimination it replaced (``fraction_oracle.echelon``) integer for
+integer, on random layouts and on the primitive lattice A2 + U^2 + E8^2 of a
+cubic fourfold."""
 
 import math
 import random
@@ -24,9 +27,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from cubicmotives.linalg import (CONTRACT_MIN_WORK, INT64_BOUND, boxed, canonical, contract, dot,
-                                 inverse, kernel_basis, kernel_scaled, rank, rref, same, scaled,
-                                 solve, solve_scaled)
+from cubicmotives.linalg import (CONTRACT_MIN_WORK, INT64_BOUND, _echelon, boxed, canonical,
+                                 contract, dot, inverse, inverse_scaled, kernel_basis,
+                                 kernel_scaled, rank, rref, same, scaled, solve, solve_scaled)
+from cubicmotives.motiveiso import random_unimodular
 from cubicmotives.rationals import QQ
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -312,6 +316,15 @@ def test_same_compares_shapes_before_values():
     assert same((_ints([[2, 4]]), -2), (_ints([[-1, -2]]), 1))
 
 
+def test_same_over_equal_opposite_and_unequal_denominators():
+    n, d = _ints([[3, -4], [0, 5]]), 7
+    for other in ((n, d), (2 * n, 2 * d), (-n, -d), (n * -3, -3 * d)):
+        assert same((n, d), other) and same(other, (n, d))
+    for other in ((n + 1, d), (2 * n, d), (-n, d), (n, 2 * d), (n, -d), (2 * n + 1, 2 * d)):
+        assert not same((n, d), other) and not same(other, (n, d))
+    assert same((6, 4), (3, 2)) and same((3, 2), (3, 2)) and not same((3, 2), (3, 4))
+
+
 # --- contract against object np.dot / np.tensordot ------------------------------------
 
 
@@ -522,3 +535,133 @@ def test_contract_list_axes_at_the_edges():
     for axes in (([1], [0]), ([0], [1]), ([2], [1])):
         _same_ints(contract(a.transpose(2, 0, 1), b.T, axes),
                    np.tensordot(a.transpose(2, 0, 1), b.T, axes))
+
+
+# --- the elimination against the Bareiss reference ------------------------------------
+
+
+def _same_elimination(m):
+    """``_echelon`` and the Bareiss reference return the same (rows, p,
+    pivots), to the last integer, and leave their input as it was."""
+    before = m.copy()
+    (got, p, pivots), (want, want_p, want_pivots) = _echelon(m), oracle.echelon(m)
+    assert (m == before).all()
+    _same_ints(got, want)
+    assert type(p) is int and p == want_p and pivots == want_pivots
+
+
+def _nonzero(rng, bits):
+    return rng.choice((-1, 1)) * rng.randint(1, 2**bits)
+
+
+def _cartan(n, edges):
+    """The Cartan matrix of a simply laced Dynkin diagram on n nodes."""
+    g = np.eye(n, dtype=int) * 2
+    for i, j in edges:
+        g[i, j] = g[j, i] = -1
+    return g
+
+
+def _orthogonal_sum(*blocks):
+    g = np.zeros((sum(map(len, blocks)),) * 2, dtype=int)
+    at = np.cumsum([0, *map(len, blocks)])
+    for b, i in zip(blocks, at):
+        g[i:i + len(b), i:i + len(b)] = b
+    return g.astype(object)
+
+
+A2 = _cartan(2, [(0, 1)])
+U = np.array([[0, 1], [1, 0]])
+E8 = _cartan(8, [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)])
+# H^4_prim of a cubic fourfold: A2 + U^2 + E8^2, of rank 22 (89% zeros)
+PRIMITIVE_LATTICE = _orthogonal_sum(A2, U, U, E8, E8)
+
+
+def _echelon_input(rng, kind, rows, cols, bits, zero_share):
+    """An integer matrix of one of the layouts of ``ECHELON_KINDS``."""
+    def random_matrix(r, c, share=zero_share):
+        # each entry 0 with probability share, else nonzero of up to ``bits`` bits
+        return np.array([[0 if rng.random() < share else _nonzero(rng, bits) for _ in range(c)]
+                         for _ in range(r)], dtype=object).reshape(r, c)
+
+    if kind in ("dense", "sparse"):
+        return random_matrix(rows, cols, 0 if kind == "dense" else zero_share)
+    if kind == "rank-deficient":  # through an inner dimension below min(rows, cols)
+        k = rng.randint(0, max(0, min(rows, cols) - 1))
+        return np.dot(random_matrix(rows, k), random_matrix(k, cols)).astype(object)
+    if kind == "gamma":  # build_gamma's [dom G | img], G the primitive lattice or a conjugate
+        s, _ = random_unimodular(rng, 22)
+        g = np.dot(np.dot(s.T, PRIMITIVE_LATTICE), s) if rng.random() < 0.5 else PRIMITIVE_LATTICE
+        return np.concatenate([np.dot(random_matrix(22, 22), g), random_matrix(22, 22)], axis=1)
+    m = np.zeros((rows, cols), dtype=int).astype(object)
+    if kind == "block-diagonal":
+        i = j = 0
+        while i < rows and j < cols:
+            h, w = min(rng.randint(1, 3), rows - i), min(rng.randint(1, 3), cols - j)
+            m[i:i + h, j:j + w] = random_matrix(h, w)
+            i, j = i + h, j + w
+    else:  # "permuted-diagonal"
+        for i, j in zip(rng.sample(range(rows), rows), rng.sample(range(cols), cols)):
+            m[i, j] = _nonzero(rng, bits)
+    return m
+
+
+ECHELON_KINDS = ("dense", "sparse", "rank-deficient", "block-diagonal", "permuted-diagonal",
+                 "gamma")
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from(ECHELON_KINDS), st.integers(0, 7), st.integers(0, 9),
+       st.sampled_from((1, 2, 8, 31, 32, 63, 64, 70)),
+       st.sampled_from((0.1, 0.3, 0.5, 0.7, 0.9)), st.integers(0, 2**32))
+def test_echelon_matches_bareiss(kind, rows, cols, bits, zero_share, seed):
+    # square, tall, wide, 0-row and 0-column shapes; dense and sparse entries of
+    # 1 to 70 bits; the 22 x 44 system of build_gamma
+    _same_elimination(_echelon_input(random.Random(seed), kind, rows, cols, bits, zero_share))
+
+
+def test_echelon_brings_stale_rows_up_exactly():
+    cases = [
+        # row 1 is skipped by the first pivot, then becomes the pivot row of a
+        # column every row has a nonzero in
+        ([[2, 1], [0, 1]], [[2, 0], [0, 2]], 2, [0, 1]),
+        # row 0 is left at level 2 by the second pivot: the end brings it to 6
+        ([[2, 0], [0, 3]], [[6, 0], [0, 6]], 6, [0, 1]),
+        # row 2, still at level 1, is updated by the second pivot (level 2 by then)
+        ([[2, 0, 1], [0, 3, 1], [0, 1, 1]], [[4, 0, 0], [0, 4, 0], [0, 0, 4]], 4, [0, 1, 2]),
+    ]
+    for rows, want, p, pivots in cases:
+        m = _ints(rows)
+        _same_elimination(m)
+        got = _echelon(m)
+        assert got[0].tolist() == want and got[1] == p and got[2] == pivots
+    # no row a pivot skips: every step updates every row, as Bareiss' does
+    _same_elimination(_ints([[1, 2, 3], [4, 5, 6], [7, 8, 10]]))
+    for shape in ((0, 0), (0, 3), (3, 0), (1, 1)):
+        _same_elimination(np.zeros(shape, dtype=int).astype(object))
+
+
+def _sign_changes(coefficients):
+    signs = [c > 0 for c in coefficients if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_primitive_lattice_eliminations_match_the_references(conjugate):
+    g = PRIMITIVE_LATTICE
+    if conjugate:  # 39% of the entries zero, against 89%
+        s, _ = random_unimodular(random.Random(7), 22)
+        g = np.dot(np.dot(s.T, g), s)
+    # det 3 and signature (20, 2): the characteristic polynomial has real roots,
+    # so Descartes' rule counts them exactly
+    poly = sympy.Matrix(g.tolist()).charpoly().all_coeffs()
+    assert poly[-1] == 3 and len(poly) == 23
+    assert (_sign_changes(poly), _sign_changes([c * (-1) ** k for k, c in enumerate(poly)])) \
+        == (20, 2)
+    eye22 = np.eye(22, dtype=int).astype(object)
+    _same_elimination(np.concatenate([g, eye22], axis=1))
+    _same(boxed(*inverse_scaled((g, 1))), oracle.inverse(_rational(g)))
+    rng = random.Random(8)
+    b = _ints_of(rng, (22, 3), 20)
+    _same_elimination(np.concatenate([g * 5, b * 3], axis=1))
+    _same(boxed(*solve_scaled((g, 3), (b, 5))), oracle.solve(_over(g.tolist(), 3), _over(b.tolist(), 5)))

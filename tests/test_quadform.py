@@ -606,7 +606,7 @@ def test_equivariant_witt_raises_when_the_extension_misses_the_prescription(monk
     grp = GroupAction.trivial(v)
     w = [qvec([1, 0, 0])]
     psi = Isometry(v.restrict(w), v.restrict(w), qmat([[QQ(-1)]]))
-    monkeypatch.setattr(quadform, "reflect_to", lambda space, x, y: Isometry.identity(space))
+    monkeypatch.setattr(quadform, "_reflect_rows", lambda space, xn, yn: quadform._identity(space.dim))
     with pytest.raises(DomainError, match="misses the prescribed image"):
         equivariant_witt(grp, w, grp, w, Isometry.identity(v), psi)
 
