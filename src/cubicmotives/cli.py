@@ -1,8 +1,9 @@
 """Command-line front end: run verification suites, emit JSON and markdown.
 
 Exit codes: 0 when every check passes, 1 when any check fails, 2 for a bad
-configuration (schema diagnostics on stderr), 3 when a suite raises (the
-traceback and an ``error: <suite>: ...`` line on stderr, no report).
+configuration (schema diagnostics on stderr), 3 when a suite or the building
+of the report raises (the traceback and an ``error: <suite>: ...`` or
+``error: report: ...`` line on stderr, no report).
 """
 
 from __future__ import annotations
@@ -140,17 +141,17 @@ def main(argv=None) -> int:
         return 2
 
     reports = []
-    for name in SUITES if args.suite == "all" else [args.suite]:
-        try:
-            reports.append(run_suite(name, cfg, seed))
-        except Exception as e:  # a crash must not read as a failed check
-            traceback.print_exc()
-            print(f"error: {name}: {type(e).__name__}: {e}", file=sys.stderr)
-            return 3
-
-    payload = reports_to_json(reports)
-    payload.update({"command": args.suite, "seed": seed, "gram": gram_desc})
-    markdown = reports_to_markdown(reports)
+    try:
+        for stage in SUITES if args.suite == "all" else [args.suite]:
+            reports.append(run_suite(stage, cfg, seed))
+        stage = "report"
+        payload = reports_to_json(reports)
+        payload.update({"command": args.suite, "seed": seed, "gram": gram_desc})
+        markdown = reports_to_markdown(reports)
+    except Exception as e:  # a crash must not read as a failed check
+        traceback.print_exc()
+        print(f"error: {stage}: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
     print(markdown, end="")
     if args.out:
         json_path, md_path = _write_reports(args.out, payload, markdown)

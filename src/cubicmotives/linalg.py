@@ -118,7 +118,7 @@ def _height(w) -> int:
 
 def contract(a, b, axes=None):
     """``np.dot(a, b)`` of integer arrays or scalars, or ``np.tensordot(a, b,
-    axes)`` of arrays when ``axes`` (two lists of non-negative axes) is given,
+    axes)`` of arrays when ``axes`` (two sequences of non-negative axes) is given,
     exactly, with Python ``int`` entries.  The latter is one ``np.dot`` of a
     as (free axes) x (contracted axes) and b as (contracted) x (free).
 
@@ -133,8 +133,8 @@ def contract(a, b, axes=None):
         fa = [i for i in range(a.ndim) if i not in ia]
         fb = [i for i in range(b.ndim) if i not in ib]
         k, free = math.prod(sa[i] for i in ia), [sa[i] for i in fa] + [sb[i] for i in fb]
-        return contract(a.transpose(fa + ia).reshape(math.prod(free[:len(fa)]), k),
-                        b.transpose(ib + fb).reshape(k, math.prod(free[len(fa):]))).reshape(free)
+        return contract(a.transpose([*fa, *ia]).reshape(math.prod(free[:len(fa)]), k),
+                        b.transpose([*ib, *fb]).reshape(k, math.prod(free[len(fa):]))).reshape(free)
     k = a.shape[-1] if getattr(a, "ndim", 0) and getattr(b, "ndim", 0) else 1
     if k and getattr(a, "size", 1) * getattr(b, "size", 1) >= CONTRACT_MIN_WORK * k:
         try:

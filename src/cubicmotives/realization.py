@@ -25,13 +25,20 @@ only at the two boundary conversions: the constructor scales rational
 components once, and ``comps`` (with ``to_matrix`` and ``action_matrix``)
 boxes them back with :func:`cubicmotives.linalg.boxed`.  Each result is put
 in canonical form once, by one gcd pass per component that is also its zero
-test; ``realize`` sums all its terms over one lcm before that pass.
+test; ``realize`` sums all its terms over one lcm before that pass.  A result
+that is canonical as built (a transpose, a negation, one term realized with
+coefficient 1) skips the pass.  Each constant of the certify path is made
+once: a class's action (``scaled_action``) is kept with the class as a
+read-only pair, with the block table of every (source, target) layout that
+``transport`` reads it through, and the signature algebra of a pairwise
+product is planned once per (slot dimensions, signatures) by ``_plan``, which
+no Gram enters; only the denominator and the arrays are computed per product.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cache, cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -165,10 +172,14 @@ class RealizedClass:
         self._set(spaces, {s: n * (den // d) for s, (n, d) in pairs.items()}, den)
 
     @classmethod
-    def _of(cls, spaces, num, den) -> "RealizedClass":
-        """The class num / den, from integer components (put in canonical form)."""
+    def _of(cls, spaces, num, den, canonical=False) -> "RealizedClass":
+        """The class num / den, from integer components, put in canonical form
+        unless ``canonical`` says that they are in it already."""
         x = cls.__new__(cls)
-        x._set(spaces, num, den)
+        if canonical:
+            x.spaces, x.n, x._num, x._den = tuple(spaces), len(spaces), num, den
+        else:
+            x._set(spaces, num, den)
         return x
 
     def _set(self, spaces, num, den):
@@ -210,7 +221,8 @@ class RealizedClass:
         return self + -other
 
     def __neg__(self):
-        return RealizedClass._of(self.spaces, {s: -v for s, v in self._num.items()}, self._den)
+        return RealizedClass._of(self.spaces, {s: -v for s, v in self._num.items()}, self._den,
+                                 canonical=True)
 
     def scale(self, t):
         t = QQ(t)
@@ -233,17 +245,16 @@ class RealizedClass:
 
     def __mul__(self, other):
         self._check(other)
-        terms = []
-        for sa, va in self._num.items():
-            for sb, vb in other._num.items():
-                got = _component_product(self.spaces, sa, va, sb, vb)
-                if got is not None:
-                    terms.append(got)
+        dims = tuple(sp.vd.dim for sp in self.spaces)
+        terms = [_component_product(self.spaces, plan, va, vb)
+                 for sa, va in self._num.items() for sb, vb in other._num.items()
+                 if (plan := _plan(dims, sa, sb)) is not None]
         # one denominator for all pairwise products: the lcm of their factors
         lcm = math.lcm(*(d for _, _, d in terms))
         acc = {}
         for sig, val, d in terms:
-            val = val * (lcm // d)
+            if d != lcm:
+                val = val * (lcm // d)
             acc[sig] = acc[sig] + val if sig in acc else val
         return RealizedClass._of(self.spaces, acc, self._den * other._den * lcm)
 
@@ -262,7 +273,7 @@ class RealizedClass:
         out = {}
         for (k0, k1), val in self._num.items():
             out[(k1, k0)] = val.T if isinstance(val, np.ndarray) and val.ndim == 2 else val
-        return RealizedClass._of((self.spaces[1], self.spaces[0]), out, self._den)
+        return RealizedClass._of((self.spaces[1], self.spaces[0]), out, self._den, canonical=True)
 
     def _matrix(self) -> np.ndarray:
         """Integer matrix form, over the class denominator."""
@@ -277,6 +288,11 @@ class RealizedClass:
     def to_matrix(self) -> np.ndarray:
         return boxed(self._matrix(), self._den)
 
+    @cached_property
+    def _action(self) -> "_Action":
+        pn, pd = self.spaces[0].scaled_pairing
+        return _Action((readonly(contract(self._matrix().T, pn)), self._den * pd))
+
     def transport(self, mats, targets) -> "RealizedClass":
         """Apply one linear map per slot, each a scaled pair (integers,
         denominator) of shape target x source, or None to leave the slot as
@@ -287,24 +303,24 @@ class RealizedClass:
         ``m[kt, ks]`` — a scalar for h -> h, an outer product placed at the
         slot's V-axis for h -> V, a contraction of that axis for V -> h, and a
         contraction with the new axis put back in place for V -> V.  All-zero
-        blocks are skipped; the table of the other blocks is built once per
-        distinct (map, source, target) of the call.
+        blocks are skipped.  The table of the other blocks is built once per
+        (source, target) layout and kept with the map when it is an action
+        (:func:`scaled_action`), else once per slot.
         """
         if len(mats) != self.n or len(targets) != self.n:
             raise StructureError("need one transport matrix per slot")
         num, den = self._num, self._den
-        tables = {}
         for s, (pair, src, tgt) in enumerate(zip(mats, self.spaces, targets)):
             if pair is None:
                 continue
             m, d = pair
-            table = (id(pair), id(src), id(tgt))  # all three outlive the call
-            if table not in tables:
-                tables[table] = {}
+            tables = getattr(pair, "tables", {})
+            layout = (src.hdim, src.r, tgt.hdim, tgt.r)
+            if (blocks := tables.get(layout)) is None:
+                blocks = tables[layout] = {}
                 for ks, i in src.blocks:
                     cells = ((kt, m[j, i]) for kt, j in tgt.blocks)
-                    tables[table][ks] = [(kt, b) for kt, b in cells if _content(b)]
-            blocks = tables[table]
+                    blocks[ks] = [(kt, b) for kt, b in cells if _content(b)]
             out = {}
             for sig, val in num.items():
                 p = sig[:s].count("V")  # position of this slot's V-axis
@@ -342,47 +358,64 @@ class RealizedClass:
         return "RealizedClass(" + ", ".join(bits) + ")"
 
 
-def _component_product(spaces, sig_a, val_a, sig_b, val_b):
-    """One pairwise product of integer components, or None when it vanishes.
+class _Action(tuple):
+    """A class's action as a scaled pair (integers, denominator) that keeps
+    the block tables ``transport`` builds from it, by (source, target) layout."""
+
+    def __init__(self, pair):
+        self.tables = {}
+
+
+@cache
+def _plan(dims, sig_a, sig_b):
+    """The signature algebra of one pairwise product on slots of dimensions
+    ``dims``, or None when it vanishes: (signature, contracted slots, axes),
+    where axes is None when a or b has no V-axis, else (the contracted axes of
+    a, those of b, the order that puts the free axes back in slot order), all
+    tuples.  No Gram enters it, so it is made once per (dims, sig_a, sig_b),
+    of which there are finitely many on the products of up to three slots
+    that the calculus uses."""
+    out_sig, contracted = [], []
+    for s, (ka, kb, dim) in enumerate(zip(sig_a, sig_b, dims)):
+        if ka == "V" and kb == "V":
+            out_sig.append(("h", dim))
+            contracted.append(s)
+        elif ka == "V" or kb == "V":
+            if (kb if ka == "V" else ka) != ("h", 0):
+                return None
+            out_sig.append("V")
+        elif (k := ka[1] + kb[1]) <= dim:
+            out_sig.append(("h", k))
+        else:
+            return None
+    a_axes = [s for s, k in enumerate(sig_a) if k == "V"]
+    b_axes = [s for s, k in enumerate(sig_b) if k == "V"]
+    if not a_axes or not b_axes:
+        return tuple(out_sig), (), None
+    # the free axes come out as a's then b's
+    free = [s for s in a_axes + b_axes if s not in contracted]
+    return tuple(out_sig), tuple(contracted), (tuple(a_axes.index(s) for s in contracted),
+                                               tuple(b_axes.index(s) for s in contracted),
+                                               tuple(np.argsort(free).tolist()))
+
+
+def _component_product(spaces, plan, val_a, val_b):
+    """One pairwise product of integer components by its :func:`_plan`.
 
     Returns (signature, integers, d): the product of the two numerators is
     integers / d, where d collects e and the Gram's denominator of each
     contracted V-slot."""
-    out_sig = []
-    d = 1
-    a_axes = [s for s, k in enumerate(sig_a) if k == "V"]
-    b_axes = [s for s, k in enumerate(sig_b) if k == "V"]
-    contracted = []
-    for s, (ka, kb) in enumerate(zip(sig_a, sig_b)):
-        sp = spaces[s]
-        if ka == "V" and kb == "V":
-            out_sig.append(("h", sp.vd.dim))
-            contracted.append(s)
-            d *= sp.vd.degree * sp._gram[1]
-        elif ka == "V" or kb == "V":
-            other = kb if ka == "V" else ka
-            if other != ("h", 0):
-                return None
-            out_sig.append("V")
-        else:
-            k = ka[1] + kb[1]
-            if k > sp.vd.dim:
-                return None
-            out_sig.append(("h", k))
-    if not a_axes or not b_axes:
-        return tuple(out_sig), val_a * val_b, d
-    # general case: contract each paired V-slot of a through the Gram matrix,
-    # then contract a with b over those slots in one contraction
-    for s in contracted:
-        i = a_axes.index(s)
+    sig, contracted, axes = plan
+    d = math.prod(spaces[s].vd.degree * spaces[s]._gram[1] for s in contracted)
+    if axes is None:
+        return sig, val_a * val_b, d
+    # contract each paired V-slot of a through the Gram matrix, then contract
+    # a with b over those slots in one contraction
+    ia, ib, order = axes
+    for s, i in zip(contracted, ia):
         val_a = contract(val_a, spaces[s]._gram[0], ([i], [0])).transpose(_last_to(i, val_a.ndim))
-    val = _contract(val_a, val_b, ([a_axes.index(s) for s in contracted],
-                                  [b_axes.index(s) for s in contracted]))
-    # the free axes come out as a's then b's; put them back in slot order
-    free = [s for s in a_axes + b_axes if s not in contracted]
-    if free:
-        val = np.transpose(val, np.argsort(free))
-    return tuple(out_sig), val, d
+    val = _contract(val_a, val_b, (ia, ib))
+    return sig, np.transpose(val, order) if order else val, d
 
 
 # --- the realization functor ------------------------------------------------
@@ -437,12 +470,16 @@ def realize(x: CorrClass, cfg: RealizationConfig | Space) -> RealizedClass:
         else:  # "delta"
             term = _diagonal(space, (0, 1), 3) * _diagonal(space, (0, 2), 3)
         terms.append((term._num, term._den, c))
+    if len(terms) == 1 and terms[0][2] == 1:  # one term, canonical as it stands
+        return RealizedClass._of((space,) * x.n, terms[0][0], terms[0][1], canonical=True)
     den = math.lcm(*(d * c.denominator for _, d, c in terms))
     out = {}
     for num, d, c in terms:
         f = den // (d * c.denominator) * c.numerator
         for sig, val in num.items():
-            out[sig] = out[sig] + val * f if sig in out else val * f
+            if f != 1:
+                val = val * f
+            out[sig] = out[sig] + val if sig in out else val
     return RealizedClass._of((space,) * x.n, out, den)
 
 
@@ -463,9 +500,9 @@ def action_matrix(f: RealizedClass) -> np.ndarray:
 
 
 def scaled_action(f: RealizedClass):
-    """:func:`action_matrix` as a scaled pair (integers, denominator)."""
-    pn, pd = f.spaces[0].scaled_pairing
-    return contract(f._matrix().T, pn), f._den * pd
+    """:func:`action_matrix` as a scaled pair (integers, denominator): made
+    once per class, the same read-only pair on every call."""
+    return f._action
 
 
 def degree(x: RealizedClass):

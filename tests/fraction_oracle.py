@@ -35,9 +35,16 @@ Gauss-Jordan above, products and solves on the library's rational front ends
 ``realize`` builds the h-part of a class in one constructor call;
 ``realize_by_terms`` below adds one class per h-monomial, as it did.
 
+``RealizedClass.__mul__`` reads the signature algebra of each pairwise
+product from a plan made once per (slot dimensions, signatures).
+``walk_component_product`` and ``walk_product`` below are the route it
+replaced: every pair of components walked slot by slot on every call, on the
+same integers.
+
 The tests compare the library against these for exact equality.
 """
 
+import math
 import random
 
 import numpy as np
@@ -50,7 +57,8 @@ from cubicmotives.gradedring import VarietyData
 from cubicmotives.motiveiso import (FourfoldData, SurfaceData, _conjugation_iso,
                                     random_diag_gram, random_unimodular)
 from cubicmotives.quadform import GroupAction, Isometry, QuadSpace
-from cubicmotives.realization import RealizationConfig, RealizedClass, _diagonal
+from cubicmotives.realization import (RealizationConfig, RealizedClass, _contract, _diagonal,
+                                      _last_to)
 
 
 def _is_zero(val) -> bool:
@@ -554,3 +562,67 @@ def realize_by_terms(x, space) -> RealizedClass:
             term = (_diagonal(space, (0, 1), 3) * _diagonal(space, (0, 2), 3)).scale(c)
         out = out + term
     return out
+
+
+# --- realization: the signature walk of every pairwise product ------------------------
+
+
+def walk_component_product(spaces, sig_a, val_a, sig_b, val_b):
+    """One pairwise product of integer components, or None when it vanishes.
+
+    Returns (signature, integers, d): the product of the two numerators is
+    integers / d, where d collects e and the Gram's denominator of each
+    contracted V-slot."""
+    out_sig = []
+    d = 1
+    a_axes = [s for s, k in enumerate(sig_a) if k == "V"]
+    b_axes = [s for s, k in enumerate(sig_b) if k == "V"]
+    contracted = []
+    for s, (ka, kb) in enumerate(zip(sig_a, sig_b)):
+        sp = spaces[s]
+        if ka == "V" and kb == "V":
+            out_sig.append(("h", sp.vd.dim))
+            contracted.append(s)
+            d *= sp.vd.degree * sp._gram[1]
+        elif ka == "V" or kb == "V":
+            other = kb if ka == "V" else ka
+            if other != ("h", 0):
+                return None
+            out_sig.append("V")
+        else:
+            k = ka[1] + kb[1]
+            if k > sp.vd.dim:
+                return None
+            out_sig.append(("h", k))
+    if not a_axes or not b_axes:
+        return tuple(out_sig), val_a * val_b, d
+    # general case: contract each paired V-slot of a through the Gram matrix,
+    # then contract a with b over those slots in one contraction
+    for s in contracted:
+        i = a_axes.index(s)
+        val_a = lin.contract(val_a, spaces[s]._gram[0], ([i], [0])).transpose(
+            _last_to(i, val_a.ndim))
+    val = _contract(val_a, val_b, ([a_axes.index(s) for s in contracted],
+                                  [b_axes.index(s) for s in contracted]))
+    # the free axes come out as a's then b's; put them back in slot order
+    free = [s for s in a_axes + b_axes if s not in contracted]
+    if free:
+        val = np.transpose(val, np.argsort(free))
+    return tuple(out_sig), val, d
+
+
+def walk_product(x, y) -> RealizedClass:
+    """``x * y`` as it was: the walk above on every pair of components, each
+    product rescaled to the lcm of their denominators."""
+    terms = []
+    for sa, va in x._num.items():
+        for sb, vb in y._num.items():
+            got = walk_component_product(x.spaces, sa, va, sb, vb)
+            if got is not None:
+                terms.append(got)
+    lcm = math.lcm(*(d for _, _, d in terms))
+    acc = {}
+    for sig, val, d in terms:
+        val = val * (lcm // d)
+        acc[sig] = acc[sig] + val if sig in acc else val
+    return RealizedClass._of(x.spaces, acc, x._den * y._den * lcm)

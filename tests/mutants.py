@@ -57,6 +57,27 @@ CONTRACT = ("tests/test_linalg.py::test_contract_at_the_edges_of_int64",
             "tests/test_linalg.py::test_contract_takes_int64_exactly_from_the_threshold_on",
             "tests/test_linalg.py::test_contract_matches_object_contraction")
 
+# cli.main builds the report inside its crash boundary; the mutant builds it after
+REPORT_IN_TRY = """\
+        stage = "report"
+        payload = reports_to_json(reports)
+        payload.update({"command": args.suite, "seed": seed, "gram": gram_desc})
+        markdown = reports_to_markdown(reports)
+    except Exception as e:  # a crash must not read as a failed check
+        traceback.print_exc()
+        print(f"error: {stage}: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
+"""
+REPORT_AFTER_TRY = """\
+    except Exception as e:  # a crash must not read as a failed check
+        traceback.print_exc()
+        print(f"error: {stage}: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
+    payload = reports_to_json(reports)
+    payload.update({"command": args.suite, "seed": seed, "gram": gram_desc})
+    markdown = reports_to_markdown(reports)
+"""
+
 CATALOGUE = (
     Mutant("solve-inconsistent-pivot", "linalg",
            "if any(c >= n for c in pivots):", "if any(c > n for c in pivots):", LINALG),
@@ -195,6 +216,28 @@ CATALOGUE = (
     Mutant("same-ignores-unequal-denominators", "linalg",
            "n1 == n2 if d1 == d2 else", "n1 == n2 if True else",
            ("tests/test_linalg.py::test_same_over_equal_opposite_and_unequal_denominators",)),
+    Mutant("product-plan-ignores-slot-dimensions", "realization",
+           "@cache\ndef _plan(dims, sig_a, sig_b):",
+           "@(lambda f, plans={}: lambda dims, sig_a, sig_b:\n"
+           "    plans.setdefault((sig_a, sig_b), f(dims, sig_a, sig_b)))\n"
+           "def _plan(dims, sig_a, sig_b):",
+           ("tests/test_fraction_oracle.py::test_product_plans_depend_on_slot_dimensions",
+            "tests/test_fraction_oracle.py::test_products_match_the_signature_walk")),
+    Mutant("block-table-ignores-the-target-layout", "realization",
+           "layout = (src.hdim, src.r, tgt.hdim, tgt.r)", "layout = (src.hdim, src.r)",
+           ("tests/test_realization.py::test_kept_block_tables_match_fresh_ones",)),
+    Mutant("middle-part-taken-as-canonical", "realization",
+           "return RealizedClass._of(self.spaces, out, self._den)",
+           "return RealizedClass._of(self.spaces, out, self._den, canonical=True)",
+           ("tests/test_realization.py::test_middle_part_is_canonical",)),
+    Mutant("action-left-writable", "realization",
+           "readonly(contract(self._matrix().T, pn))", "contract(self._matrix().T, pn)",
+           ("tests/test_realization.py::test_action_is_made_once_and_read_only",)),
+    Mutant("witt-suite-catches-every-exception", "suites",
+           "except DomainError as e:", "except Exception as e:",
+           ("tests/test_cli.py::test_a_crash_in_the_witt_extension_exits_3",)),
+    Mutant("report-built-outside-the-crash-boundary", "cli", REPORT_IN_TRY, REPORT_AFTER_TRY,
+           ("tests/test_cli.py::test_a_crash_while_building_the_report_exits_3",)),
     Mutant("diagonal-ignores-the-inverse-gram-denominator", "realization",
            "den = math.lcm(e, space._gram_inv[1]) if space.r else e", "den = e",
            ("tests/test_realization.py::test_compose_realized_unital",

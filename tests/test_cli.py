@@ -3,18 +3,22 @@ configuration diagnostics, and determinism of check content."""
 
 import contextlib
 import io
+import itertools
 import json
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from cubicmotives import cli, suites
 from cubicmotives.cli import main
+from cubicmotives.errors import DomainError
 from cubicmotives.linalg import mat_to_json
-from cubicmotives.suites import SUITES, random_gram
+from cubicmotives.suites import SUITES, SuiteReport, random_gram
 
 
 def _strip_timing(payload):
@@ -281,3 +285,44 @@ def test_config_fuzz_exits_cleanly(case):
     event(f"{suite} exit {code}")
     assert code in (0, 1, 2), (argv, config, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def _raise(*args):
+    raise RuntimeError("injected")
+
+
+@pytest.mark.parametrize("owner, name", [
+    (SuiteReport, "passed"), (SuiteReport, "failures"), (SuiteReport, "to_json"),
+    (SuiteReport, "to_markdown"), (cli, "reports_to_json"), (cli, "reports_to_markdown")])
+def test_a_crash_while_building_the_report_exits_3(monkeypatch, capsys, owner, name):
+    monkeypatch.setattr(owner, name, _raise)
+    assert main(["derive-p"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "error: report: RuntimeError: injected" in err
+
+
+def _witt_raising(monkeypatch, call, error):
+    """Make the witt suite's ``equivariant_witt`` raise ``error`` on one call."""
+    real, calls = suites.equivariant_witt, itertools.count(1)
+
+    def flaky(*args):
+        if next(calls) == call:
+            raise error
+        return real(*args)
+    monkeypatch.setattr(suites, "equivariant_witt", flaky)
+
+
+def test_a_crash_in_the_witt_extension_exits_3(monkeypatch, capsys):
+    _witt_raising(monkeypatch, 5, TypeError("injected"))
+    assert main(["witt"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "error: witt: TypeError: injected" in err
+
+
+def test_a_refused_witt_instance_is_a_failed_check(monkeypatch, capsys):
+    _witt_raising(monkeypatch, 5, DomainError("injected"))
+    assert main(["witt"]) == 1
+    out = capsys.readouterr().out
+    for cid in ("isometry", "prescription", "equivariance", "complement"):
+        assert f"- `{cid}` witness: instance 4: raised DomainError('injected')" in out
+    assert "**4 of 5 checks FAILED.**" in out  # degenerate-rejected still passes

@@ -1,6 +1,9 @@
 """``RealizedClass`` on integer numerators against the Fraction-array route it
 replaced (``fraction_oracle.FractionClass``), on random 1- to 3-slot classes,
-and ``realize`` against the term-by-term sum it replaced.
+``realize`` against the term-by-term sum it replaced, and products against
+the per-pair signature walk that their plans replaced.  Transport is also
+checked against its own law: transporting by a then by b is transporting by
+b . a.
 
 The spaces cover primitive ranks 0, 1 and 4 (one test keeps to rank 0), a non-diagonal Gram with
 fractional entries (its denominator folds into products), and a K3 slot.
@@ -18,13 +21,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraction_oracle import FractionClass, realize_by_terms
+from fraction_oracle import FractionClass, realize_by_terms, walk_product
 from cubicmotives.gradedring import VarietyData
-from cubicmotives.linalg import eye, qmat, scaled
+from cubicmotives.linalg import eye, product, qmat, scaled
 from cubicmotives.quadform import QuadSpace
 from cubicmotives.rationals import rational_str
 from cubicmotives.realization import (RealizedClass, Space, action_matrix, check_equal,
-                                      compose_realized, realize)
+                                      compose_realized, realize, scaled_action)
 from cubicmotives.tautcorr import CorrClass
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -163,6 +166,40 @@ def test_products_and_degrees_match_oracle(xy):
     assert (x * y).degree() == _oracle_degree(fx * fy)
 
 
+def test_product_plans_depend_on_slot_dimensions():
+    """h^1 . h^2 is h^3 on a fourfold and vanishes on a K3, whichever of the
+    two is multiplied first."""
+    for spaces in ((RANK1,), (K3,), (RANK1, K3), (K3, RANK1)):
+        x, y = (RealizedClass(spaces, {(("h", k),) * len(spaces): c}) for k, c in ((1, 2), (2, 3)))
+        want = {(("h", 3),): 6} if spaces == (RANK1,) else {}
+        assert (x * y)._num == want and x * y == walk_product(x, y)
+
+
+@st.composite
+def twin_products(draw):
+    """Two class pairs on the same signatures, one on fourfold slots and one
+    on K3 slots (h-exponents at most 2, which both read), in a random order:
+    a product plan must tell the two apart."""
+    n = draw(st.integers(1, 3))
+    sigs = [tuple("V" if draw(st.booleans()) else ("h", draw(st.integers(0, 2)))
+                  for _ in range(n)) for _ in range(draw(st.integers(1, 4)))]
+    twins = []
+    for spaces in (tuple(draw(st.sampled_from((RANK1, RANK4, NONDIAG))) for _ in range(n)),
+                   (K3,) * n):
+        twins.append(tuple(RealizedClass(spaces, {sig: _value(draw, sig, spaces) for sig in sigs})
+                           for _ in range(2)))
+    return twins[::-1] if draw(st.booleans()) else twins
+
+
+@SETTINGS
+@given(twin_products())
+def test_products_match_the_signature_walk(twins):
+    for x, y in twins:
+        got = x * y
+        assert got == walk_product(x, y)
+        _canonical(got)
+
+
 def test_three_axis_contraction_matches_oracle():
     """Every slot carries V on both sides: three axes contract at once, each
     through its own Gram (one of them with fractional entries)."""
@@ -206,6 +243,26 @@ def test_transport_matches_oracle(data):
     mats = [by_pair[(id(a), id(b))] for a, b in zip(spaces, targets)]
     _same(x.transport([scaled(m) for m in mats], targets),
           FractionClass.of(x).transport(mats, targets))
+
+
+@SETTINGS
+@given(st.data())
+def test_transport_is_functorial(data):
+    """x.transport(a).transport(b) == x.transport(b . a), with each slot map a
+    plain pair or the kept action of a random two-slot class."""
+    spaces, comps = data.draw(products())
+    x = RealizedClass(spaces, comps)
+    mids, ends = (tuple(data.draw(st.sampled_from(SPACES)) for _ in spaces) for _ in range(2))
+
+    def slot_map(source, target):
+        if data.draw(st.booleans()):
+            return scaled(_matrix(data.draw, source, target))
+        return scaled_action(RealizedClass((source, target), _comps(data.draw, (source, target))))
+
+    a = [slot_map(s, t) for s, t in zip(spaces, mids)]
+    b = [slot_map(t, u) for t, u in zip(mids, ends)]
+    assert x.transport(a, mids).transport(b, ends) == \
+        x.transport([product(q, p) for p, q in zip(a, b)], ends)
 
 
 @SETTINGS

@@ -2,7 +2,9 @@
 fourfold realizations, the dual-route small-diagonal verification with its
 negative controls, and the fourfold-to-surface bridge."""
 
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -140,6 +142,25 @@ def test_rank22_pair_passes():
     cert = build_gamma(dx, dy, iso)
     assert cert.passed()
     assert all(c["passed"] for c in verify_frobenius(cert))
+
+
+def test_certificates_leave_no_reference_cycle_through_their_spaces():
+    """With the cyclic collector off, the spaces of a built and verified
+    certificate die with it: nothing kept on a Space points back at it."""
+    gc.disable()
+    try:
+        spaces = []
+        for seed, rank in ((3, 6), (4, 22)):
+            dx, dy, iso = random_fourfold_pair(seed, rank=rank)
+            cert = build_gamma(dx, dy, iso)
+            checks = cert.checks + verify_frobenius(cert)
+            passed = all(c["passed"] for c in checks)
+            spaces += [weakref.ref(dx.space), weakref.ref(dy.space)]
+            del dx, dy, iso, cert, checks
+            assert passed, rank
+        assert [ref() for ref in spaces] == [None] * 4
+    finally:
+        gc.enable()
 
 
 def test_build_gamma_rejections():

@@ -12,14 +12,14 @@ from dense_oracle import (dense_compose, dense_transport, einsum_product, from_d
                           from_matrix, to_dense)
 from cubicmotives.errors import StructureError
 from cubicmotives.gradedring import VarietyData
-from cubicmotives.linalg import eye, mat_eq, mat_from_json, mat_to_json, qmat, scaled, zeros
+from cubicmotives.linalg import boxed, eye, mat_eq, mat_from_json, mat_to_json, qmat, scaled, zeros
 from cubicmotives.motiveiso import random_diag_gram
 from cubicmotives.rationals import QQ
 from cubicmotives.realization import (RealizationConfig, RealizedClass, Space,
                                       action_matrix, check, check_equal,
                                       compose_realized, degree, derive_P,
                                       diagonal_realized, p_to_text, realize,
-                                      verify_kernel_identities)
+                                      scaled_action, verify_kernel_identities)
 from cubicmotives.tautcorr import CorrClass, ck_projectors, compose, transpose
 
 
@@ -260,6 +260,45 @@ def test_compose_matches_dense_oracle():
             got = compose_realized(f, g)
             assert got.spaces == (a, c)
             assert got == dense_compose(f, g)
+
+
+def test_action_is_made_once_and_read_only():
+    cfg = small_cfg(rank=4, seed=3)
+    f = _random_realized(random.Random(5), (cfg.space, cfg.space))
+    a = scaled_action(f)
+    assert scaled_action(f) is a
+    assert mat_eq(action_matrix(f), np.dot(f.to_matrix().T, cfg.space.pairing))
+    with pytest.raises(ValueError):
+        a[0][0, 0] = 1
+
+
+def test_kept_block_tables_match_fresh_ones():
+    """The same action read into two target layouts of one size, a fourfold's
+    (5 h-lines, r = 4) and a K3's (3 h-lines, r = 6), in either order and on
+    several slots at once: each kept table gives what a fresh one gives."""
+    rng = random.Random(12)
+    src = small_cfg(rank=3, seed=4).space
+    four = small_cfg(rank=4, seed=6).space
+    k3 = Space(VarietyData.k3(), small_cfg(rank=6, seed=8).prim)
+    a = scaled_action(_random_realized(rng, (src, four), n_comps=12))
+    fresh = tuple(a)  # a plain pair keeps no table
+    for targets in ((four,), (k3,), (four, k3), (k3, k3, four)):
+        x = _random_realized(rng, (src,) * len(targets))
+        got = x.transport((a,) * len(targets), targets)
+        assert got.spaces == targets
+        assert got == x.transport((fresh,) * len(targets), targets)
+        assert got == dense_transport(x, [boxed(*a)] * len(targets), targets)
+    assert set(a.tables) == {(5, 3, 5, 4), (5, 3, 3, 6)}
+
+
+def test_middle_part_is_canonical():
+    """Dropping components can change the gcd: here the part that stays is
+    2/2, which must read 1 over 1."""
+    sp = small_cfg(rank=2).space
+    f = RealizedClass((sp, sp), {(("h", 2), ("h", 2)): QQ(1), (("h", 0), ("h", 4)): QQ(1, 2)})
+    mid = f.middle_part()
+    assert mid == RealizedClass((sp, sp), {(("h", 2), ("h", 2)): QQ(1)})
+    assert mid._den == 1 and mid._num == {(("h", 2), ("h", 2)): 1}
 
 
 def test_middle_part_of_diagonal():
