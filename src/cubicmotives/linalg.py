@@ -12,7 +12,9 @@ list-axes contraction is a transpose and a reshape to one ``np.dot``), runs
 on int64 only under two conditions: the work is at least
 ``CONTRACT_MIN_WORK`` multiply-adds, and k max|a| max|b| < ``INT64_BOUND``
 (k the product of the contracted dimensions), which proves every partial
-sum exact.  One elimination, :func:`_echelon`, is
+sum exact.  A read-only operand with a read-only base (:func:`readonly`) is
+converted once: its int64 copy is kept until the array dies, never the array.
+One elimination, :func:`_echelon`, is
 fraction-free Gauss-Jordan on Python-int numerators (TypeError on any other
 entry) that returns Bareiss' integers (1968): at pivot p a row with a
 nonzero f in the pivot column becomes (p row - f pivot_row) // its level, the
@@ -28,6 +30,7 @@ rational front ends.
 from __future__ import annotations
 
 import math
+import weakref
 from numbers import Rational
 
 import numpy as np
@@ -93,6 +96,7 @@ def boxed(n, d):
 
 
 def readonly(a: np.ndarray) -> np.ndarray:
+    a = a if a.base is None else a.copy()  # no write through a base can reach it
     a.flags.writeable = False
     return a
 
@@ -110,10 +114,26 @@ CONTRACT_MIN_WORK = 2048
 INT64_BOUND = 2**62
 
 
-def _height(w) -> int:
-    """max |entry| of a nonempty int64 array, as a Python int (np.abs would
-    wrap at -2**63)."""
-    return max(int(w.max()), -int(w.min()))
+_KEPT = {}  # id(array) -> (weak reference to the array, its _int64 result)
+
+
+def _int64(a):
+    """(int64 copy, max |entry|) of a nonempty integer array or scalar, or None
+    when an entry does not convert (np.abs would wrap at -2**63).  It is kept
+    while it lives for an array that is read-only with a read-only base, and
+    found again only by that same array."""
+    key = id(a) if isinstance(a, np.ndarray) and not a.flags.writeable and (
+        a.base is None or isinstance(a.base, np.ndarray) and not a.base.flags.writeable) else None
+    if key is not None and (hit := _KEPT.get(key)) and hit[0]() is a:
+        return hit[1]
+    try:
+        w = np.asarray(a).astype(np.int64)
+        view = w, max(int(w.max()), -int(w.min()))
+    except (OverflowError, TypeError):
+        view = None
+    if key is not None:
+        _KEPT[key] = weakref.ref(a, lambda _: _KEPT.pop(key, None)), view
+    return view
 
 
 def contract(a, b, axes=None):
@@ -126,25 +146,26 @@ def contract(a, b, axes=None):
     size(a) size(b) / k multiply-adds with k the product of the contracted
     dimensions, is at least ``CONTRACT_MIN_WORK``, and k max|a| max|b| <
     ``INT64_BOUND``.  Otherwise, or when an entry does not convert to int64,
-    the contraction runs on the objects themselves.  Entries must be integers:
-    the conversion would truncate any other rational."""
-    if axes is not None:
+    the contraction runs on the objects themselves.  Each operand is
+    converted (:func:`_int64`) before it is transposed, so a kept one is
+    converted once.  Entries must be integers: the conversion would truncate
+    any other rational."""
+    if axes is None:
+        k = a.shape[-1] if getattr(a, "ndim", 0) and getattr(b, "ndim", 0) else 1
+    else:
         (ia, ib), sa, sb = axes, a.shape, b.shape
         fa = [i for i in range(a.ndim) if i not in ia]
         fb = [i for i in range(b.ndim) if i not in ib]
         k, free = math.prod(sa[i] for i in ia), [sa[i] for i in fa] + [sb[i] for i in fb]
-        return contract(a.transpose([*fa, *ia]).reshape(math.prod(free[:len(fa)]), k),
-                        b.transpose([*ib, *fb]).reshape(k, math.prod(free[len(fa):]))).reshape(free)
-    k = a.shape[-1] if getattr(a, "ndim", 0) and getattr(b, "ndim", 0) else 1
-    if k and getattr(a, "size", 1) * getattr(b, "size", 1) >= CONTRACT_MIN_WORK * k:
-        try:
-            wa, wb = np.asarray(a).astype(np.int64), np.asarray(b).astype(np.int64)
-        except (OverflowError, TypeError):
-            pass
-        else:
-            if k * _height(wa) * _height(wb) < INT64_BOUND:
-                return np.dot(wa, wb).astype(object)
-    return np.dot(a, b)
+    wide = (k and getattr(a, "size", 1) * getattr(b, "size", 1) >= CONTRACT_MIN_WORK * k
+            and (va := _int64(a)) and (vb := _int64(b)) and k * va[1] * vb[1] < INT64_BOUND)
+    if wide:
+        a, b = va[0], vb[0]
+    if axes is not None:
+        a = a.transpose([*fa, *ia]).reshape(math.prod(free[:len(fa)]), k)
+        b = b.transpose([*ib, *fb]).reshape(k, math.prod(free[len(fa):]))
+    out = np.dot(a, b).astype(object) if wide else np.dot(a, b)
+    return out if axes is None else out.reshape(free)
 
 
 def product(*pairs):

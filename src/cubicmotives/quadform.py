@@ -4,10 +4,10 @@ Everything here is constructive and certified: each returned map is a matrix
 over Q whose defining identities (isometry, equivariance, prescribed images)
 can be — and in the test-suites are — checked exactly.
 
-A form or a map stores only its canonical scaled pair (``scaled_gram``,
-``scaled_matrix``; :func:`cubicmotives.linalg.scaled`), and ``gram``/``matrix``
-are its read-only ``Fraction`` views, boxed on first read.  A group is its
-generators' pairs and its order; :meth:`GroupAction.conjugated` moves it along a
+A form, a map or a group generator stores only its canonical scaled pair
+(``scaled_gram``, ``scaled_matrix``; :func:`cubicmotives.linalg.scaled`), its
+array read-only, and ``gram``/``matrix`` are its read-only ``Fraction`` views,
+boxed on first read.  :meth:`GroupAction.conjugated` moves a group along a
 unimodular basis change on integers.  Witt vectors are integer rows.
 
 The central algorithm extends a G-equivariant isometry so that it matches a
@@ -67,7 +67,7 @@ class QuadSpace(_Frozen):
         n, d = scaled(g)
         if not np.array_equal(n, n.T):
             raise StructureError("Gram matrix must be symmetric")
-        self.__dict__.update(scaled_gram=(n, d))
+        self.__dict__.update(scaled_gram=(readonly(n), d))
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -93,7 +93,8 @@ class QuadSpace(_Frozen):
     def restrict_scaled(self, rows) -> "QuadSpace":
         """Form restricted to the span of the rows of a scaled pair."""
         n, p = rows
-        return QuadSpace._of(scaled_gram=canonical(*product((n, p), self.scaled_gram, (n.T, p))))
+        g, d = canonical(*product((n, p), self.scaled_gram, (n.T, p)))
+        return QuadSpace._of(scaled_gram=(readonly(g), d))
 
     def complement_scaled(self, vectors):
         """:meth:`orthogonal_complement` as a scaled pair from one integer kernel."""
@@ -111,11 +112,13 @@ class Isometry(_Frozen):
     ``Fraction`` view, boxed on first read."""
 
     def __init__(self, source: QuadSpace, target: QuadSpace, matrix):
-        self.__dict__.update(source=source, target=target, scaled_matrix=scaled(matrix))
+        n, d = scaled(matrix)
+        self.__dict__.update(source=source, target=target, scaled_matrix=(readonly(n), d))
 
     @classmethod
     def from_scaled(cls, source: QuadSpace, target: QuadSpace, pair) -> "Isometry":
-        return cls._of(source=source, target=target, scaled_matrix=canonical(*pair))
+        n, d = canonical(*pair)
+        return cls._of(source=source, target=target, scaled_matrix=(readonly(n), d))
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -218,7 +221,7 @@ class GroupAction:
 
     @classmethod
     def build(cls, space: QuadSpace, generators, cap: int = 4096) -> "GroupAction":
-        gens = tuple(scaled(g) for g in generators)
+        gens = tuple((readonly(n), d) for n, d in map(scaled, generators))
         if not all(Isometry.from_scaled(space, space, g).verify() for g in gens):
             raise DomainError("group generator is not an isometry of the form")
         return cls(space, gens, len(_closure([(g,) for g in gens], [space.dim], cap)))
@@ -226,9 +229,9 @@ class GroupAction:
     def conjugated(self, s, s_inv) -> "GroupAction":
         """The group in the basis of the columns of a unimodular integer ``s``
         (inverse ``s_inv``): form s^T G s, generators s^-1 g s, the same order."""
+        gens = (canonical(*product((s_inv, 1), g, (s, 1))) for g in self.scaled_generators)
         return GroupAction(self.space.restrict_scaled((s.T, 1)),
-                           tuple(canonical(*product((s_inv, 1), g, (s, 1)))
-                                 for g in self.scaled_generators), self.order)
+                           tuple((readonly(n), d) for n, d in gens), self.order)
 
     @classmethod
     def trivial(cls, space: QuadSpace) -> "GroupAction":

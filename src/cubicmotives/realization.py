@@ -26,11 +26,11 @@ components once, and ``comps`` (with ``to_matrix`` and ``action_matrix``)
 boxes them back with :func:`cubicmotives.linalg.boxed`.  Each result is put
 in canonical form once, by one gcd pass per component that is also its zero
 test; ``realize`` sums all its terms over one lcm before that pass.  A result
-that is canonical as built (a transpose, a negation, one term realized with
-coefficient 1) skips the pass.  Each constant of the certify path is made
-once: a class's action (``scaled_action``) is kept with the class as a
-read-only pair, with the block table of every (source, target) layout that
-``transport`` reads it through, and the signature algebra of a pairwise
+that is canonical as built (a transpose, a negation, a diagonal, one term
+realized with coefficient 1) skips the pass.  Each constant of the certify
+path is made once: a class's action (``scaled_action``) is kept with the class
+as a read-only pair, with the block table of every (source, target) layout
+that ``transport`` reads it through, and the signature algebra of a pairwise
 product is planned once per (slot dimensions, signatures) by ``_plan``, which
 no Gram enters; only the denominator and the arrays are computed per product.
 """
@@ -56,7 +56,7 @@ class Space:
     """Realization space of one variety slot: h-powers plus a V-block.
     ``_gram`` (``prim.scaled_gram``), ``_gram_inv`` and ``scaled_pairing`` are
     the canonical scaled forms of ``gram``, ``gram_inv`` and ``pairing``, made
-    once on integers; those three are boxed on first read, read-only."""
+    once on integers and read-only; those three are boxed on first read."""
 
     def __init__(self, vd: VarietyData, prim: QuadSpace | None = None):
         self.vd = vd
@@ -69,9 +69,10 @@ class Space:
         pairing = np.zeros((self.size, self.size), dtype=object)
         pairing[range(self.hdim), range(vd.dim, -1, -1)] = vd.degree * d
         if prim is not None:
-            self._gram, self._gram_inv = prim.scaled_gram, inverse_scaled(prim.scaled_gram)
+            gi, di = inverse_scaled(prim.scaled_gram)
+            self._gram, self._gram_inv = prim.scaled_gram, (readonly(gi), di)
             pairing[self.hdim:, self.hdim:] = prim.scaled_gram[0]
-        self.scaled_pairing = pairing, d
+        self.scaled_pairing = readonly(pairing), d
         # (kind, basis position) of every block: the h^k rows, then the V-block
         self.blocks = [(("h", k), k) for k in range(self.hdim)]
         if self.r:
@@ -424,7 +425,10 @@ def _component_product(spaces, plan, val_a, val_b):
 def _diagonal(space: Space, slots, n, deco_slot=None, deco=0) -> RealizedClass:
     """The diagonal on the two listed slots of an n-fold product (all slots
     over the same space), optionally decorated by h^deco on the complementary
-    slot: 1/e on each h-line pair plus the inverse Gram tensor on V x V."""
+    slot: 1/e on each h-line pair plus the inverse Gram tensor on V x V.
+    Canonical as built: with G^-1 = N / d canonical and den = lcm(e, d), a
+    prime p | den / e has v_p(d) = v_p(den) > v_p(e), so p divides d, not
+    den / d, and not every entry of N; the gcd is 1, and no component is 0."""
     i, j = slots
     base = [("h", 0)] * n
     if deco_slot is not None:
@@ -439,8 +443,9 @@ def _diagonal(space: Space, slots, n, deco_slot=None, deco=0) -> RealizedClass:
     den = math.lcm(e, space._gram_inv[1]) if space.r else e
     num = {sig(("h", a), ("h", space.vd.dim - a)): den // e for a in range(space.hdim)}
     if space.r:
-        num[sig("V", "V")] = space._gram_inv[0] * (den // space._gram_inv[1])
-    return RealizedClass._of((space,) * n, num, den)
+        f = den // space._gram_inv[1]
+        num[sig("V", "V")] = space._gram_inv[0] * f if f != 1 else space._gram_inv[0]
+    return RealizedClass._of((space,) * n, num, den, canonical=True)
 
 
 def diagonal_realized(space: Space) -> RealizedClass:

@@ -168,8 +168,7 @@ CATALOGUE = (
     Mutant("product-drops-the-denominator-product", "linalg",
            "n, d = contract(n, m), d * e", "n, d = contract(n, m), d", LINALG),
     Mutant("contract-bound-drops-k", "linalg",
-           "k * _height(wa) * _height(wb) < INT64_BOUND", "_height(wa) * _height(wb) < INT64_BOUND",
-           CONTRACT),
+           "k * va[1] * vb[1] < INT64_BOUND", "va[1] * vb[1] < INT64_BOUND", CONTRACT),
     Mutant("contract-bound-is-two-to-the-64", "linalg",
            "INT64_BOUND = 2**62", "INT64_BOUND = 2**64", CONTRACT),
     Mutant("contract-height-by-np-abs", "linalg",
@@ -180,7 +179,7 @@ CATALOGUE = (
     Mutant("contract-lets-overflow-escape", "linalg",
            "except (OverflowError, TypeError):", "except TypeError:", CONTRACT),
     Mutant("contract-keeps-int64-entries", "linalg",
-           "return np.dot(wa, wb).astype(object)", "return np.dot(wa, wb)", CONTRACT),
+           "np.dot(a, b).astype(object) if wide else np.dot(a, b)", "np.dot(a, b)", CONTRACT),
     Mutant("equivariance-skips-the-h-v-block", "motiveiso",
            "same(product(a_hv, m1), a_hv)", "True", MIXED),
     Mutant("equivariance-skips-the-v-h-block", "motiveiso",
@@ -242,6 +241,23 @@ CATALOGUE = (
            "den = math.lcm(e, space._gram_inv[1]) if space.r else e", "den = e",
            ("tests/test_realization.py::test_compose_realized_unital",
             "tests/test_realization.py::test_action_matrix_shape_and_diagonal")),
+    Mutant("int64-view-kept-for-writable-arrays", "linalg",
+           "isinstance(a, np.ndarray) and not a.flags.writeable and (",
+           "isinstance(a, np.ndarray) and (",
+           ("tests/test_linalg.py::test_a_writable_operand_changed_in_place_gives_the_new_product",)),
+    Mutant("int64-view-kept-for-a-view-of-a-writable-base", "linalg",
+           "a.base is None or isinstance(a.base, np.ndarray) and not a.base.flags.writeable", "True",
+           ("tests/test_linalg.py::test_a_read_only_view_of_a_changed_base_gives_the_new_product",)),
+    Mutant("int64-views-never-dropped", "linalg",
+           "weakref.ref(a, lambda _: _KEPT.pop(key, None))", "weakref.ref(a)",
+           ("tests/test_linalg.py::test_kept_int64_views_die_with_a_certificate",)),
+    Mutant("diagonal-den-is-the-product-flagged-canonical", "realization",
+           "den = math.lcm(e, space._gram_inv[1]) if space.r else e",
+           "den = e * space._gram_inv[1] if space.r else e",
+           ("tests/test_realization.py::test_diagonals_are_canonical_as_built",)),
+    Mutant("defect-of-drops-v-components", "realization",
+           'raise ShadowViolation("MCK shadow violated")', "continue",
+           ("tests/test_negative_controls.py::test_mult_shadow_fails_on_a_perturbed_diagonal",)),
 )
 
 

@@ -1,8 +1,8 @@
 """The certification benchmark's inputs and outputs stay fixed: the result
 digests of its two gated workloads at seed 11 equal the recorded ones, also
 with the int64 route of ``linalg.contract`` off (as do the reports of every
-suite), and building and running the rank-6 tamper items of several seeds
-raises nothing.  ``certbench/workloads.py`` is read and executed here, never
+suite), and building and running the rank-6 tamper and rank-22 items of
+several seeds raises nothing.  ``certbench/workloads.py`` is read and executed here, never
 written (no bytecode is cached next to it)."""
 
 import sys
@@ -76,4 +76,13 @@ def test_tamper_items_build_without_raising(wl):
     for seed in range(5):
         for i in range(6 * len(wl.TAMPER_CYCLE)):
             problem, _ = wl.run_item(wl.make_item("certify-rank6-tamper", seed, i))
+            assert problem is None, (seed, i, problem)
+
+
+def test_rank22_items_build_without_raising(wl):
+    """The first certify-rank22 items of seeds 0-4 built and run, for the same
+    reason as the tamper items above."""
+    for seed in range(5):
+        for i in range(4):
+            problem, _ = wl.run_item(wl.make_item("certify-rank22", seed, i))
             assert problem is None, (seed, i, problem)

@@ -11,11 +11,15 @@ tensor contractions of the realization engine are checked against the
 Fraction-array oracle in ``test_fraction_oracle.py``.  ``contract``, the
 integer contraction under ``product`` and the realization engine, is checked
 against object ``np.dot``/``np.tensordot`` (the route it replaced) on both sides
-of its int64 bound and its size threshold.  ``_echelon`` is checked against the
+of its int64 bound and its size threshold, and with read-only operands, whose
+int64 copies it keeps: cold and warm, next to writable ones changed in place
+and views of a changed writable base, and dropped with their arrays.
+``_echelon`` is checked against the
 Bareiss elimination it replaced (``fraction_oracle.echelon``) integer for
 integer, on random layouts and on the primitive lattice A2 + U^2 + E8^2 of a
 cubic fourfold."""
 
+import gc
 import math
 import random
 from fractions import Fraction
@@ -27,10 +31,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
+from cubicmotives import linalg
 from cubicmotives.linalg import (CONTRACT_MIN_WORK, INT64_BOUND, _echelon, boxed, canonical,
                                  contract, dot, inverse, inverse_scaled, kernel_basis,
-                                 kernel_scaled, rank, rref, same, scaled, solve, solve_scaled)
-from cubicmotives.motiveiso import random_unimodular
+                                 kernel_scaled, rank, readonly, rref, same, scaled, solve,
+                                 solve_scaled)
+from cubicmotives.motiveiso import (build_gamma, random_fourfold_pair, random_unimodular,
+                                    verify_frobenius)
 from cubicmotives.rationals import QQ
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -665,3 +672,93 @@ def test_primitive_lattice_eliminations_match_the_references(conjugate):
     b = _ints_of(rng, (22, 3), 20)
     _same_elimination(np.concatenate([g * 5, b * 3], axis=1))
     _same(boxed(*solve_scaled((g, 3), (b, 5))), oracle.solve(_over(g.tolist(), 3), _over(b.tolist(), 5)))
+
+
+# --- kept int64 views of read-only operands --------------------------------------------
+
+
+# entries at the int64 edges, and small ones: with them an operand converts or
+# not, and the pair passes the bound or not
+EDGE_ENTRIES = st.sampled_from((0, 1, -1, 3, -7, 2**31 - 1, -2**31, 2**31, 2**62, -2**62,
+                                2**63 - 1, -2**63, 2**63, -2**63 - 1, 2**70))
+
+
+def _frozen(a, how):
+    """``a`` as the read-only operand of one kind: an array of its own, or a
+    read-only transposed or sliced view of a read-only copy."""
+    if how == "owned":
+        return readonly(a.copy())
+    if how == "transposed":
+        return readonly(a.T.copy()).T
+    big = np.concatenate([a, a[:1]])  # a read-only base one row longer
+    return readonly(big)[:len(a)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(LAYOUTS[:1] + LAYOUTS[5:]), st.sampled_from((22, 13, 6)),
+       st.sampled_from((22, 6, 1)), st.sampled_from((22, 5)),
+       st.sampled_from(("a", "b", "both")), st.sampled_from(("owned", "transposed", "sliced")),
+       st.integers(0, 2**32), st.lists(EDGE_ENTRIES, max_size=3), st.sampled_from((8, 20, 31, 40)))
+def test_read_only_operands_contract_cold_and_warm_like_objects(layout, n, k, m, frozen, how,
+                                                                  seed, edges, bits):
+    # np.dot and list-axes layouts; a read-only a, b or both, the other side
+    # writable; a few entries at the int64 edges; each contraction run on
+    # operands seen for the first time, then again on the same objects
+    rng = random.Random(seed)
+    shape_a, shape_b, axes = layout(n, k, m)
+    a, b = _ints_of(rng, shape_a, bits), _ints_of(rng, shape_b, bits)
+    for x, value in zip(rng.sample([a, b, a, b], len(edges)), edges):
+        x.flat[rng.randrange(x.size)] = value
+    want = _oracle(a, b, axes)
+    if frozen in ("a", "both"):
+        a = _frozen(a, how)
+    if frozen in ("b", "both"):
+        b = _frozen(b, how)
+    for _ in range(2):
+        _same_ints(contract(a, b, axes), want)
+
+
+def test_a_writable_operand_changed_in_place_gives_the_new_product():
+    rng = random.Random(3)
+    for shape_a, shape_b, axes in (((64, 4), (4, 32), None), ((22, 22, 22), (22, 22), ([1], [1]))):
+        a, b = _ints_of(rng, shape_a, 20), _ints_of(rng, shape_b, 20)
+        # the writable operand on either side, the other one read-only
+        for pair in ((a.copy(), readonly(b.copy())), (readonly(a.copy()), b.copy())):
+            x = pair[0] if pair[0].flags.writeable else pair[1]
+            _same_ints(contract(*pair, axes), _oracle(*pair, axes))
+            x[(0,) * x.ndim] += 12345
+            _same_ints(contract(*pair, axes), _oracle(*pair, axes))
+            x[(-1,) * x.ndim] = -2**40  # past the bound now
+            _same_ints(contract(*pair, axes), _oracle(*pair, axes))
+
+
+def test_a_read_only_view_of_a_changed_base_gives_the_new_product():
+    rng = random.Random(4)
+    base, b = _ints_of(rng, (64, 8), 20), readonly(_ints_of(rng, (8, 32), 20))
+    for view in (base[:], base[:, :4].T.T, base[::2]):
+        view.flags.writeable = False
+        k = view.shape[1]
+        _same_ints(contract(view, b[:k]), _oracle(view, b[:k]))
+        base[0, 0] += 7
+        base[-1, -1] = 2**62  # the bound, too, is read from the new entries
+        _same_ints(contract(view, b[:k]), _oracle(view, b[:k]))
+        base[-1, -1] = 1
+
+
+def test_kept_int64_views_die_with_a_certificate():
+    """With the cyclic collector off, building, verifying and deleting one
+    rank-22 certificate leaves the kept views as they were: each is dropped
+    with its array."""
+    gc.disable()
+    try:
+        before = len(linalg._KEPT)
+        dx, dy, iso = random_fourfold_pair(4, rank=22)
+        cert = build_gamma(dx, dy, iso)
+        checks = cert.checks + verify_frobenius(cert)
+        kept = len(linalg._KEPT)
+        del dx, dy, iso, cert
+        assert all(c["passed"] for c in checks)
+        assert kept > before + 10  # the spaces' forms, the isometries, Γ's action and blocks
+        assert len(linalg._KEPT) == before
+    finally:
+        gc.enable()

@@ -13,14 +13,16 @@ from dense_oracle import (dense_compose, dense_transport, einsum_product, from_d
 from cubicmotives.errors import StructureError
 from cubicmotives.gradedring import VarietyData
 from cubicmotives.linalg import boxed, eye, mat_eq, mat_from_json, mat_to_json, qmat, scaled, zeros
-from cubicmotives.motiveiso import random_diag_gram
+from cubicmotives.motiveiso import random_diag_gram, random_unimodular
+from cubicmotives.quadform import QuadSpace
 from cubicmotives.rationals import QQ
-from cubicmotives.realization import (RealizationConfig, RealizedClass, Space,
+from cubicmotives.realization import (RealizationConfig, RealizedClass, Space, _diagonal,
                                       action_matrix, check, check_equal,
                                       compose_realized, degree, derive_P,
                                       diagonal_realized, p_to_text, realize,
                                       scaled_action, verify_kernel_identities)
 from cubicmotives.tautcorr import CorrClass, ck_projectors, compose, transpose
+from test_linalg import PRIMITIVE_LATTICE
 
 
 CUBIC = VarietyData.cubic_fourfold()
@@ -299,6 +301,34 @@ def test_middle_part_is_canonical():
     mid = f.middle_part()
     assert mid == RealizedClass((sp, sp), {(("h", 2), ("h", 2)): QQ(1)})
     assert mid._den == 1 and mid._num == {(("h", 2), ("h", 2)): 1}
+
+
+def _diagonal_spaces():
+    """Spaces whose inverse Gram denominator shares a factor with e or not."""
+    rng = random.Random(21)
+    s, _ = random_unimodular(rng, 22)
+    grams = [random_diag_gram(rng, r) for r in (1, 2, 5, 22)]
+    grams += [PRIMITIVE_LATTICE, np.dot(np.dot(s.T, PRIMITIVE_LATTICE), s),
+              qmat([[QQ(2, 3), QQ(1, 5)], [QQ(1, 5), QQ(-4, 7)]])]
+    spaces = [Space(CUBIC, QuadSpace(g)) for g in grams]
+    spaces += [Space(VarietyData.k3(d), QuadSpace(g)) for d in (2, 4) for g in grams[1::2]]
+    return spaces + [Space(CUBIC), Space(VarietyData.k3())]  # r = 0
+
+
+def test_diagonals_are_canonical_as_built():
+    """Every diagonal, undecorated on two and three slots and decorated by
+    each h-power on three, equals its integers put through the gcd pass."""
+    for sp in _diagonal_spaces():
+        dim = sp.vd.dim
+        cases = [((0, 1), 2, None, 0)] + [((i, j), 3, 3 - i - j, deco)
+                                           for i, j in ((0, 1), (0, 2), (1, 2))
+                                           for deco in (None, *range(dim + 1))]
+        for slots, n, k, deco in cases:
+            d = _diagonal(sp, slots, n, k if deco is not None else None, deco or 0)
+            ref = RealizedClass._of(d.spaces, dict(d._num), d._den)
+            assert d._den == ref._den > 0 and d._num.keys() == ref._num.keys(), (sp.r, slots, deco)
+            assert all(np.array_equal(v, ref._num[sig]) for sig, v in d._num.items())
+            assert all(np.any(v) for v in d._num.values())
 
 
 def test_middle_part_of_diagonal():
