@@ -21,7 +21,9 @@ nonzero f in the pivot column becomes (p row - f pivot_row) // its level, the
 pivot it was last updated at, exact since every Bareiss entry is a minor of
 the input.  Rows that a pivot leaves untouched keep their level, so they do
 not grow to the size of a determinant; each is brought to the current pivot
-when it becomes the pivot row or at the end.  :func:`solve_scaled`,
+when it becomes the pivot row or at the end.  A pivot alone in its column
+touches no other row, so it updates none (build_gamma's rank-22 system is all
+such pivots).  :func:`solve_scaled`,
 :func:`kernel_scaled` and :func:`inverse_scaled` return its results as pairs;
 ``rref``, ``rank``, ``kernel_basis``, ``solve`` and ``inverse`` are their
 rational front ends.
@@ -205,7 +207,9 @@ def _echelon(m):
     level), and a row at level l stands for the Bareiss row times l / prev.
     A row is brought up, exactly, when it becomes the pivot row, when it is
     next updated ((s p - s_c pivot_row) // l), and once at the end.  A pivot
-    that touches every row while every row is current is Bareiss' step."""
+    that touches every row while every row is current is Bareiss' step; one
+    alone in its column sets its row and its level and skips the update,
+    whose only row, the pivot row, would be overwritten."""
     m = np.array(m, dtype=object)  # rows are swapped in place
     if not set(map(type, m.flat)) <= {int}:
         raise TypeError("elimination needs integer numerators")
@@ -224,8 +228,10 @@ def _echelon(m):
             m[r], m[i] = m[i], m[r].copy()
             level[r], level[i], live[k] = level[i], level[r], r
         row = m[r].copy() if level[r] == prev else m[r] * prev // level[r]
-        p, touched = row[c], m.take(live, axis=0)
-        m[live] = (touched * p - np.multiply.outer(touched[:, c], row)) // level.take(live)[:, None]
+        p = row[c]
+        if len(live) > 1:  # a lone pivot row is the only row it would update
+            touched = m.take(live, axis=0)
+            m[live] = (touched * p - np.multiply.outer(touched[:, c], row)) // level.take(live)[:, None]
         m[r], level[live], prev = row, p, p
         pivots.append(c)
     old = (level != prev).nonzero()[0]  # the rows the last pivots skipped

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError, StructureError
 from .gradedring import VarietyData
-from .linalg import (boxed, canonical, dot, eye, product, same, scaled, solve_scaled,
+from .linalg import (boxed, canonical, dot, eye, product, readonly, same, scaled, solve_scaled,
                      stack_scaled, zeros)
 from .quadform import GroupAction, Isometry, QuadSpace
 from .rationals import QQ
@@ -51,38 +51,63 @@ from .tautcorr import CorrClass, ck_projectors
 
 
 def _as_vectors(prim: QuadSpace, vecs, what: str):
-    """The vectors as rationals; dimension, then anisotropy and orthogonality
-    read vector by vector off one restricted Gram."""
+    """(vectors as rationals, their scaled rows read-only, the form restricted
+    to them); dimension, then anisotropy and orthogonality read vector by
+    vector off that restricted Gram."""
     out = []
     for v in vecs:
         a = np.asarray([QQ(x) for x in v], dtype=object)
         if a.shape != (prim.dim,):
             raise StructureError(f"{what} vector of the wrong dimension")
         out.append(a)
-    g = prim.restrict(out).scaled_gram[0]
+    n, d = scaled(np.stack(out) if out else zeros(0, prim.dim))
+    space = prim.restrict_scaled((n, d))
+    g = space.scaled_gram[0]
     for i in range(len(out)):
         if g[i, i] == 0:
             raise StructureError(f"{what} must consist of anisotropic vectors")
         if any(g[i, :i]):
             raise StructureError(f"{what} must be orthogonal")
-    return tuple(out)
+    return tuple(out), (readonly(n), d), space
 
 
-def _transcendental_scaled(prim: QuadSpace, alg):
-    """((rows, p), space): the canonical basis of the complement of ``alg`` as
-    integer rows over p (p may be negative), and the form restricted to it."""
-    rows = prim.complement_scaled(alg)
-    return rows, prim.restrict_scaled(rows)
+class _Datum:
+    """What both data classes keep, all read-only: their algebraic classes as
+    scaled rows (``alg_rows``) and the form restricted to them
+    (``alg_space``), both from validation, and the transcendental basis, made
+    on the first call of :meth:`transcendental_scaled` and kept."""
+
+    def _keep(self, prim: QuadSpace, field: str, what: str):
+        """Validate the classes in ``field`` and keep what validation made."""
+        vecs, rows, space = _as_vectors(prim, getattr(self, field), what)
+        self.__dict__.update({field: vecs, "_prim": prim, "alg_rows": rows, "alg_space": space})
+
+    @cached_property
+    def _transcendental(self):
+        rows, p = self._prim.complement_scaled(self.alg_rows[0])  # the rows span the classes
+        return (readonly(rows), p), self._prim.restrict_scaled((rows, p))
+
+    def transcendental_scaled(self):
+        """((rows, p), space): the canonical basis of the complement of the
+        algebraic classes as integer rows over p (p may be negative), and the
+        form restricted to it."""
+        return self._transcendental
+
+    def transcendental(self):
+        """The transcendental basis boxed to vectors, and the restricted space."""
+        rows, space = self.transcendental_scaled()
+        return list(boxed(*rows)), space
 
 
 @dataclass(frozen=True, eq=False)
-class FourfoldData:
+class FourfoldData(_Datum):
     """A fourfold realization plus its designated algebraic classes.
 
     ``alg_basis`` is an orthogonal family of anisotropic vectors in the
     primitive space; the optional ``group`` (an exact finite matrix group of
     isometries) must fix every algebraic class — the arithmetic shadow of
-    Galois acting trivially on algebraic cycles.
+    Galois acting trivially on algebraic cycles.  The datum keeps
+    ``alg_rows``, ``alg_space`` and its transcendental basis (:class:`_Datum`).
     """
 
     cfg: RealizationConfig
@@ -91,9 +116,7 @@ class FourfoldData:
 
     def __post_init__(self):
         prim = self.cfg.prim
-        object.__setattr__(
-            self, "alg_basis", _as_vectors(prim, self.alg_basis, "algebraic basis")
-        )
+        self._keep(prim, "alg_basis", "algebraic basis")
         if self.group is not None:
             if not same(self.group.space.scaled_gram, prim.scaled_gram):
                 raise StructureError("group acts on a different space")
@@ -108,19 +131,12 @@ class FourfoldData:
     def group_or_trivial(self) -> GroupAction:
         return self.group if self.group is not None else GroupAction.trivial(self.cfg.prim)
 
-    def transcendental_scaled(self):
-        return _transcendental_scaled(self.cfg.prim, self.alg_basis)
-
-    def transcendental(self):
-        """The transcendental basis boxed to vectors, and the restricted space."""
-        rows, space = self.transcendental_scaled()
-        return list(boxed(*rows)), space
-
 
 @dataclass(frozen=True, eq=False)
-class SurfaceData:
+class SurfaceData(_Datum):
     """A polarized K3 realization: h-powers plus a degree-2 quadratic space
-    containing the named algebraic (Neron-Severi) classes."""
+    containing the named algebraic (Neron-Severi) classes; it keeps what a
+    fourfold datum keeps (:class:`_Datum`), for the Neron-Severi classes."""
 
     vd: VarietyData
     prim2: QuadSpace
@@ -129,18 +145,11 @@ class SurfaceData:
     def __post_init__(self):
         if self.vd.kind != "k3":
             raise StructureError("surface data needs K3 variety data")
-        object.__setattr__(
-            self, "ns_basis", _as_vectors(self.prim2, self.ns_basis, "Neron-Severi basis")
-        )
+        self._keep(self.prim2, "ns_basis", "Neron-Severi basis")
 
     @cached_property
     def space(self) -> Space:
         return Space(self.vd, self.prim2)
-
-    def transcendental_scaled(self):
-        return _transcendental_scaled(self.prim2, self.ns_basis)
-
-    transcendental = FourfoldData.transcendental
 
 
 # --- refined projectors -------------------------------------------------------
@@ -236,9 +245,7 @@ def build_gamma(dx: FourfoldData, dy: FourfoldData, iso_tr: Isometry) -> GammaCe
     primx, primy = dx.cfg.prim, dy.cfg.prim
     if len(dx.alg_basis) != len(dy.alg_basis):
         raise DomainError("algebraic ranks differ")
-    ax, ay = (scaled(np.stack(d.alg_basis) if d.alg_basis else zeros(0, d.cfg.prim.dim))
-              for d in (dx, dy))
-    qx, qy = (d.cfg.prim.restrict_scaled(a).scaled_gram for d, a in ((dx, ax), (dy, ay)))
+    qx, qy = dx.alg_space.scaled_gram, dy.alg_space.scaled_gram
     if not same((np.diagonal(qx[0]), qx[1]), (np.diagonal(qy[0]), qy[1])):  # the q-values
         raise DomainError("algebraic classes do not match up isometrically")
     t1, t2 = _transcendental_bases(dx, dy, iso_tr, "iso_tr", "iso_tr")
@@ -246,8 +253,8 @@ def build_gamma(dx: FourfoldData, dy: FourfoldData, iso_tr: Isometry) -> GammaCe
     # phi_V maps the rows of dom (algebraic classes, then the transcendental
     # basis) to those of img; vv = G_X^{-1} phi_V^T solves (dom G_X) vv = img
     mn, md = iso_tr.scaled_matrix
-    dom = stack_scaled(ax, t1)
-    img = stack_scaled(ay, product((mn.T, md), t2))
+    dom = stack_scaled(dx.alg_rows, t1)
+    img = stack_scaled(dy.alg_rows, product((mn.T, md), t2))
     x, p = solve_scaled(product(dom, primx.scaled_gram), img)
     phi_v = Isometry.from_scaled(primx, primy, product((x.T, p), primx.scaled_gram))
     phi_v.require_valid("phi_V")  # invertible as G_X is, so equivariance aligns the groups

@@ -53,6 +53,7 @@ MIXED = ("tests/test_motiveiso.py::test_mixed_blocks_follow_all_element_equivari
 ECHELON = ("tests/test_linalg.py::test_echelon_brings_stale_rows_up_exactly",
            "tests/test_linalg.py::test_primitive_lattice_eliminations_match_the_references",
            "tests/test_linalg.py::test_echelon_matches_bareiss")
+REFUSALS = ("tests/test_negative_controls.py::test_designated_refusals",)
 CONTRACT = ("tests/test_linalg.py::test_contract_at_the_edges_of_int64",
             "tests/test_linalg.py::test_contract_takes_int64_exactly_from_the_threshold_on",
             "tests/test_linalg.py::test_contract_matches_object_contraction")
@@ -258,6 +259,29 @@ CATALOGUE = (
     Mutant("defect-of-drops-v-components", "realization",
            'raise ShadowViolation("MCK shadow violated")', "continue",
            ("tests/test_negative_controls.py::test_mult_shadow_fails_on_a_perturbed_diagonal",)),
+    Mutant("echelon-skips-the-update-of-two-live-rows", "linalg",
+           "if len(live) > 1:", "if len(live) > 2:", ECHELON),
+    Mutant("echelon-lone-pivot-keeps-its-level", "linalg",
+           "m[r], level[live], prev = row, p, p",
+           "m[r], level[live if len(live) > 1 else []], prev = row, p, p", ECHELON),
+    Mutant("transcendental-basis-handed-out-writable", "motiveiso",
+           "return (readonly(rows), p), self._prim.restrict_scaled((rows, p))",
+           "return (rows, p), self._prim.restrict_scaled((rows, p))",
+           ("tests/test_motiveiso.py::test_kept_constants_are_read_only",)),
+    Mutant("build-gamma-reads-the-source-algebraic-gram-twice", "motiveiso",
+           "qx, qy = dx.alg_space.scaled_gram, dy.alg_space.scaled_gram",
+           "qx, qy = dx.alg_space.scaled_gram, dx.alg_space.scaled_gram",
+           ("tests/test_motiveiso.py::test_build_gamma_rejections",)),
+    Mutant("as-vectors-drops-the-anisotropy-refusal", "motiveiso",
+           "if g[i, i] == 0:", "if False:", REFUSALS),
+    Mutant("fourfold-data-drops-the-group-space-refusal", "motiveiso",
+           "if not same(self.group.space.scaled_gram, prim.scaled_gram):", "if False:", REFUSALS),
+    Mutant("fourfold-data-drops-the-fixed-class-refusal", "motiveiso",
+           "if not self.group.fixes(a):", "if False:", REFUSALS),
+    Mutant("frobenius-accepts-a-cubic-k3-certificate", "motiveiso",
+           'if cert.kind != "fourfold-pair":', "if False:", REFUSALS),
+    Mutant("transport-drops-the-slot-count-refusal", "realization",
+           "if len(mats) != self.n or len(targets) != self.n:", "if False:", REFUSALS),
 )
 
 

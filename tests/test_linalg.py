@@ -16,9 +16,12 @@ int64 copies it keeps: cold and warm, next to writable ones changed in place
 and views of a changed writable base, and dropped with their arrays.
 ``_echelon`` is checked against the
 Bareiss elimination it replaced (``fraction_oracle.echelon``) integer for
-integer, on random layouts and on the primitive lattice A2 + U^2 + E8^2 of a
-cubic fourfold."""
+integer, on random layouts (lone pivots among dense columns among them), on
+the rank-22 systems ``build_gamma`` eliminates, whose pivots are all alone in
+their columns, and on the primitive lattice A2 + U^2 + E8^2 of a cubic
+fourfold."""
 
+import functools
 import gc
 import math
 import random
@@ -596,6 +599,8 @@ def _echelon_input(rng, kind, rows, cols, bits, zero_share):
     if kind == "rank-deficient":  # through an inner dimension below min(rows, cols)
         k = rng.randint(0, max(0, min(rows, cols) - 1))
         return np.dot(random_matrix(rows, k), random_matrix(k, cols)).astype(object)
+    if kind == "gamma-system":  # the system build_gamma eliminates: every pivot alone
+        return _gamma_system(rng.randrange(6)).copy()
     if kind == "gamma":  # build_gamma's [dom G | img], G the primitive lattice or a conjugate
         s, _ = random_unimodular(rng, 22)
         g = np.dot(np.dot(s.T, PRIMITIVE_LATTICE), s) if rng.random() < 0.5 else PRIMITIVE_LATTICE
@@ -607,14 +612,39 @@ def _echelon_input(rng, kind, rows, cols, bits, zero_share):
             h, w = min(rng.randint(1, 3), rows - i), min(rng.randint(1, 3), cols - j)
             m[i:i + h, j:j + w] = random_matrix(h, w)
             i, j = i + h, j + w
-    else:  # "permuted-diagonal"
+    elif kind == "permuted-diagonal":
         for i, j in zip(rng.sample(range(rows), rows), rng.sample(range(cols), cols)):
             m[i, j] = _nonzero(rng, bits)
+    else:  # "lone-and-dense": lone pivots at random columns of a dense matrix
+        m = random_matrix(rows, cols, 0)
+        k = rng.randint(0, min(rows, cols))
+        for i, j in zip(rng.sample(range(rows), k), sorted(rng.sample(range(cols), k))):
+            # column j is nonzero in row i alone, and row i is zero before j, so
+            # no earlier pivot updates row i or fills column j: j's pivot is alone
+            m[:, j], m[i, :j], m[i, j] = 0, 0, _nonzero(rng, bits)
     return m
 
 
+@functools.cache
+def _gamma_system(seed):
+    """The integer system that ``build_gamma`` hands to ``_echelon`` for
+    ``random_fourfold_pair(seed, rank=22)``: [(dom G_X) bd | img ad] (its only
+    elimination, as the pair keeps its transcendental bases).  Its left half
+    has one nonzero per column, in distinct rows, so every pivot is alone."""
+    got = []
+    dx, dy, iso = random_fourfold_pair(seed, rank=22)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_echelon", lambda m: got.append(m.copy()) or _echelon(m))
+        assert build_gamma(dx, dy, iso).passed()
+    [m] = got
+    assert m.shape == (22, 44)
+    assert sorted(np.flatnonzero(m[:, c])[0] for c in range(22) if np.count_nonzero(m[:, c]) == 1) \
+        == list(range(22))
+    return readonly(m)
+
+
 ECHELON_KINDS = ("dense", "sparse", "rank-deficient", "block-diagonal", "permuted-diagonal",
-                 "gamma")
+                 "gamma", "gamma-system", "lone-and-dense")
 
 
 @settings(max_examples=250, deadline=None)
@@ -623,7 +653,8 @@ ECHELON_KINDS = ("dense", "sparse", "rank-deficient", "block-diagonal", "permute
        st.sampled_from((0.1, 0.3, 0.5, 0.7, 0.9)), st.integers(0, 2**32))
 def test_echelon_matches_bareiss(kind, rows, cols, bits, zero_share, seed):
     # square, tall, wide, 0-row and 0-column shapes; dense and sparse entries of
-    # 1 to 70 bits; the 22 x 44 system of build_gamma
+    # 1 to 70 bits; 22 x 44 systems of build_gamma's shape, and the ones it
+    # eliminates; lone pivots among dense ones
     _same_elimination(_echelon_input(random.Random(seed), kind, rows, cols, bits, zero_share))
 
 

@@ -1,6 +1,8 @@
 """Refined middle projectors, certified isomorphism candidates between two
 fourfold realizations, the dual-route small-diagonal verification with its
-negative controls, and the fourfold-to-surface bridge."""
+negative controls, and the fourfold-to-surface bridge; the constants a datum
+keeps (its algebraic rows and form, its transcendental basis) against fresh
+ones and the Fraction routes, and read-only."""
 
 import gc
 import random
@@ -15,7 +17,7 @@ import fraction_oracle as oracle
 from dense_oracle import dense_transport
 from cubicmotives.errors import DomainError, StructureError
 from cubicmotives.gradedring import VarietyData
-from cubicmotives.linalg import dot, eye, inverse, mat_eq, qmat, qvec, scaled, solve, zeros
+from cubicmotives.linalg import dot, eye, inverse, mat_eq, qmat, qvec, same, scaled, solve, zeros
 from cubicmotives.motiveiso import (FourfoldData, GammaCert, SurfaceData, _alg_tensor_pair,
                                     _transcendental_bases, build_gamma,
                                     build_gamma_cubic_k3, build_refined_projectors,
@@ -293,6 +295,13 @@ def _same_class(got, want, tag):
 
 
 def _same_transcendental(d, prim, alg):
+    """The kept constants of a datum against the Fraction routes: the
+    algebraic rows and their restricted Gram, and the transcendental basis
+    with its restricted Gram, read twice (the second read is the kept one)."""
+    assert mat_eq(dot(d.alg_rows[0], 1 / QQ(d.alg_rows[1])), np.stack(alg)) if alg \
+        else d.alg_rows[0].shape == (0, prim.dim)
+    assert same(d.alg_space.scaled_gram, prim.restrict(list(alg)).scaled_gram)
+    assert d.transcendental_scaled() is d.transcendental_scaled()
     (rows, p), space = d.transcendental_scaled()
     basis, restricted = d.transcendental()
     want_basis, want_gram = oracle.transcendental(prim, alg)
@@ -335,6 +344,51 @@ def test_cubic_k3_gamma_matches_fraction_assembly():
         assert cert.passed(), i
         _same_class(cert.gamma, oracle.build_gamma_cubic_k3_assembly(dx, ds, iso), i)
         _same_transcendental(ds, ds.prim2, ds.ns_basis)
+
+
+def _fresh(d):
+    """The same datum built again: nothing of the kept transcendental basis."""
+    return FourfoldData(d.cfg, d.alg_basis, d.group)
+
+
+def _same_certificate(got, want, tag):
+    """Gamma's integers, its denominator and the checks, to the last integer."""
+    assert got.gamma._num.keys() == want.gamma._num.keys(), tag
+    assert all(np.array_equal(got.gamma._num[k], v) for k, v in want.gamma._num.items()), tag
+    assert type(got.gamma._den) is int and got.gamma._den == want.gamma._den, tag
+    assert got.checks == want.checks, tag
+
+
+@pytest.mark.parametrize("rank", [6, 22])
+def test_build_gamma_on_fresh_and_kept_data_agree(rank, monkeypatch):
+    kernels = []
+    real = QuadSpace.complement_scaled
+    monkeypatch.setattr(QuadSpace, "complement_scaled",
+                        lambda space, rows: kernels.append(rows) or real(space, rows))
+    for seed in range(4):
+        kernels.clear()
+        dx, dy, iso = random_fourfold_pair(seed, rank=rank)
+        kept = build_gamma(dx, dy, iso)  # the bases were made for iso, and are read again
+        assert len(kernels) == 2, seed  # one per datum, none in build_gamma
+        fx, fy = _fresh(dx), _fresh(dy)
+        assert "_transcendental" not in vars(fx) and "_transcendental" not in vars(fy)
+        _same_certificate(build_gamma(fx, fy, iso), kept, (rank, seed))
+        assert len(kernels) == 4 and vars(fx)["_transcendental"] is fx.transcendental_scaled()
+        bare = [FourfoldData(d.cfg, d.alg_basis) for d in (dx, dy)]  # no group on either side
+        cert = build_gamma(*bare, iso)
+        assert cert.passed() and "_transcendental" in vars(bare[0]), seed
+        _same_certificate(build_gamma(*map(_fresh, bare), iso), cert, (rank, seed, "bare"))
+
+
+def test_kept_constants_are_read_only():
+    dx, ds, _ = random_cubic_k3_pair(2)
+    d = FourfoldData(diag_cfg(2, -2, 3), alg_basis=(qvec([1, 0, 0]),))
+    for datum in (dx, ds, d):
+        (rows, _), space = datum.transcendental_scaled()
+        for kept in (rows, datum.alg_rows[0], space.scaled_gram[0], datum.alg_space.scaled_gram[0]):
+            if kept.size:
+                with pytest.raises(ValueError, match="read-only"):
+                    kept[0, 0] = 7
 
 
 def test_transcendental_bases_rejects_maps_off_the_canonical_coordinates():
