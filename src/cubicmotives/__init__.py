@@ -14,14 +14,13 @@ from .linalg import mat_from_json, mat_to_json, qmat, qvec
 from .mukai import (MSElement, MukaiSpace, corr_action, corr_to_poly, kernel_class,
                     kuznetsov_project, lambda_basis, mukai_pairing, mutate_project,
                     poly_to_corr)
-from .motiveiso import (FourfoldData, GammaCert, SurfaceData, build_gamma,
-                        build_gamma_cubic_k3, build_refined_projectors, certify_gamma,
-                        random_cubic_k3_pair, random_fourfold_pair, surface_ck,
-                        verify_frobenius)
+from .motiveiso import (Datum, GammaCert, build_gamma, build_gamma_cubic_k3,
+                        build_refined_projectors, certify_gamma, random_cubic_k3_pair,
+                        random_fourfold_pair, surface_ck, verify_frobenius)
 from .quadform import (GroupAction, Isometry, QuadSpace, WittResult, aligned_elements,
                        equivariant_witt, reflect_to)
 from .rationals import QQ, parse_rational, rational_str
-from .realization import (RealizationConfig, RealizedClass, Space, action_matrix,
+from .realization import (RealizedClass, Space, action_matrix,
                           compose_realized, defect_of, degree, derive_P, diagonal_realized,
                           hyperplane_part, p_to_json, p_to_text, realize,
                           verify_kernel_identities)
@@ -39,13 +38,13 @@ __all__ = [
     "MSElement", "MukaiSpace", "corr_action", "corr_to_poly", "kernel_class",
     "kuznetsov_project", "lambda_basis", "mukai_pairing", "mutate_project",
     "poly_to_corr",
-    "FourfoldData", "GammaCert", "SurfaceData", "build_gamma",
-    "build_gamma_cubic_k3", "build_refined_projectors", "certify_gamma",
+    "Datum", "GammaCert", "build_gamma", "build_gamma_cubic_k3",
+    "build_refined_projectors", "certify_gamma",
     "random_cubic_k3_pair", "random_fourfold_pair", "surface_ck", "verify_frobenius",
     "GroupAction", "Isometry", "QuadSpace", "WittResult", "aligned_elements",
     "equivariant_witt", "reflect_to",
     "QQ", "parse_rational", "rational_str",
-    "RealizationConfig", "RealizedClass", "Space", "action_matrix",
+    "RealizedClass", "Space", "action_matrix",
     "compose_realized", "defect_of", "degree", "derive_P", "diagonal_realized",
     "hyperplane_part", "p_to_json", "p_to_text", "realize", "verify_kernel_identities",
     "SUITES", "SuiteReport", "run_all", "run_suite",

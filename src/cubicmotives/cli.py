@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import DomainError, StructureError
 from .linalg import mat_from_json
-from .realization import RealizationConfig
+from .realization import Space
 from .suites import (SUITES, random_gram, reports_to_json, reports_to_markdown,
                      run_all, run_suite)
 
@@ -65,20 +65,20 @@ def _load_config_file(path: str) -> dict:
 
 def _gram_from_rows(rows, origin: str):
     try:
-        return RealizationConfig.with_gram(mat_from_json(rows))
+        return Space.with_gram(mat_from_json(rows))
     except (StructureError, DomainError, ValueError, TypeError, ZeroDivisionError) as e:
         raise ConfigError([f"config: {origin} is not a valid Gram matrix: {e}"])
 
 
 def _resolve_gram(spec, seed: int):
-    """Turn a gram specifier into a RealizationConfig (None = library default).
+    """Turn a gram specifier into a realization Space (None = library default).
 
-    Returns ``(config_or_none, description)``.
+    Returns ``(space_or_none, description)``.
     """
     if spec is None or spec == "default":
         return None, "default"
     if spec == "random":
-        return RealizationConfig.with_gram(random_gram(seed)), f"random(seed={seed})"
+        return Space.with_gram(random_gram(seed)), f"random(seed={seed})"
     if isinstance(spec, list):
         return _gram_from_rows(spec, "inline 'gram' value"), "inline"
     data = _read_json(spec, f"gram file {spec}")

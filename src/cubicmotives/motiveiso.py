@@ -1,6 +1,8 @@
 """Certified correspondences between realizations of two fourfolds (or a
 fourfold and a K3 surface).
 
+Each side is one :class:`Datum`: a realization space, its algebraic classes
+and optionally a group fixing them; its kind is that of the space's variety.
 The central construction is Gamma: a two-slot realized class
 
     Gamma = (1/3) sum_i h^{4-i} (x) h'^i  +  sum_i a_i (x) a'_i / q(a_i)
@@ -29,13 +31,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, StructureError
-from .gradedring import VarietyData
+from .gradedring import K3, VarietyData
 from .linalg import (boxed, canonical, dot, eye, product, readonly, same, scaled, solve_scaled,
                      stack_scaled, zeros)
 from .quadform import GroupAction, Isometry, QuadSpace
 from .rationals import QQ
 from .realization import (
-    RealizationConfig,
     RealizedClass,
     Space,
     check,
@@ -71,21 +72,50 @@ def _as_vectors(prim: QuadSpace, vecs, what: str):
     return tuple(out), (readonly(n), d), space
 
 
-class _Datum:
-    """What both data classes keep, all read-only: their algebraic classes as
-    scaled rows (``alg_rows``) and the form restricted to them
-    (``alg_space``), both from validation, and the transcendental basis, made
-    on the first call of :meth:`transcendental_scaled` and kept."""
+@dataclass(frozen=True, eq=False)
+class Datum:
+    """One variety's input to Gamma: its realization ``space``, designated
+    algebraic classes in the primitive block, and optionally a group.  The
+    kind (fourfold or K3 surface) is read from ``space.vd``.
 
-    def _keep(self, prim: QuadSpace, field: str, what: str):
-        """Validate the classes in ``field`` and keep what validation made."""
-        vecs, rows, space = _as_vectors(prim, getattr(self, field), what)
-        self.__dict__.update({field: vecs, "_prim": prim, "alg_rows": rows, "alg_space": space})
+    ``alg_basis`` is an orthogonal family of anisotropic vectors in
+    ``space.prim`` (on a K3 surface, the Neron-Severi classes besides the
+    polarization); the optional ``group`` (an exact finite matrix group of
+    isometries) must fix every algebraic class — the arithmetic shadow of
+    Galois acting trivially on algebraic cycles.  The datum keeps, all
+    read-only, its classes as scaled rows (``alg_rows``) and the form
+    restricted to them (``alg_space``), both from validation, and the
+    transcendental basis, made on the first call of
+    :meth:`transcendental_scaled` and kept.
+    """
+
+    space: Space
+    alg_basis: tuple = ()
+    group: GroupAction | None = None
+
+    def __post_init__(self):
+        prim = self.space.prim
+        if prim is None:
+            raise StructureError("a datum needs a space with a primitive block")
+        what = "Neron-Severi basis" if self.space.vd.kind == K3 else "algebraic basis"
+        vecs, rows, restricted = _as_vectors(prim, self.alg_basis, what)
+        self.__dict__.update(alg_basis=vecs, alg_rows=rows, alg_space=restricted)
+        if self.group is not None:
+            if not same(self.group.space.scaled_gram, prim.scaled_gram):
+                raise StructureError("group acts on a different space")
+            for a in self.alg_basis:
+                if not self.group.fixes(a):
+                    raise StructureError("group must fix every algebraic class")
+
+    @property
+    def cfg(self) -> Space:  # the space under its former name, read by certbench/workloads.py
+        return self.space
 
     @cached_property
     def _transcendental(self):
-        rows, p = self._prim.complement_scaled(self.alg_rows[0])  # the rows span the classes
-        return (readonly(rows), p), self._prim.restrict_scaled((rows, p))
+        prim = self.space.prim
+        rows, p = prim.complement_scaled(self.alg_rows[0])  # the rows span the classes
+        return (readonly(rows), p), prim.restrict_scaled((rows, p))
 
     def transcendental_scaled(self):
         """((rows, p), space): the canonical basis of the complement of the
@@ -98,58 +128,13 @@ class _Datum:
         rows, space = self.transcendental_scaled()
         return list(boxed(*rows)), space
 
-
-@dataclass(frozen=True, eq=False)
-class FourfoldData(_Datum):
-    """A fourfold realization plus its designated algebraic classes.
-
-    ``alg_basis`` is an orthogonal family of anisotropic vectors in the
-    primitive space; the optional ``group`` (an exact finite matrix group of
-    isometries) must fix every algebraic class — the arithmetic shadow of
-    Galois acting trivially on algebraic cycles.  The datum keeps
-    ``alg_rows``, ``alg_space`` and its transcendental basis (:class:`_Datum`).
-    """
-
-    cfg: RealizationConfig
-    alg_basis: tuple = ()
-    group: GroupAction | None = None
-
-    def __post_init__(self):
-        prim = self.cfg.prim
-        self._keep(prim, "alg_basis", "algebraic basis")
-        if self.group is not None:
-            if not same(self.group.space.scaled_gram, prim.scaled_gram):
-                raise StructureError("group acts on a different space")
-            for a in self.alg_basis:
-                if not self.group.fixes(a):
-                    raise StructureError("group must fix every algebraic class")
-
-    @property
-    def space(self) -> Space:
-        return self.cfg.space
-
     def group_or_trivial(self) -> GroupAction:
-        return self.group if self.group is not None else GroupAction.trivial(self.cfg.prim)
+        return self.group if self.group is not None else GroupAction.trivial(self.space.prim)
 
 
-@dataclass(frozen=True, eq=False)
-class SurfaceData(_Datum):
-    """A polarized K3 realization: h-powers plus a degree-2 quadratic space
-    containing the named algebraic (Neron-Severi) classes; it keeps what a
-    fourfold datum keeps (:class:`_Datum`), for the Neron-Severi classes."""
-
-    vd: VarietyData
-    prim2: QuadSpace
-    ns_basis: tuple = ()
-
-    def __post_init__(self):
-        if self.vd.kind != "k3":
-            raise StructureError("surface data needs K3 variety data")
-        self._keep(self.prim2, "ns_basis", "Neron-Severi basis")
-
-    @cached_property
-    def space(self) -> Space:
-        return Space(self.vd, self.prim2)
+def _fourfolds(*data) -> bool:
+    """Whether every datum is a fourfold's: its variety has dimension 4."""
+    return all(d.space.vd.dim == 4 for d in data)
 
 
 # --- refined projectors -------------------------------------------------------
@@ -162,7 +147,7 @@ def _alg_tensor_pair(primx: QuadSpace, basis_x, basis_y) -> np.ndarray:
     return dot(np.stack(basis_x, axis=1) * inv_q, np.stack(basis_y, axis=0))
 
 
-def build_refined_projectors(d: FourfoldData):
+def build_refined_projectors(d: Datum):
     """(pi4_alg, pi4_tr): the middle projector split along the algebraic span.
 
     pi4_alg = (1/3) h^2 x h^2 + sum_i a_i x a_i / q(a_i); pi4_tr is the rest
@@ -171,18 +156,18 @@ def build_refined_projectors(d: FourfoldData):
     sp = d.space
     comps = {(("h", 2), ("h", 2)): QQ(1) / sp.e}
     if d.alg_basis:
-        comps[("V", "V")] = _alg_tensor_pair(d.cfg.prim, d.alg_basis, d.alg_basis)
+        comps[("V", "V")] = _alg_tensor_pair(sp.prim, d.alg_basis, d.alg_basis)
     pi4_alg = RealizedClass((sp, sp), comps)
-    pi4 = realize(ck_projectors(d.cfg.vd)["pi4"], d.cfg)
+    pi4 = realize(ck_projectors(sp.vd)["pi4"], sp)
     return pi4_alg, pi4 - pi4_alg
 
 
-def surface_ck(ds: SurfaceData):
+def surface_ck(ds: Datum):
     """(pi0, pi2_alg, pi2_tr, pi4) for a polarized K3 realization.
 
     pi0 = o x S and pi4 = S x o for a degree-1 point class o = h^2/deg; the
     algebraic middle projector runs over an orthogonal basis of the whole
-    algebraic degree-2 part — the polarization h together with ns_basis —
+    algebraic degree-2 part — the polarization h together with alg_basis —
     so the transcendental remainder contains no h x h term.
     """
     sp = ds.space
@@ -190,8 +175,8 @@ def surface_ck(ds: SurfaceData):
     pi0 = RealizedClass((sp, sp), {(("h", 2), ("h", 0)): inv_e})
     pi4 = RealizedClass((sp, sp), {(("h", 0), ("h", 2)): inv_e})
     comps = {(("h", 1), ("h", 1)): inv_e}
-    if ds.ns_basis:
-        comps[("V", "V")] = _alg_tensor_pair(ds.prim2, ds.ns_basis, ds.ns_basis)
+    if ds.alg_basis:
+        comps[("V", "V")] = _alg_tensor_pair(sp.prim, ds.alg_basis, ds.alg_basis)
     pi2_alg = RealizedClass((sp, sp), comps)
     pi2_tr = diagonal_realized(sp) - pi0 - pi4 - pi2_alg
     return pi0, pi2_alg, pi2_tr, pi4
@@ -202,13 +187,18 @@ def surface_ck(ds: SurfaceData):
 
 @dataclass(frozen=True, eq=False)
 class GammaCert:
-    """A correspondence plus the exact identities verified for it."""
+    """A correspondence between two data plus the exact identities verified
+    for it; its ``kind`` is read from the target's variety."""
 
     gamma: RealizedClass
-    source: object
-    target: object
+    source: Datum
+    target: Datum
     checks: list
-    kind: str = "fourfold-pair"
+
+    @property
+    def kind(self) -> str:
+        """"fourfold-pair", or "cubic-k3" when the target is a K3 surface."""
+        return "fourfold-pair" if _fourfolds(self.target) else "cubic-k3"
 
     def passed(self) -> bool:
         return all(c["passed"] for c in self.checks)
@@ -230,19 +220,21 @@ def _transcendental_bases(src, tgt, iso: Isometry, name: str, what: str):
     return t1, t2
 
 
-def build_gamma(dx: FourfoldData, dy: FourfoldData, iso_tr: Isometry) -> GammaCert:
-    """Assemble and certify Gamma for two fourfold data sets.
+def build_gamma(dx: Datum, dy: Datum, iso_tr: Isometry) -> GammaCert:
+    """Assemble and certify Gamma for two fourfold data.
 
     ``iso_tr`` is an isometry between the canonical transcendental
-    coordinates of the two sides (see :meth:`FourfoldData.transcendental`).
+    coordinates of the two sides (see :meth:`Datum.transcendental`).
     The algebraic classes are matched up index by index (their q-values must
     agree); together with ``iso_tr`` on the complements they define the
     global isometry phi_V, which must commute with each generator pair of the
     two groups.  Gamma's V-block is phi_V read through Poincare duality,
     G_X^{-1} phi_V^T.
     """
+    if not _fourfolds(dx, dy):
+        raise StructureError("build_gamma needs fourfold data on both sides")
     spx, spy = dx.space, dy.space
-    primx, primy = dx.cfg.prim, dy.cfg.prim
+    primx, primy = spx.prim, spy.prim
     if len(dx.alg_basis) != len(dy.alg_basis):
         raise DomainError("algebraic ranks differ")
     qx, qy = dx.alg_space.scaled_gram, dy.alg_space.scaled_gram
@@ -266,14 +258,16 @@ def build_gamma(dx: FourfoldData, dy: FourfoldData, iso_tr: Isometry) -> GammaCe
     return certify_gamma(RealizedClass._of((spx, spy), comps, den), dx, dy)
 
 
-def certify_gamma(gamma: RealizedClass, dx: FourfoldData, dy: FourfoldData) -> GammaCert:
-    """Certify any candidate Gamma between two fourfold data sets.
+def certify_gamma(gamma: RealizedClass, dx: Datum, dy: Datum) -> GammaCert:
+    """Certify any candidate Gamma between two fourfold data.
 
     Checks both inverse compositions, the h-lines, the pairing and
     equivariance; :func:`verify_frobenius` adds the transported diagonals.
     Equivariance is checked on the generator pairs only: blocks that
     intertwine each pair intertwine every word in them.
     """
+    if not _fourfolds(dx, dy):
+        raise StructureError("certify_gamma needs fourfold data on both sides")
     spx, spy = dx.space, dy.space
     gens = (dx.group_or_trivial().scaled_generators, dy.group_or_trivial().scaled_generators)
     if len(gens[0]) != len(gens[1]):
@@ -313,19 +307,19 @@ def verify_frobenius(cert: GammaCert):
     defect polynomial, and the two routes must agree.  The certificate's own
     checks (``cert.checks``) are not repeated here.
     """
-    if cert.kind != "fourfold-pair":
-        raise StructureError("Frobenius verification applies to fourfold pairs")
     dx, dy = cert.source, cert.target
+    if not _fourfolds(dx, dy):
+        raise StructureError("Frobenius verification applies to fourfold pairs")
     spx, spy = dx.space, dy.space
-    vd = dx.cfg.vd
+    vd = spx.vd
     a = scaled_action(cert.gamma)
 
     got2 = diagonal_realized(spx).transport((a, a), (spy, spy))
     checks = [check_equal("diagonal", "the transported diagonal equals the target diagonal",
                           got2, diagonal_realized(spy))]
 
-    delta_x = realize(CorrClass.small_diagonal(vd), dx.cfg)
-    delta_y = realize(CorrClass.small_diagonal(dy.cfg.vd), dy.cfg)
+    delta_x = realize(CorrClass.small_diagonal(vd), spx)
+    delta_y = realize(CorrClass.small_diagonal(spy.vd), spy)
     got3 = delta_x.transport((a, a, a), (spy, spy, spy))
     checks.append(check_equal("small-diagonal",
                               "the transported small diagonal equals the target small diagonal",
@@ -333,7 +327,7 @@ def verify_frobenius(cert: GammaCert):
 
     # decomposition route: diagonals decorated with h^4 plus the defect P of
     # the source, all realized on the target side
-    recon = realize(hyperplane_part(vd) + defect_of(delta_x), dy.cfg)
+    recon = realize(hyperplane_part(vd) + defect_of(delta_x), spy)
     checks.append(check_equal(
         "small-diagonal-route",
         "the transported small diagonal equals the decomposition rebuilt on the target",
@@ -347,10 +341,12 @@ def verify_frobenius(cert: GammaCert):
 # --- Gamma between a cubic and a K3 -------------------------------------------
 
 
-def build_gamma_cubic_k3(dx: FourfoldData, ds: SurfaceData, iso: Isometry) -> GammaCert:
+def build_gamma_cubic_k3(dx: Datum, ds: Datum, iso: Isometry) -> GammaCert:
     """Certify an isometry between the transcendental shadows of a fourfold
-    and a K3 surface: the correspondence built from ``iso`` must compose with
-    its transpose to the two transcendental projectors."""
+    datum and a K3 datum: the correspondence built from ``iso`` must compose
+    with its transpose to the two transcendental projectors."""
+    if not _fourfolds(dx) or ds.space.vd.kind != K3:
+        raise StructureError("build_gamma_cubic_k3 needs a fourfold datum and a K3 datum")
     (t1, p1), t2 = _transcendental_bases(dx, ds, iso, "iso", "transcendental isometry")
 
     mn, md = iso.scaled_matrix  # the V-block T1^T G_T1^{-1} M^T T2 acts as iso on span(T1)
@@ -369,7 +365,7 @@ def build_gamma_cubic_k3(dx: FourfoldData, ds: SurfaceData, iso: Isometry) -> Ga
                     "the map after its transpose is the surface transcendental projector",
                     compose_realized(tg, gamma), pi2_tr),
     ]
-    return GammaCert(gamma, dx, ds, checks, kind="cubic-k3")
+    return GammaCert(gamma, dx, ds, checks)
 
 
 # --- randomized instances ------------------------------------------------------
@@ -407,7 +403,7 @@ def _conjugation_iso(src, tgt, s_inv) -> Isometry:
 
 
 def random_fourfold_pair(seed: int, rank: int = 6):
-    """A deterministic random pair of fourfold data sets with matching
+    """A deterministic random pair of fourfold data with matching
     algebraic classes, plus a compatible transcendental isometry.
 
     The target is the source conjugated by a known unimodular change of
@@ -431,8 +427,9 @@ def random_fourfold_pair(seed: int, rank: int = 6):
 
     s, s_inv = random_unimodular(rng, rank)
     group2 = group1.conjugated(s, s_inv)
-    dx = FourfoldData(RealizationConfig(prim=prim1), tuple(unit[:alg_rank]), group1)
-    dy = FourfoldData(RealizationConfig(prim=group2.space), tuple(s_inv[:, :alg_rank].T), group2)
+    cubic = VarietyData.cubic_fourfold()
+    dx = Datum(Space(cubic, prim1), tuple(unit[:alg_rank]), group1)
+    dy = Datum(Space(cubic, group2.space), tuple(s_inv[:, :alg_rank].T), group2)
 
     iso_tr = _conjugation_iso(dx, dy, s_inv)
     # optionally precompose with a reflection in a group-fixed transcendental
@@ -449,7 +446,7 @@ def random_cubic_k3_pair(seed: int, rank: int = 6):
     related by a known unimodular conjugation."""
     rng = random.Random(seed)
     prim = QuadSpace(random_diag_gram(rng, rank))
-    dx = FourfoldData(RealizationConfig(prim=prim))
+    dx = Datum(Space(VarietyData.cubic_fourfold(), prim))
     s, s_inv = random_unimodular(rng, rank)
-    ds = SurfaceData(VarietyData.k3(), prim.restrict_scaled((s.T, 1)))
+    ds = Datum(Space(VarietyData.k3(), prim.restrict_scaled((s.T, 1))))
     return dx, ds, _conjugation_iso(dx, ds, s_inv)

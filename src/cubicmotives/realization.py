@@ -52,11 +52,21 @@ from .tautcorr import CorrClass, ck_projectors, monomial_str
 from . import mukai as _mukai
 
 
+# the default primitive Gram: diag(1^20, (-1)^2), rank 22
+_DEFAULT_GRAM = readonly(np.diag([1] * 20 + [-1] * 2).astype(object))
+
+
 class Space:
-    """Realization space of one variety slot: h-powers plus a V-block.
+    """Realization space of one variety slot: variety data ``vd`` and the
+    abstract primitive quadratic space ``prim`` (None for h-powers only).
     ``_gram`` (``prim.scaled_gram``), ``_gram_inv`` and ``scaled_pairing`` are
     the canonical scaled forms of ``gram``, ``gram_inv`` and ``pairing``, made
-    once on integers and read-only; those three are boxed on first read."""
+    once on integers and read-only; those three are boxed on first read.
+
+    :meth:`default` is the cubic fourfold with primitive rank 22: the total
+    realization then has dimension 5 + 22 = 27 = deg c_4(T_X), which is
+    exactly the Euler consistency check degree(real(D)^2) = 27.
+    """
 
     def __init__(self, vd: VarietyData, prim: QuadSpace | None = None):
         self.vd = vd
@@ -77,6 +87,15 @@ class Space:
         self.blocks = [(("h", k), k) for k in range(self.hdim)]
         if self.r:
             self.blocks.append(("V", slice(self.hdim, self.size)))
+
+    @classmethod
+    def default(cls) -> "Space":
+        return cls.with_gram(_DEFAULT_GRAM)
+
+    @classmethod
+    def with_gram(cls, gram) -> "Space":
+        """The cubic fourfold with the primitive Gram matrix ``gram``."""
+        return cls(VarietyData.cubic_fourfold(), QuadSpace(np.asarray(gram, dtype=object)))
 
     @property
     def gram(self):
@@ -105,32 +124,6 @@ class Space:
 
     def kinds(self):
         return [kind for kind, _ in self.blocks]
-
-
-# the default primitive Gram: diag(1^20, (-1)^2), rank 22
-_DEFAULT_GRAM = readonly(np.diag([1] * 20 + [-1] * 2).astype(object))
-
-
-class RealizationConfig:
-    """Variety data plus the abstract primitive quadratic space.
-
-    The default primitive rank is 22: the total realization then has
-    dimension 5 + 22 = 27 = deg c_4(T_X), which is exactly the Euler
-    consistency check degree(real(D)^2) = 27.
-    """
-
-    def __init__(self, vd: VarietyData | None = None, prim: QuadSpace | None = None):
-        self.vd = vd if vd is not None else VarietyData.cubic_fourfold()
-        self.prim = prim if prim is not None else QuadSpace(_DEFAULT_GRAM)
-        self.space = Space(self.vd, self.prim)
-
-    @classmethod
-    def default(cls) -> "RealizationConfig":
-        return cls()
-
-    @classmethod
-    def with_gram(cls, gram) -> "RealizationConfig":
-        return cls(prim=QuadSpace(np.asarray(gram, dtype=object)))
 
 
 def _content(val) -> int:
@@ -453,14 +446,13 @@ def diagonal_realized(space: Space) -> RealizedClass:
     return _diagonal(space, (0, 1), 2)
 
 
-def realize(x: CorrClass, cfg: RealizationConfig | Space) -> RealizedClass:
+def realize(x: CorrClass, space: Space) -> RealizedClass:
     """Realize a tautological correspondence class as a graded tensor.
 
     Ring homomorphism on the tautological generators: monomials go to
     h-tensors, each diagonal to its Kuenneth tensor, and the small diagonal
     to the product real(D_12) . real(D_13).
     """
-    space = cfg.space if isinstance(cfg, RealizationConfig) else cfg
     if x.vd != space.vd:
         raise StructureError("correspondence and configuration disagree on the variety")
     terms = []  # (integer components, denominator, coefficient): all over one lcm below
@@ -539,7 +531,7 @@ def defect_of(delta: RealizedClass) -> CorrClass:
     return CorrClass(space.vd, 3, terms)
 
 
-def derive_P(cfg: RealizationConfig) -> CorrClass:
+def derive_P(space: Space) -> CorrClass:
     """The symmetric polynomial P with
 
         real(delta) = (1/3)[real(D_12) h_3^4 + real(D_13) h_2^4
@@ -548,7 +540,7 @@ def derive_P(cfg: RealizationConfig) -> CorrClass:
     Every V-component of the difference must cancel identically (for any
     Gram matrix); a nonzero one signals a broken multiplicativity shadow.
     """
-    return defect_of(realize(CorrClass.small_diagonal(cfg.vd), cfg))
+    return defect_of(realize(CorrClass.small_diagonal(space.vd), space))
 
 
 def p_to_json(p: CorrClass):
@@ -594,15 +586,15 @@ def check_equal(cid: str, claim: str, got: RealizedClass, want: RealizedClass) -
 # --- kernel-projector identities ---------------------------------------------
 
 
-def verify_kernel_identities(cfg: RealizationConfig):
+def verify_kernel_identities(space: Space):
     """Exact identities of the two projector kernels at the realized level.
 
     Returns a list of check dicts {id, claim, passed, witness}.
     """
-    vd = cfg.vd
-    kl = realize(_mukai.kernel_class(vd, "L"), cfg)
-    kr = realize(_mukai.kernel_class(vd, "R"), cfg)
-    pi4_prim = realize(ck_projectors(vd)["pi4_prim"], cfg)
+    vd = space.vd
+    kl = realize(_mukai.kernel_class(vd, "L"), space)
+    kr = realize(_mukai.kernel_class(vd, "R"), space)
+    pi4_prim = realize(ck_projectors(vd)["pi4_prim"], space)
 
     pairs = [
         ("pLpL", "p_L twice = p_L", compose_realized(kl, kl), kl),
@@ -623,13 +615,12 @@ def verify_kernel_identities(cfg: RealizationConfig):
         ))
 
     # the middle part of each kernel restricts to the identity on V
-    sp = cfg.space
     for cid, k in (("restrictL", kl), ("restrictR", kr)):
         a = action_matrix(k.middle_part())
         checks.append(check(
             cid,
             "middle part acts as the identity on the primitive block",
-            mat_eq(a[:, sp.hdim:], eye(sp.size)[:, sp.hdim:]),
+            mat_eq(a[:, space.hdim:], eye(space.size)[:, space.hdim:]),
             "V-column mismatch in the action matrix",
         ))
     return checks

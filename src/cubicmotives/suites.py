@@ -30,13 +30,12 @@ from .errors import DomainError, ShadowViolation, StructureError
 from .gradedring import TruncPoly, VarietyData, integrate, tangent_chern, todd_and_sqrt
 from .linalg import boxed, dot, eye, inverse, mat_eq, product, qmat, rank, zeros
 from .mukai import MukaiSpace, kuznetsov_project, lambda_basis
-from .motiveiso import (FourfoldData, GammaCert, SurfaceData, build_gamma,
-                        build_gamma_cubic_k3, certify_gamma, random_cubic_k3_pair,
-                        random_diag_gram, random_fourfold_pair, random_unimodular,
-                        verify_frobenius)
+from .motiveiso import (Datum, GammaCert, build_gamma, build_gamma_cubic_k3, certify_gamma,
+                        random_cubic_k3_pair, random_diag_gram, random_fourfold_pair,
+                        random_unimodular, verify_frobenius)
 from .quadform import GroupAction, Isometry, QuadSpace, equivariant_witt
 from .rationals import QQ
-from .realization import (RealizationConfig, check, degree, derive_P, p_to_text, realize,
+from .realization import (Space, check, degree, derive_P, p_to_text, realize,
                           verify_kernel_identities)
 from .tautcorr import CorrClass, ck_projectors, compose, transpose
 
@@ -157,16 +156,16 @@ def random_gram(seed: int, rank: int = 22) -> np.ndarray:
     return random_diag_gram(random.Random(seed), rank)
 
 
-def _config(cfg) -> RealizationConfig:
-    return cfg if cfg is not None else RealizationConfig.default()
+def _config(cfg) -> Space:
+    return cfg if cfg is not None else Space.default()
 
 
-def _alt_config(cfg: RealizationConfig) -> RealizationConfig:
+def _alt_config(cfg: Space) -> Space:
     """A second primitive Gram, guaranteed distinct from ``cfg``'s."""
     for seed in itertools.count(97):
         g = random_gram(seed, 6)
         if g.shape != cfg.prim.gram.shape or not mat_eq(g, cfg.prim.gram):
-            return RealizationConfig.with_gram(g)
+            return Space.with_gram(g)
 
 
 # --------------------------------------------------------------------------
@@ -345,17 +344,17 @@ def derive_p_suite(cfg, seed, extra):
     rp = realize(p, cfg)
 
     def off_oracle(abc):
-        got = degree(rp * realize(CorrClass.h_monomial(cfg.space.vd, abc), cfg))
+        got = degree(rp * realize(CorrClass.h_monomial(cfg.vd, abc), cfg))
         want = _monomial_degree_oracle(*abc)
         return None if got == want else "(a,b,c)=({},{},{}): degree {}".format(*abc, got)
     bad = first_failure(itertools.product(range(5), repeat=3), off_oracle)
     yield ("monomial-degrees",
            "degrees of the correction class against all 125 hyperplane monomials "
            "match the closed-form count", bad is None, bad)
-    dd = realize(CorrClass.diagonal(cfg.space.vd), cfg)
+    dd = realize(CorrClass.diagonal(cfg.vd), cfg)
     got = degree(dd * dd)
     yield ("euler-27", "the realized diagonal squares to degree 27",
-           got == QQ(27), f"got {got} (primitive rank {cfg.space.r})")
+           got == QQ(27), f"got {got} (primitive rank {cfg.r})")
 
 
 # --------------------------------------------------------------------------
@@ -490,7 +489,7 @@ def _sheared_flip(cert: GammaCert, dx):
     (non-orthogonal) basis of the transcendental space and negate the image
     of the second basis vector only.  This is not an isometry, so a valid
     certificate must detect it."""
-    prim = dx.cfg.prim
+    prim = dx.space.prim
     t_basis, _ = dx.transcendental()
     a_vv = dot(cert.gamma.comps[("V", "V")].T, prim.gram)
     cols = list(dx.alg_basis) + [t_basis[0], t_basis[0] + t_basis[1]] + list(t_basis[2:])
@@ -539,8 +538,8 @@ def gamma_suite(cfg, seed, extra):
 def gamma_k3_suite(cfg, seed, extra):
     """Fourfold-to-surface bridges on matched transcendental lattices."""
     g = qmat([[QQ(-2), QQ(1)], [QQ(1), QQ(-2)]])
-    dx = FourfoldData(RealizationConfig.with_gram(g))
-    ds = SurfaceData(VarietyData.k3(), QuadSpace(g.copy()), ())
+    dx = Datum(Space.with_gram(g))
+    ds = Datum(Space(VarietyData.k3(), QuadSpace(g.copy())))
     iso = Isometry(dx.transcendental()[1], ds.transcendental()[1], eye(2))
     failed = _failed_ids(build_gamma_cubic_k3(dx, ds, iso))
     yield ("toy-rank2", "a rank-2 matched pair produces a passing certificate",

@@ -54,11 +54,10 @@ from cubicmotives import linalg as lin
 from cubicmotives.linalg import eye, mat_eq, zeros
 from cubicmotives.rationals import QQ
 from cubicmotives.gradedring import VarietyData
-from cubicmotives.motiveiso import (FourfoldData, SurfaceData, _conjugation_iso,
-                                    random_diag_gram, random_unimodular)
+from cubicmotives.motiveiso import (Datum, _conjugation_iso, random_diag_gram,
+                                    random_unimodular)
 from cubicmotives.quadform import GroupAction, Isometry, QuadSpace
-from cubicmotives.realization import (RealizationConfig, RealizedClass, _contract, _diagonal,
-                                      _last_to)
+from cubicmotives.realization import RealizedClass, Space, _contract, _diagonal, _last_to
 
 
 def _is_zero(val) -> bool:
@@ -431,7 +430,7 @@ def build_gamma_assembly(dx, dy, iso_tr) -> RealizedClass:
     the ``RealizedClass`` constructor with the h-lines at 1/3.  ``dot`` and
     ``solve`` are the library's rational front ends (the Gauss-Jordan above
     is too slow at rank 22; the front ends are tested against it)."""
-    primx, primy = dx.cfg.prim, dy.cfg.prim
+    primx, primy = dx.space.prim, dy.space.prim
     t1_basis, _ = transcendental(primx, dx.alg_basis)
     t2_basis, _ = transcendental(primy, dy.alg_basis)
     b2 = np.stack(t2_basis, axis=1) if t2_basis else zeros(primy.dim, 0)
@@ -445,8 +444,8 @@ def build_gamma_assembly(dx, dy, iso_tr) -> RealizedClass:
 def build_gamma_cubic_k3_assembly(dx, ds, iso) -> RealizedClass:
     """The fourfold-to-K3 Gamma as ``build_gamma_cubic_k3`` assembled it: the
     transport tensor of ``iso`` between the two transcendental bases."""
-    t1_basis, t1_gram = transcendental(dx.cfg.prim, dx.alg_basis)
-    t2_basis, _ = transcendental(ds.prim2, ds.ns_basis)
+    t1_basis, t1_gram = transcendental(dx.space.prim, dx.alg_basis)
+    t2_basis, _ = transcendental(ds.space.prim, ds.alg_basis)
     comps = {}
     if t1_basis:
         comps[("V", "V")] = transport_tensor(t1_basis, t2_basis, t1_gram, iso.matrix)
@@ -524,8 +523,8 @@ def random_fourfold_pair(seed: int, rank: int = 6):
     prim2 = QuadSpace(lin.dot(s.T, g1, s))
     alg2 = [lin.dot(s_inv, a) for a in alg1]
     group2 = GroupAction.build(prim2, [lin.dot(s_inv, flips, s)])
-    dx = FourfoldData(RealizationConfig(prim=prim1), tuple(alg1), group1)
-    dy = FourfoldData(RealizationConfig(prim=prim2), tuple(alg2), group2)
+    dx = Datum(Space(VarietyData.cubic_fourfold(), prim1), tuple(alg1), group1)
+    dy = Datum(Space(VarietyData.cubic_fourfold(), prim2), tuple(alg2), group2)
     iso_tr = _conjugation_iso(dx, dy, s_inv)
     if fixed_t and rng.random() < 0.7:
         w = zeros(iso_tr.source.dim)
@@ -538,9 +537,9 @@ def random_cubic_k3_pair(seed: int, rank: int = 6):
     """``random_cubic_k3_pair`` as it was built: the K3 Gram through ``dot``."""
     rng = random.Random(seed)
     g1 = random_diag_gram(rng, rank)
-    dx = FourfoldData(RealizationConfig(prim=QuadSpace(g1)))
+    dx = Datum(Space(VarietyData.cubic_fourfold(), QuadSpace(g1)))
     s, s_inv = random_unimodular(rng, rank)
-    ds = SurfaceData(VarietyData.k3(), QuadSpace(lin.dot(s.T, g1, s)))
+    ds = Datum(Space(VarietyData.k3(), QuadSpace(lin.dot(s.T, g1, s))))
     return dx, ds, _conjugation_iso(dx, ds, s_inv)
 
 

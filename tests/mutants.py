@@ -54,6 +54,7 @@ ECHELON = ("tests/test_linalg.py::test_echelon_brings_stale_rows_up_exactly",
            "tests/test_linalg.py::test_primitive_lattice_eliminations_match_the_references",
            "tests/test_linalg.py::test_echelon_matches_bareiss")
 REFUSALS = ("tests/test_negative_controls.py::test_designated_refusals",)
+LAWS = ("tests/test_gamma_laws.py",)
 CONTRACT = ("tests/test_linalg.py::test_contract_at_the_edges_of_int64",
             "tests/test_linalg.py::test_contract_takes_int64_exactly_from_the_threshold_on",
             "tests/test_linalg.py::test_contract_matches_object_contraction")
@@ -265,8 +266,8 @@ CATALOGUE = (
            "m[r], level[live], prev = row, p, p",
            "m[r], level[live if len(live) > 1 else []], prev = row, p, p", ECHELON),
     Mutant("transcendental-basis-handed-out-writable", "motiveiso",
-           "return (readonly(rows), p), self._prim.restrict_scaled((rows, p))",
-           "return (rows, p), self._prim.restrict_scaled((rows, p))",
+           "return (readonly(rows), p), prim.restrict_scaled((rows, p))",
+           "return (rows, p), prim.restrict_scaled((rows, p))",
            ("tests/test_motiveiso.py::test_kept_constants_are_read_only",)),
     Mutant("build-gamma-reads-the-source-algebraic-gram-twice", "motiveiso",
            "qx, qy = dx.alg_space.scaled_gram, dy.alg_space.scaled_gram",
@@ -279,9 +280,46 @@ CATALOGUE = (
     Mutant("fourfold-data-drops-the-fixed-class-refusal", "motiveiso",
            "if not self.group.fixes(a):", "if False:", REFUSALS),
     Mutant("frobenius-accepts-a-cubic-k3-certificate", "motiveiso",
-           'if cert.kind != "fourfold-pair":', "if False:", REFUSALS),
+           'raise StructureError("Frobenius verification applies to fourfold pairs")', "pass",
+           REFUSALS),
     Mutant("transport-drops-the-slot-count-refusal", "realization",
            "if len(mats) != self.n or len(targets) != self.n:", "if False:", REFUSALS),
+    Mutant("compose-realized-in-the-wrong-order", "realization",
+           "return f.transport((None, scaled_action(g)), (f.spaces[0], g.spaces[1]))",
+           "return g.transport((None, scaled_action(f)), (g.spaces[0], f.spaces[1]))", LAWS),
+    Mutant("transpose-leaves-the-v-v-block-untransposed", "realization",
+           "out[(k1, k0)] = val.T if isinstance(val, np.ndarray) and val.ndim == 2 else val",
+           "out[(k1, k0)] = val", LAWS),
+    Mutant("isometry-inverse-returns-the-transpose", "quadform",
+           "inverse_scaled(self.scaled_matrix))",
+           "(self.scaled_matrix[0].T, self.scaled_matrix[1]))", LAWS),
+    Mutant("transport-puts-the-new-v-axis-at-0", "realization",
+           "new = new.transpose(_last_to(p, new.ndim))",
+           "new = new.transpose(_last_to(0, new.ndim))", LAWS),
+    Mutant("datum-drops-the-primitive-block-refusal", "motiveiso",
+           "if prim is None:", "if False:", REFUSALS),
+    Mutant("datum-labels-every-basis-algebraic", "motiveiso",
+           'what = "Neron-Severi basis" if self.space.vd.kind == K3 else "algebraic basis"',
+           'what = "algebraic basis"', REFUSALS),
+    Mutant("build-gamma-accepts-a-surface-side", "motiveiso",
+           'raise StructureError("build_gamma needs fourfold data on both sides")', "pass",
+           REFUSALS),
+    Mutant("certify-gamma-accepts-a-surface-side", "motiveiso",
+           'raise StructureError("certify_gamma needs fourfold data on both sides")', "pass",
+           REFUSALS),
+    Mutant("cubic-k3-drops-the-kind-refusal", "motiveiso",
+           "if not _fourfolds(dx) or ds.space.vd.kind != K3:", "if False:", REFUSALS),
+    Mutant("cubic-k3-accepts-a-surface-on-the-fourfold-side", "motiveiso",
+           "not _fourfolds(dx) or ", "", REFUSALS),
+    Mutant("cubic-k3-accepts-a-fourfold-on-the-surface-side", "motiveiso",
+           " or ds.space.vd.kind != K3", "", REFUSALS),
+    Mutant("certificate-kind-always-fourfold-pair", "motiveiso",
+           'return "fourfold-pair" if _fourfolds(self.target) else "cubic-k3"',
+           'return "fourfold-pair"', ("tests/test_motiveiso.py::test_cubic_k3_toy_pair",)),
+    Mutant("witt-drops-the-w2-fixed-refusal", "quadform",
+           "if not all(map(g2.fixes, w2)):", "if False:", REFUSALS),
+    Mutant("witt-drops-the-phi-space-refusal", "quadform",
+           'raise StructureError("phi_V must map V1 to V2")', "pass", REFUSALS),
 )
 
 

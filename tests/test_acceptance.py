@@ -3,7 +3,7 @@ PASS/FAIL line and enforces its runtime budget.  All arithmetic is exact; a
 criterion passes only if every underlying check holds identically (zero
 tolerance).  Run with `pytest -v tests/test_acceptance.py`."""
 
-from cubicmotives.realization import RealizationConfig
+from cubicmotives.realization import Space
 from cubicmotives.suites import (
     chern_suite,
     derive_p_suite,
@@ -69,9 +69,9 @@ def test_criterion_06_derive_p():
 
 
 def test_criterion_07_euler_negative_control():
-    good = derive_p_suite(RealizationConfig.with_gram(random_gram(7, rank=22)))
-    bad21 = derive_p_suite(RealizationConfig.with_gram(random_gram(7, rank=21)))
-    bad23 = derive_p_suite(RealizationConfig.with_gram(random_gram(7, rank=23)))
+    good = derive_p_suite(Space.with_gram(random_gram(7, rank=22)))
+    bad21 = derive_p_suite(Space.with_gram(random_gram(7, rank=21)))
+    bad23 = derive_p_suite(Space.with_gram(random_gram(7, rank=23)))
     ok = (good.passed()
           and [c["id"] for c in bad21.failures()] == ["euler-27"]
           and [c["id"] for c in bad23.failures()] == ["euler-27"]

@@ -18,7 +18,7 @@ from dense_oracle import dense_transport
 from cubicmotives.errors import DomainError, StructureError
 from cubicmotives.gradedring import VarietyData
 from cubicmotives.linalg import dot, eye, inverse, mat_eq, qmat, qvec, same, scaled, solve, zeros
-from cubicmotives.motiveiso import (FourfoldData, GammaCert, SurfaceData, _alg_tensor_pair,
+from cubicmotives.motiveiso import (Datum, GammaCert, _alg_tensor_pair,
                                     _transcendental_bases, build_gamma,
                                     build_gamma_cubic_k3, build_refined_projectors,
                                     certify_gamma, random_cubic_k3_pair,
@@ -27,16 +27,16 @@ from cubicmotives.motiveiso import (FourfoldData, GammaCert, SurfaceData, _alg_t
 from cubicmotives.quadform import (GroupAction, Isometry, QuadSpace, aligned_elements,
                                    equivariant_witt)
 from cubicmotives.rationals import QQ
-from cubicmotives.realization import (RealizationConfig, RealizedClass, action_matrix,
+from cubicmotives.realization import (RealizedClass, Space, action_matrix,
                                       compose_realized, diagonal_realized, realize)
 from cubicmotives.tautcorr import CorrClass, ck_projectors
 
 
-def diag_cfg(*entries) -> RealizationConfig:
+def diag_space(*entries) -> Space:
     g = zeros(len(entries), len(entries))
     for i, e in enumerate(entries):
         g[i, i] = QQ(e)
-    return RealizationConfig.with_gram(g)
+    return Space.with_gram(g)
 
 
 # --------------------------------------------------------------------------
@@ -44,38 +44,40 @@ def diag_cfg(*entries) -> RealizationConfig:
 
 
 def test_fourfold_data_validation():
-    cfg = diag_cfg(2, 2, -1)
-    FourfoldData(cfg)  # no algebraic part is fine
+    sp = diag_space(2, 2, -1)
+    Datum(sp)  # no algebraic part is fine
     alg = (qvec([1, 0, 0]),)
-    d = FourfoldData(cfg, alg_basis=alg)
+    d = Datum(sp, alg_basis=alg)
     t_basis, tq = d.transcendental()
     assert len(t_basis) == 2
     assert tq.is_nondegenerate()
     with pytest.raises(StructureError, match="wrong dimension"):
-        FourfoldData(cfg, alg_basis=(qvec([1, 0]),))
+        Datum(sp, alg_basis=(qvec([1, 0]),))
     with pytest.raises(StructureError, match="anisotropic"):
-        FourfoldData(diag_cfg(1, -1), alg_basis=(qvec([1, 1]),))
+        Datum(diag_space(1, -1), alg_basis=(qvec([1, 1]),))
     with pytest.raises(StructureError, match="orthogonal"):
-        FourfoldData(diag_cfg(1, 1), alg_basis=(qvec([1, 0]), qvec([1, 1])))
+        Datum(diag_space(1, 1), alg_basis=(qvec([1, 0]), qvec([1, 1])))
 
 
 def test_fourfold_data_group_must_fix_algebraic():
-    cfg = diag_cfg(2, 3, -1)
+    sp = diag_space(2, 3, -1)
     flip0 = eye(3)
     flip0[0, 0] = QQ(-1)
-    grp = GroupAction.build(cfg.space_quad if hasattr(cfg, "space_quad") else cfg.prim,
-                            [flip0])
+    grp = GroupAction.build(sp.prim, [flip0])
     with pytest.raises(StructureError, match="fix every algebraic"):
-        FourfoldData(cfg, alg_basis=(qvec([1, 0, 0]),), group=grp)
-    FourfoldData(cfg, alg_basis=(qvec([0, 1, 0]),), group=grp)
+        Datum(sp, alg_basis=(qvec([1, 0, 0]),), group=grp)
+    Datum(sp, alg_basis=(qvec([0, 1, 0]),), group=grp)
 
 
 def test_surface_data_validation():
     g = qmat([[QQ(-2), QQ(1)], [QQ(1), QQ(-2)]])
-    ds = SurfaceData(VarietyData.k3(), QuadSpace(g), ())
+    ds = Datum(Space(VarietyData.k3(), QuadSpace(g)), ())
     assert ds.space.vd.kind == "k3"
-    with pytest.raises(StructureError, match="K3"):
-        SurfaceData(VarietyData.cubic_fourfold(), QuadSpace(g), ())
+    dx = Datum(Space.with_gram(g))
+    with pytest.raises(StructureError, match="a K3 datum$"):  # a fourfold on the surface side
+        build_gamma_cubic_k3(dx, dx, Isometry.identity(dx.transcendental()[1]))
+    with pytest.raises(StructureError, match="primitive block"):
+        Datum(Space(VarietyData.k3()))
 
 
 # --------------------------------------------------------------------------
@@ -83,23 +85,23 @@ def test_surface_data_validation():
 
 
 def test_refined_projectors_no_algebraic_part():
-    d = FourfoldData(diag_cfg(2, -1, 3))
+    d = Datum(diag_space(2, -1, 3))
     pi4_alg, pi4_tr = build_refined_projectors(d)
     # the h^2 line is always algebraic, so with no extra classes the
     # algebraic projector is exactly that line and the transcendental one
     # coincides with the primitive projector
     assert set(pi4_alg.comps) == {(("h", 2), ("h", 2))}
-    want_prim = realize(ck_projectors(VarietyData.cubic_fourfold())["pi4_prim"], d.cfg)
+    want_prim = realize(ck_projectors(VarietyData.cubic_fourfold())["pi4_prim"], d.space)
     assert pi4_tr == want_prim
-    assert pi4_tr == (realize(ck_projectors(VarietyData.cubic_fourfold())["pi4"], d.cfg)
+    assert pi4_tr == (realize(ck_projectors(VarietyData.cubic_fourfold())["pi4"], d.space)
                       - pi4_alg)
 
 
 def test_refined_projectors_split_the_middle():
-    d = FourfoldData(diag_cfg(2, 2, -1, 3), alg_basis=(qvec([1, 0, 0, 0]),
+    d = Datum(diag_space(2, 2, -1, 3), alg_basis=(qvec([1, 0, 0, 0]),
                                                        qvec([0, 1, 0, 0])))
     pi4_alg, pi4_tr = build_refined_projectors(d)
-    pi4 = realize(ck_projectors(VarietyData.cubic_fourfold())["pi4"], d.cfg)
+    pi4 = realize(ck_projectors(VarietyData.cubic_fourfold())["pi4"], d.space)
     for p in (pi4_alg, pi4_tr):
         assert compose_realized(p, p) == p
         assert compose_realized(pi4, p) == p
@@ -114,7 +116,7 @@ def test_refined_projectors_split_the_middle():
 
 
 def test_self_pair_identity_gamma_is_diagonal():
-    d = FourfoldData(diag_cfg(2, -2, 3))
+    d = Datum(diag_space(2, -2, 3))
     _, tq = d.transcendental()
     cert = build_gamma(d, d, Isometry.identity(tq))
     assert cert.passed()
@@ -166,19 +168,19 @@ def test_certificates_leave_no_reference_cycle_through_their_spaces():
 
 
 def test_build_gamma_rejections():
-    d1 = FourfoldData(diag_cfg(2, -2, 3), alg_basis=(qvec([1, 0, 0]),))
-    d2 = FourfoldData(diag_cfg(2, -2, 3))
+    d1 = Datum(diag_space(2, -2, 3), alg_basis=(qvec([1, 0, 0]),))
+    d2 = Datum(diag_space(2, -2, 3))
     _, t1 = d1.transcendental()
     _, t2 = d2.transcendental()
     with pytest.raises(DomainError, match="algebraic ranks differ"):
         build_gamma(d1, d2, Isometry.identity(t2))
     # algebraic classes of different norms cannot be matched
-    d3 = FourfoldData(diag_cfg(3, -2, 3), alg_basis=(qvec([1, 0, 0]),))
+    d3 = Datum(diag_space(3, -2, 3), alg_basis=(qvec([1, 0, 0]),))
     _, t3 = d3.transcendental()
     with pytest.raises(DomainError, match="match up isometrically"):
         build_gamma(d1, d3, Isometry(t1, t3, eye(2)))
     # transcendental shadows of different ranks are not Witt-equivalent here
-    d4 = FourfoldData(diag_cfg(2, -2, 3, 5), alg_basis=(qvec([1, 0, 0, 0]),))
+    d4 = Datum(diag_space(2, -2, 3, 5), alg_basis=(qvec([1, 0, 0, 0]),))
     _, t4 = d4.transcendental()
     with pytest.raises(DomainError, match="Witt-equivalent"):
         build_gamma(d1, d4, Isometry(t1, t4, zeros(3, 2)))
@@ -186,11 +188,11 @@ def test_build_gamma_rejections():
 
 def test_build_gamma_equivariance_rejection():
     # a group on both sides, but an isometry that breaks the alignment
-    g = diag_cfg(2, -2, -2)
+    g = diag_space(2, -2, -2)
     flip = eye(3)
     flip[1, 1] = QQ(-1)
     grp = GroupAction.build(g.prim, [flip])
-    d1 = FourfoldData(g, group=grp)
+    d1 = Datum(g, group=grp)
     _, t1 = d1.transcendental()
     # swap the two (-2)-coordinates: an isometry, but it does not commute
     # with the flip of only the first of them
@@ -208,7 +210,7 @@ def _witt_route(dx, dy, iso_tr):
     bases, the equivariant Witt extension with W the algebraic span and psi_W
     the identity, then the V-block rebuilt from the restriction to the
     complements plus the algebraic tensor.  Returns (Gamma, phi_V, result)."""
-    primx, primy = dx.cfg.prim, dy.cfg.prim
+    primx, primy = dx.space.prim, dy.space.prim
     _transcendental_bases(dx, dy, iso_tr, "iso_tr", "iso_tr")
     t1_basis, t2_basis = dx.transcendental()[0], dy.transcendental()[0]
     dom = list(dx.alg_basis) + list(t1_basis)
@@ -253,10 +255,10 @@ def _rational_conjugate(d, s):
     """The fourfold datum d in the basis of the columns of the rational
     matrix s: Gram s^T G s, classes and group conjugated along."""
     s_inv = inverse(s)
-    prim = QuadSpace(dot(s.T, d.cfg.prim.gram, s))
+    prim = QuadSpace(dot(s.T, d.space.prim.gram, s))
     group = GroupAction.build(prim, [dot(s_inv, g, s) for g in d.group.generators])
-    return FourfoldData(RealizationConfig(prim=prim), tuple(dot(s_inv, a) for a in d.alg_basis),
-                        group), s_inv
+    return Datum(Space(d.space.vd, prim), tuple(dot(s_inv, a) for a in d.alg_basis),
+                 group), s_inv
 
 
 @pytest.mark.parametrize("rank, examples", [(6, 20), (22, 10)])
@@ -272,7 +274,7 @@ def test_gamma_on_rational_conjugates_passes_every_check(rank, examples):
         u, _ = random_unimodular(random.Random(basis_seed), rank)
         s = dot(u, np.diag([QQ(c) for c in scale]).astype(object))  # not unimodular
         dz, s_inv = _rational_conjugate(dy, s)
-        assume(any(x.denominator > 1 for x in dz.cfg.prim.gram.flat))
+        assume(any(x.denominator > 1 for x in dz.space.prim.gram.flat))
         (by, ty), (bz, tz) = dy.transcendental(), dz.transcendental()
         yz = Isometry(ty, tz, solve(np.stack(bz, axis=1), dot(s_inv, np.stack(by, axis=1))))
         cert = build_gamma(dx, dz, yz.compose(iso))
@@ -317,12 +319,12 @@ def test_gamma_matches_fraction_assembly(fourfold_pairs):
         _same_class(build_gamma(dx, dy, iso).gamma, oracle.build_gamma_assembly(dx, dy, iso),
                     seed)
         for d in (dx, dy):
-            _same_transcendental(d, d.cfg.prim, d.alg_basis)
+            _same_transcendental(d, d.space.prim, d.alg_basis)
 
 
 def test_gamma_with_no_transcendental_part_matches_fraction_assembly():
     # the algebraic classes span V: the kernel is empty, Gamma is all algebraic
-    d = FourfoldData(diag_cfg(2, -2, 3),
+    d = Datum(diag_space(2, -2, 3),
                      alg_basis=(qvec([1, 0, 0]), qvec([0, 1, 0]), qvec([0, 0, 1])))
     (rows, p), t = d.transcendental_scaled()
     assert rows.shape == (0, 3) and t.dim == 0
@@ -335,20 +337,20 @@ def test_cubic_k3_gamma_matches_fraction_assembly():
     pairs = [random_cubic_k3_pair(seed) for seed in range(10)]
     pairs += [random_cubic_k3_pair(seed, rank=22) for seed in range(3)]
     # Neron-Severi and algebraic classes on both sides
-    cfg = diag_cfg(2, -2, 3, -1)
-    dx = FourfoldData(cfg, alg_basis=(qvec([1, 0, 0, 0]),))
-    ds = SurfaceData(VarietyData.k3(), cfg.prim, ns_basis=(qvec([1, 0, 0, 0]),))
+    sp = diag_space(2, -2, 3, -1)
+    dx = Datum(sp, alg_basis=(qvec([1, 0, 0, 0]),))
+    ds = Datum(Space(VarietyData.k3(), sp.prim), alg_basis=(qvec([1, 0, 0, 0]),))
     pairs.append((dx, ds, Isometry.identity(dx.transcendental()[1])))
     for i, (dx, ds, iso) in enumerate(pairs):
         cert = build_gamma_cubic_k3(dx, ds, iso)
         assert cert.passed(), i
         _same_class(cert.gamma, oracle.build_gamma_cubic_k3_assembly(dx, ds, iso), i)
-        _same_transcendental(ds, ds.prim2, ds.ns_basis)
+        _same_transcendental(ds, ds.space.prim, ds.alg_basis)
 
 
 def _fresh(d):
     """The same datum built again: nothing of the kept transcendental basis."""
-    return FourfoldData(d.cfg, d.alg_basis, d.group)
+    return Datum(d.space, d.alg_basis, d.group)
 
 
 def _same_certificate(got, want, tag):
@@ -374,7 +376,7 @@ def test_build_gamma_on_fresh_and_kept_data_agree(rank, monkeypatch):
         assert "_transcendental" not in vars(fx) and "_transcendental" not in vars(fy)
         _same_certificate(build_gamma(fx, fy, iso), kept, (rank, seed))
         assert len(kernels) == 4 and vars(fx)["_transcendental"] is fx.transcendental_scaled()
-        bare = [FourfoldData(d.cfg, d.alg_basis) for d in (dx, dy)]  # no group on either side
+        bare = [Datum(d.space, d.alg_basis) for d in (dx, dy)]  # no group on either side
         cert = build_gamma(*bare, iso)
         assert cert.passed() and "_transcendental" in vars(bare[0]), seed
         _same_certificate(build_gamma(*map(_fresh, bare), iso), cert, (rank, seed, "bare"))
@@ -382,7 +384,7 @@ def test_build_gamma_on_fresh_and_kept_data_agree(rank, monkeypatch):
 
 def test_kept_constants_are_read_only():
     dx, ds, _ = random_cubic_k3_pair(2)
-    d = FourfoldData(diag_cfg(2, -2, 3), alg_basis=(qvec([1, 0, 0]),))
+    d = Datum(diag_space(2, -2, 3), alg_basis=(qvec([1, 0, 0]),))
     for datum in (dx, ds, d):
         (rows, _), space = datum.transcendental_scaled()
         for kept in (rows, datum.alg_rows[0], space.scaled_gram[0], datum.alg_space.scaled_gram[0]):
@@ -392,11 +394,11 @@ def test_kept_constants_are_read_only():
 
 
 def test_transcendental_bases_rejects_maps_off_the_canonical_coordinates():
-    d = FourfoldData(diag_cfg(2, -2, 3), alg_basis=(qvec([1, 0, 0]),))
+    d = Datum(diag_space(2, -2, 3), alg_basis=(qvec([1, 0, 0]),))
     _, t = d.transcendental()  # the form diag(-2, 3)
     swapped = QuadSpace(qmat([[3, 0], [0, -2]]))
     swap = qmat([[0, 1], [1, 0]])
-    ds = SurfaceData(VarietyData.k3(), d.cfg.prim, ns_basis=(qvec([1, 0, 0]),))
+    ds = Datum(Space(VarietyData.k3(), d.space.prim), alg_basis=(qvec([1, 0, 0]),))
     bad = [Isometry(t, t, zeros(3, 2)),  # wrong shape, right forms
            Isometry(swapped, t, swap),   # an isometry, from the wrong form
            Isometry(t, swapped, swap)]   # an isometry, to the wrong form
@@ -412,17 +414,17 @@ def _non_aligned_pair():
     entries: two fourfold data on one 2-dimensional form, no algebraic part."""
     s = qmat([[QQ(1, 2), QQ(1, 3)], [0, QQ(2, 5)]])
     s_inv = inverse(s)
-    cfg = RealizationConfig.with_gram(s.T.dot(s))
+    sp = Space.with_gram(s.T.dot(s))
     flip = s_inv.dot(-eye(2)).dot(s)
     quarter = s_inv.dot(qmat([[0, -1], [1, 0]])).dot(s)
-    return (FourfoldData(cfg, group=GroupAction.build(cfg.prim, [flip])),
-            FourfoldData(cfg, group=GroupAction.build(cfg.prim, [quarter])))
+    return (Datum(sp, group=GroupAction.build(sp.prim, [flip])),
+            Datum(sp, group=GroupAction.build(sp.prim, [quarter])))
 
 
 def test_non_aligned_groups_are_rejected_by_both_routes():
     dx, dy = _non_aligned_pair()
     assert (dx.group.order, dy.group.order) == (2, 4)
-    prim = dx.cfg.prim
+    prim = dx.space.prim
     _, t1 = dx.transcendental()
     with pytest.raises(DomainError, match="not equivariant"):
         build_gamma(dx, dy, Isometry.identity(t1))
@@ -460,7 +462,7 @@ def _reflected_gamma(seed):
     isometry, but no longer equivariant."""
     dx, dy, iso = random_fourfold_pair(seed)
     gamma = build_gamma(dx, dy, iso).gamma
-    prim, gen = dx.cfg.prim, dx.group.generators[0]
+    prim, gen = dx.space.prim, dx.group.generators[0]
     i, j = next((i, j) for i in range(prim.dim) for j in range(i + 1, prim.dim)
                 if gen[i, i] != gen[j, j] and prim.gram[i, i] + prim.gram[j, j] != 0)
     u = zeros(prim.dim)
@@ -509,7 +511,7 @@ def test_certify_gamma_rejects_unequal_generator_lists():
     dx, dy, iso = random_fourfold_pair(1)
     gamma = build_gamma(dx, dy, iso).gamma
     with pytest.raises(StructureError, match="generator lists must have equal length"):
-        certify_gamma(gamma, dx, FourfoldData(dy.cfg, dy.alg_basis))
+        certify_gamma(gamma, dx, Datum(dy.space, dy.alg_basis))
 
 
 # --------------------------------------------------------------------------
@@ -526,7 +528,7 @@ def _tampered_gamma(kind):
     if kind == "hflip":
         comps[(("h", 1), ("h", 3))] = comps[(("h", 1), ("h", 3))] * QQ(-1)
     else:
-        prim = dx.cfg.prim
+        prim = dx.space.prim
         t_basis, _ = dx.transcendental()
         a_vv = cert.gamma.comps[("V", "V")].T.dot(prim.gram)
         cols = list(dx.alg_basis) + [t_basis[0], t_basis[0] + t_basis[1]] + list(t_basis[2:])
@@ -591,7 +593,7 @@ def test_tampered_gamma_transport_matches_dense_oracle():
         spx, spy = dx.space, dy.space
         d = diagonal_realized(spx)
         assert d.transport((sa, sa), (spy, spy)) == dense_transport(d, (a, a), (spy, spy))
-        delta = realize(CorrClass.small_diagonal(dx.cfg.vd), dx.cfg)
+        delta = realize(CorrClass.small_diagonal(dx.space.vd), dx.space)
         assert delta.transport((sa, sa, sa), (spy,) * 3) == \
             dense_transport(delta, (a, a, a), (spy,) * 3)
 
@@ -616,8 +618,8 @@ def test_whole_summand_sign_flip_is_a_legitimate_alternative():
 
 def test_cubic_k3_toy_pair():
     g = qmat([[QQ(-2), QQ(1)], [QQ(1), QQ(-2)]])
-    dx = FourfoldData(RealizationConfig.with_gram(g))
-    ds = SurfaceData(VarietyData.k3(), QuadSpace(g.copy()), ())
+    dx = Datum(Space.with_gram(g))
+    ds = Datum(Space(VarietyData.k3(), QuadSpace(g.copy())), ())
     t1, t1q = dx.transcendental()
     t2, t2q = ds.transcendental()
     cert = build_gamma_cubic_k3(dx, ds, Isometry(t1q, t2q, eye(2)))
@@ -664,7 +666,7 @@ def test_surface_ck_with_picard_classes():
     # a surface with an extra algebraic curve class inside the summand
     g = zeros(3, 3)
     g[0, 0], g[1, 1], g[2, 2] = QQ(-2), QQ(-2), QQ(4)
-    ds = SurfaceData(VarietyData.k3(), QuadSpace(g), (qvec([0, 0, 1]),))
+    ds = Datum(Space(VarietyData.k3(), QuadSpace(g)), (qvec([0, 0, 1]),))
     pi0, pi2_alg, pi2_tr, pi4 = surface_ck(ds)
     assert compose_realized(pi2_alg, pi2_alg) == pi2_alg
     assert compose_realized(pi2_tr, pi2_tr) == pi2_tr
@@ -708,10 +710,11 @@ def _same_pair(got, want, tag):
     """Field by field: the Grams (as stored), the algebraic bases, the group's
     generators (as stored) and order, and the transcendental isometry."""
     for a, b in zip(got[:2], want[:2]):
-        pa, pb = (d.cfg.prim if isinstance(d, FourfoldData) else d.prim2 for d in (a, b))
+        pa, pb = a.space.prim, b.space.prim
+        assert a.space.vd == b.space.vd, tag
         assert np.array_equal(pa.scaled_gram[0], pb.scaled_gram[0]), tag
         assert pa.scaled_gram[1] == pb.scaled_gram[1] and mat_eq(pa.gram, pb.gram), tag
-        if isinstance(a, FourfoldData):
+        if a.space.vd.dim == 4:
             assert len(a.alg_basis) == len(b.alg_basis), tag
             assert all(mat_eq(u, v) and all(type(x) is QQ for x in u)
                        for u, v in zip(a.alg_basis, b.alg_basis)), tag
@@ -735,7 +738,7 @@ def test_random_fourfold_pair_matches_fraction_route():
 
 def test_random_fourfold_pair_matches_fraction_route_on_the_shared_pairs(fourfold_pairs):
     for seed, got in enumerate(fourfold_pairs):
-        rank = got[0].cfg.prim.dim
+        rank = got[0].space.prim.dim
         _same_pair(got, oracle.random_fourfold_pair(seed, rank=rank), (rank, seed))
 
 

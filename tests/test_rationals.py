@@ -15,7 +15,7 @@ from cubicmotives.gradedring import TruncPoly, VarietyData
 from cubicmotives.linalg import mat_from_json, mat_to_json
 from cubicmotives.motiveiso import random_diag_gram
 from cubicmotives.rationals import QQ, parse_rational, rational_str
-from cubicmotives.realization import RealizationConfig, derive_P, p_to_json
+from cubicmotives.realization import Space, derive_P, p_to_json
 
 CUBIC = VarietyData.cubic_fourfold()
 
@@ -82,7 +82,6 @@ def test_matrix_json_roundtrip():
 def test_correction_class_text():
     want = {"h2^4 h3^4": "-1/9", "h1^2 h2^3 h3^3": "1/9", "h1^3 h2^2 h3^3": "1/9",
             "h1^3 h2^3 h3^2": "1/9", "h1^4 h3^4": "-1/9", "h1^4 h2^4": "-1/9"}
-    for cfg in (RealizationConfig.default(),
-                RealizationConfig.with_gram(random_diag_gram(random.Random(5), 3))):
-        got = p_to_json(derive_P(cfg))
+    for sp in (Space.default(), Space.with_gram(random_diag_gram(random.Random(5), 3))):
+        got = p_to_json(derive_P(sp))
         assert list(got.items()) == list(want.items())

@@ -16,7 +16,7 @@ from cubicmotives.linalg import boxed, eye, mat_eq, mat_from_json, mat_to_json, 
 from cubicmotives.motiveiso import random_diag_gram, random_unimodular
 from cubicmotives.quadform import QuadSpace
 from cubicmotives.rationals import QQ
-from cubicmotives.realization import (RealizationConfig, RealizedClass, Space, _diagonal,
+from cubicmotives.realization import (RealizedClass, Space, _diagonal,
                                       action_matrix, check, check_equal,
                                       compose_realized, degree, derive_P,
                                       diagonal_realized, p_to_text, realize,
@@ -39,13 +39,12 @@ P_TERMS = {
 }
 
 
-def small_cfg(rank=3, seed=5) -> RealizationConfig:
-    return RealizationConfig.with_gram(random_diag_gram(random.Random(seed), rank))
+def small_space(rank=3, seed=5) -> Space:
+    return Space.with_gram(random_diag_gram(random.Random(seed), rank))
 
 
 def test_space_shape():
-    cfg = small_cfg(rank=2)
-    sp = cfg.space
+    sp = small_space(rank=2)
     assert sp.hdim == 5
     assert sp.r == 2
     assert sp.size == 7
@@ -58,28 +57,27 @@ def test_space_shape():
 
 
 def test_default_config_rank():
-    cfg = RealizationConfig.default()
-    assert cfg.space.r == 22
-    assert cfg.space.gram[0, 0] != 0
+    sp = Space.default()
+    assert sp.r == 22
+    assert sp.gram[0, 0] != 0
 
 
 def test_config_json_roundtrip():
     # a configuration's JSON form is its Gram matrix in "p/q" rows, the form
     # the CLI reads from a gram file
-    cfg = small_cfg(rank=4)
-    cfg2 = RealizationConfig.with_gram(mat_from_json(mat_to_json(cfg.prim.gram)))
-    assert mat_eq(cfg2.prim.gram, cfg.prim.gram)
-    assert cfg2.space == cfg.space
+    sp = small_space(rank=4)
+    again = Space.with_gram(mat_from_json(mat_to_json(sp.prim.gram)))
+    assert mat_eq(again.prim.gram, sp.prim.gram)
+    assert again == sp
 
 
 def test_realize_diagonal_and_monomials():
-    cfg = small_cfg()
-    sp = cfg.space
-    d = realize(CorrClass.diagonal(CUBIC), cfg)
+    sp = small_space()
+    d = realize(CorrClass.diagonal(CUBIC), sp)
     assert d == diagonal_realized(sp)
-    m = realize(CorrClass.h_monomial(CUBIC, (4, 4), QQ(1)), cfg)
+    m = realize(CorrClass.h_monomial(CUBIC, (4, 4), QQ(1)), sp)
     assert degree(m) == QQ(9)
-    assert degree(realize(CorrClass.h_monomial(CUBIC, (4, 3)), cfg)) == QQ(0)
+    assert degree(realize(CorrClass.h_monomial(CUBIC, (4, 3)), sp)) == QQ(0)
 
 
 def _random_taut(rng) -> CorrClass:
@@ -94,34 +92,33 @@ def _random_taut(rng) -> CorrClass:
 
 
 def test_realization_is_functorial():
-    cfg = small_cfg()
+    sp = small_space()
     rng = random.Random(3)
     for _ in range(15):
         f, g = _random_taut(rng), _random_taut(rng)
-        lhs = realize(compose(f, g), cfg)
-        rhs = compose_realized(realize(f, cfg), realize(g, cfg))
+        lhs = realize(compose(f, g), sp)
+        rhs = compose_realized(realize(f, sp), realize(g, sp))
         assert lhs == rhs
-        assert realize(transpose(f), cfg) == realize(f, cfg).transpose()
+        assert realize(transpose(f), sp) == realize(f, sp).transpose()
 
 
 def test_compose_realized_unital():
-    cfg = small_cfg()
-    d = diagonal_realized(cfg.space)
-    f = realize(_random_taut(random.Random(9)), cfg)
+    sp = small_space()
+    d = diagonal_realized(sp)
+    f = realize(_random_taut(random.Random(9)), sp)
     assert compose_realized(d, f) == f
     assert compose_realized(f, d) == f
 
 
 def test_action_matrix_shape_and_diagonal():
-    cfg = small_cfg(rank=2)
-    d = diagonal_realized(cfg.space)
-    assert mat_eq(action_matrix(d), eye(cfg.space.size))
+    sp = small_space(rank=2)
+    d = diagonal_realized(sp)
+    assert mat_eq(action_matrix(d), eye(sp.size))
 
 
 def test_matrix_and_dense_roundtrip():
-    cfg = small_cfg()
-    sp = cfg.space
-    f = realize(_random_taut(random.Random(21)), cfg)
+    sp = small_space()
+    f = realize(_random_taut(random.Random(21)), sp)
     m = f.to_matrix()
     assert from_matrix((sp, sp), m) == f
     dense = to_dense(f)
@@ -129,9 +126,8 @@ def test_matrix_and_dense_roundtrip():
 
 
 def test_transport_by_identity():
-    cfg = small_cfg()
-    sp = cfg.space
-    f = realize(_random_taut(random.Random(2)), cfg)
+    sp = small_space()
+    f = realize(_random_taut(random.Random(2)), sp)
     assert f.transport([scaled(eye(sp.size)), scaled(eye(sp.size))], [sp, sp]) == f
     assert f.transport([None, None], [sp, sp]) == f
 
@@ -166,10 +162,10 @@ def _random_map(rng, source: Space, target: Space) -> np.ndarray:
 
 def test_block_transport_matches_dense_oracle():
     rng = random.Random(41)
-    sp3, sp2, sp5 = small_cfg(rank=3).space, small_cfg(rank=2, seed=7).space, \
-        small_cfg(rank=5, seed=9).space
+    sp3, sp2, sp5 = small_space(rank=3), small_space(rank=2, seed=7), \
+        small_space(rank=5, seed=9)
     h_only = Space(CUBIC)
-    k3 = Space(VarietyData.k3(), small_cfg(rank=4, seed=2).prim)
+    k3 = Space(VarietyData.k3(), small_space(rank=4, seed=2).prim)
     cases = [
         ((sp3, sp3), (sp3, sp3)),
         ((sp3, sp3, sp3), (sp3, sp3, sp3)),
@@ -189,14 +185,13 @@ def test_block_transport_matches_dense_oracle():
 
 
 def test_block_transport_of_diagonals_matches_dense_oracle():
-    cfg = small_cfg(rank=4, seed=17)
-    sp = cfg.space
+    sp = small_space(rank=4, seed=17)
     rng = random.Random(8)
     m = _random_map(rng, sp, sp)
     d = diagonal_realized(sp)
     sm = scaled(m)
     assert d.transport((sm, sm), (sp, sp)) == dense_transport(d, (m, m), (sp, sp))
-    delta = realize(CorrClass.small_diagonal(CUBIC), cfg)
+    delta = realize(CorrClass.small_diagonal(CUBIC), sp)
     assert delta.transport((sm, sm, sm), (sp,) * 3) == dense_transport(delta, (m, m, m), (sp,) * 3)
 
 
@@ -215,36 +210,35 @@ def _einsum_mul(a: RealizedClass, b: RealizedClass) -> RealizedClass:
 def test_products_match_einsum_oracle(monkeypatch):
     """The library product against one assembled from the einsum oracle,
     alone and inside ``realize`` (the small diagonal is a product)."""
-    nondiag = RealizationConfig.with_gram(qmat([[QQ(2), QQ(1), QQ(0)],
-                                                [QQ(1), QQ(2), QQ(0)],
-                                                [QQ(0), QQ(0), QQ(-1)]]))
+    nondiag = Space.with_gram(qmat([[QQ(2), QQ(1), QQ(0)],
+                                   [QQ(1), QQ(2), QQ(0)],
+                                   [QQ(0), QQ(0), QQ(-1)]]))
     rng = random.Random(12)
-    cfgs = (small_cfg(rank=1), small_cfg(rank=4, seed=8), nondiag)
+    sps = (small_space(rank=1), small_space(rank=4, seed=8), nondiag)
     taut = [CorrClass.small_diagonal(CUBIC),
             CorrClass.small_diagonal(CUBIC).scale(QQ(2, 3))
             + CorrClass(CUBIC, 3, {("D", 0, 2, 1): QQ(-1)})
             + CorrClass.h_monomial(CUBIC, (1, 2, 0), QQ(1, 2))]
     pairs = []
-    for cfg in cfgs:
-        sp = cfg.space
+    for sp in sps:
         for n in (2, 3):
             pairs += [(_random_realized(rng, (sp,) * n, 8),
                        _random_realized(rng, (sp,) * n, 8)) for _ in range(3)]
-    got_real = [realize(x, cfg) for cfg in cfgs for x in taut]
+    got_real = [realize(x, sp) for sp in sps for x in taut]
     got_prod = [a * b for a, b in pairs]
     monkeypatch.setattr(RealizedClass, "__mul__", _einsum_mul)
-    assert got_real == [realize(x, cfg) for cfg in cfgs for x in taut]
+    assert got_real == [realize(x, sp) for sp in sps for x in taut]
     assert got_prod == [a * b for a, b in pairs]
 
 
 def test_compose_matches_dense_oracle():
     rng = random.Random(23)
     h_only = Space(CUBIC)  # rank 0
-    sp1, sp4 = small_cfg(rank=1).space, small_cfg(rank=4, seed=8).space
-    nondiag = RealizationConfig.with_gram(qmat([[QQ(2), QQ(1), QQ(0)],
-                                                [QQ(1), QQ(2), QQ(0)],
-                                                [QQ(0), QQ(0), QQ(-1)]])).space
-    k3 = Space(VarietyData.k3(), small_cfg(rank=4, seed=2).prim)
+    sp1, sp4 = small_space(rank=1), small_space(rank=4, seed=8)
+    nondiag = Space.with_gram(qmat([[QQ(2), QQ(1), QQ(0)],
+                                   [QQ(1), QQ(2), QQ(0)],
+                                   [QQ(0), QQ(0), QQ(-1)]]))
+    k3 = Space(VarietyData.k3(), small_space(rank=4, seed=2).prim)
     chains = [
         (h_only, h_only, h_only),
         (sp1, sp1, sp1),
@@ -265,11 +259,11 @@ def test_compose_matches_dense_oracle():
 
 
 def test_action_is_made_once_and_read_only():
-    cfg = small_cfg(rank=4, seed=3)
-    f = _random_realized(random.Random(5), (cfg.space, cfg.space))
+    sp = small_space(rank=4, seed=3)
+    f = _random_realized(random.Random(5), (sp, sp))
     a = scaled_action(f)
     assert scaled_action(f) is a
-    assert mat_eq(action_matrix(f), np.dot(f.to_matrix().T, cfg.space.pairing))
+    assert mat_eq(action_matrix(f), np.dot(f.to_matrix().T, sp.pairing))
     with pytest.raises(ValueError):
         a[0][0, 0] = 1
 
@@ -279,9 +273,9 @@ def test_kept_block_tables_match_fresh_ones():
     (5 h-lines, r = 4) and a K3's (3 h-lines, r = 6), in either order and on
     several slots at once: each kept table gives what a fresh one gives."""
     rng = random.Random(12)
-    src = small_cfg(rank=3, seed=4).space
-    four = small_cfg(rank=4, seed=6).space
-    k3 = Space(VarietyData.k3(), small_cfg(rank=6, seed=8).prim)
+    src = small_space(rank=3, seed=4)
+    four = small_space(rank=4, seed=6)
+    k3 = Space(VarietyData.k3(), small_space(rank=6, seed=8).prim)
     a = scaled_action(_random_realized(rng, (src, four), n_comps=12))
     fresh = tuple(a)  # a plain pair keeps no table
     for targets in ((four,), (k3,), (four, k3), (k3, k3, four)):
@@ -296,7 +290,7 @@ def test_kept_block_tables_match_fresh_ones():
 def test_middle_part_is_canonical():
     """Dropping components can change the gcd: here the part that stays is
     2/2, which must read 1 over 1."""
-    sp = small_cfg(rank=2).space
+    sp = small_space(rank=2)
     f = RealizedClass((sp, sp), {(("h", 2), ("h", 2)): QQ(1), (("h", 0), ("h", 4)): QQ(1, 2)})
     mid = f.middle_part()
     assert mid == RealizedClass((sp, sp), {(("h", 2), ("h", 2)): QQ(1)})
@@ -332,32 +326,31 @@ def test_diagonals_are_canonical_as_built():
 
 
 def test_middle_part_of_diagonal():
-    cfg = small_cfg(rank=2)
-    mid = diagonal_realized(cfg.space).middle_part()
+    sp = small_space(rank=2)
+    mid = diagonal_realized(sp).middle_part()
     keys = set(mid.comps)
     assert keys == {(("h", 2), ("h", 2)), ("V", "V")}
 
 
 def test_derive_p_frozen_terms():
-    p = derive_P(RealizationConfig.default())
+    p = derive_P(Space.default())
     assert p.terms == P_TERMS
     assert "1/9" in p_to_text(p)
 
 
 def test_derive_p_gram_independent():
     # diagonal and non-diagonal Gram matrices of several ranks all agree
-    p0 = derive_P(RealizationConfig.default())
+    p0 = derive_P(Space.default())
     nondiag = qmat([[QQ(2), QQ(1), QQ(0)],
                     [QQ(1), QQ(2), QQ(0)],
                     [QQ(0), QQ(0), QQ(-1)]])
-    for cfg in (small_cfg(rank=1), small_cfg(rank=6, seed=8),
-                RealizationConfig.with_gram(nondiag)):
-        assert derive_P(cfg) == p0
+    for sp in (small_space(rank=1), small_space(rank=6, seed=8), Space.with_gram(nondiag)):
+        assert derive_P(sp) == p0
 
 
 def test_degree_oracle_for_correction_class():
-    cfg = small_cfg(rank=4, seed=13)
-    rp = realize(derive_P(cfg), cfg)
+    sp = small_space(rank=4, seed=13)
+    rp = realize(derive_P(sp), sp)
     for a in range(5):
         for b in range(5):
             for c in range(5):
@@ -365,22 +358,22 @@ def test_degree_oracle_for_correction_class():
                           - 3 * ((a + b == 4 and c == 0)
                                  + (a + c == 4 and b == 0)
                                  + (b + c == 4 and a == 0)))
-                m = realize(CorrClass.h_monomial(CUBIC, (a, b, c)), cfg)
+                m = realize(CorrClass.h_monomial(CUBIC, (a, b, c)), sp)
                 assert degree(rp * m) == want, (a, b, c)
 
 
 def test_euler_degree_tracks_rank():
     for rank, want in ((21, 26), (22, 27), (23, 28)):
-        cfg = small_cfg(rank=rank, seed=rank)
-        d = realize(CorrClass.diagonal(CUBIC), cfg)
+        sp = small_space(rank=rank, seed=rank)
+        d = realize(CorrClass.diagonal(CUBIC), sp)
         assert degree(d * d) == QQ(want)
 
 
 def test_kernel_identities_two_grams():
     expected = {"pLpL", "pRpR", "pLpR", "pRpL",
                 "sandwichL", "sandwichR", "restrictL", "restrictR"}
-    for cfg in (RealizationConfig.default(), small_cfg(rank=5, seed=31)):
-        results = verify_kernel_identities(cfg)
+    for sp in (Space.default(), small_space(rank=5, seed=31)):
+        results = verify_kernel_identities(sp)
         assert {r["id"] for r in results} == expected
         assert all(r["passed"] for r in results), [r for r in results if not r["passed"]]
 
@@ -391,7 +384,7 @@ def test_check_records():
     assert check("a", "claim", False)["witness"] == "identity does not hold"
     assert check("a", "claim", 0, "why") == {
         "id": "a", "claim": "claim", "passed": False, "witness": "why"}
-    d = diagonal_realized(small_cfg(rank=2).space)
+    d = diagonal_realized(small_space(rank=2))
     assert check_equal("d", "claim", d, d)["witness"] is None
     got = check_equal("d", "claim", d, d.scale(2))
     assert not got["passed"]
@@ -399,22 +392,22 @@ def test_check_records():
 
 
 def test_realized_projectors_match_calculus():
-    cfg = small_cfg(rank=2)
+    sp = small_space(rank=2)
     pis = ck_projectors(CUBIC)
-    rp = {k: realize(v, cfg) for k, v in pis.items()}
+    rp = {k: realize(v, sp) for k, v in pis.items()}
     total = rp["pi0"] + rp["pi2"] + rp["pi4"] + rp["pi6"] + rp["pi8"]
-    assert total == diagonal_realized(cfg.space)
+    assert total == diagonal_realized(sp)
     for k in pis:
         assert compose_realized(rp[k], rp[k]) == rp[k]
     # the primitive projector realizes to the bare summand block
     prim = rp["pi4_prim"]
     assert set(prim.comps) == {("V", "V")}
-    assert mat_eq(prim.comps[("V", "V")], cfg.space.gram_inv)
+    assert mat_eq(prim.comps[("V", "V")], sp.gram_inv)
 
 
 def test_space_mismatch_rejected():
-    cfg1, cfg2 = small_cfg(rank=2), small_cfg(rank=3)
-    f = realize(CorrClass.diagonal(CUBIC), cfg1)
-    g = realize(CorrClass.diagonal(CUBIC), cfg2)
+    sp2, sp3 = small_space(rank=2), small_space(rank=3)
+    f = realize(CorrClass.diagonal(CUBIC), sp2)
+    g = realize(CorrClass.diagonal(CUBIC), sp3)
     with pytest.raises(StructureError):
         compose_realized(f, g)
